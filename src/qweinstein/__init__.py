@@ -43,7 +43,6 @@ from .qops import (
 )
 from .qintegrate import (
     IntegralResult,
-    Measure,
     integrate_mu,
     jackson_0_to_a,
     jackson_signed_line,

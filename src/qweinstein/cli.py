@@ -188,6 +188,47 @@ def _parse_header(line: str, path: str) -> dict:
     return out
 
 
+def _integer(v) -> int:
+    """A sign or exponent field: a JSON integer or a decimal string (CSV)."""
+    if type(v) is int:
+        return v
+    if isinstance(v, str):
+        return int(v)
+    raise TypeError(f"not an integer: {v!r}")
+
+
+def _grid_from_rows(version, params: QParams, window: LatticeWindow, parity: str,
+                    rows, path: str) -> GridFunction:
+    """Build a grid function from (location, fields) rows, checking every row.
+
+    Each row is sign, n1, n2, re, im; the sign must be +-1, the exponents
+    integers inside the window, and no point may repeat.
+    """
+    if version != FORMAT_VERSION:
+        raise FileFormatError(f"{path}:1: unsupported format version {version!r}, "
+                              f"expected {FORMAT_VERSION}")
+    arr = np.zeros(window.shape, dtype=np.complex128)
+    seen = set()
+    for where, fields in rows:
+        if not isinstance(fields, list) or len(fields) != 5:
+            raise FileFormatError(f"{where}: expected 5 fields, got {fields!r}")
+        try:
+            sgn, n1, n2 = map(_integer, fields[:3])
+            value = complex(float(fields[3]), float(fields[4]))
+        except (TypeError, ValueError) as exc:
+            raise FileFormatError(f"{where}: unparsable row: {fields!r}") from exc
+        if sgn not in (1, -1):
+            raise FileFormatError(f"{where}: sign must be 1 or -1")
+        if not (window.n1_min <= n1 <= window.n1_max and window.n2_min <= n2 <= window.n2_max):
+            raise FileFormatError(f"{where}: point ({sgn},{n1},{n2}) outside window")
+        key = (sgn, n1, n2)
+        if key in seen:
+            raise FileFormatError(f"{where}: duplicate point {key}")
+        seen.add(key)
+        arr[0 if sgn == 1 else 1, n1 - window.n1_min, n2 - window.n2_min] = value
+    return GridFunction(params, window, parity, arr)
+
+
 def read_gridfunction(path: str) -> GridFunction:
     if path.endswith(".json"):
         return _read_json(path)
@@ -196,37 +237,14 @@ def read_gridfunction(path: str) -> GridFunction:
     if not lines:
         raise FileFormatError(f"{path}:1: empty file")
     hdr = _parse_header(lines[0], path)
-    params = QParams(q=hdr["q"], alpha=hdr["alpha"])
-    window = LatticeWindow(hdr["n1"][0], hdr["n1"][1], hdr["n2"][0], hdr["n2"][1])
-    arr = np.zeros(window.shape, dtype=np.complex128)
-    seen = set()
     start = 1
     if len(lines) > 1 and lines[1].replace(" ", "") == "sign,n1,n2,re,im":
         start = 2
-    for lineno, line in enumerate(lines[start:], start + 1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise FileFormatError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-        try:
-            sgn = int(parts[0])
-            n1 = int(parts[1])
-            n2 = int(parts[2])
-            re = float(parts[3])
-            im = float(parts[4])
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: unparsable row: {line!r}") from exc
-        if sgn not in (1, -1):
-            raise FileFormatError(f"{path}:{lineno}: sign must be 1 or -1")
-        if not (window.n1_min <= n1 <= window.n1_max and window.n2_min <= n2 <= window.n2_max):
-            raise FileFormatError(f"{path}:{lineno}: point ({sgn},{n1},{n2}) outside window")
-        key = (sgn, n1, n2)
-        if key in seen:
-            raise FileFormatError(f"{path}:{lineno}: duplicate point {key}")
-        seen.add(key)
-        arr[0 if sgn == 1 else 1, n1 - window.n1_min, n2 - window.n2_min] = complex(re, im)
-    return GridFunction(params, window, hdr["parity"], arr)
+    rows = ((f"{path}:{lineno}", line.split(","))
+            for lineno, line in enumerate(lines[start:], start + 1)
+            if line.strip() and not line.startswith("#"))
+    return _grid_from_rows(hdr["version"], QParams(q=hdr["q"], alpha=hdr["alpha"]),
+                           LatticeWindow(*hdr["n1"], *hdr["n2"]), hdr["parity"], rows, path)
 
 
 def _read_json(path: str) -> GridFunction:
@@ -235,23 +253,13 @@ def _read_json(path: str) -> GridFunction:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-    for need in ("q", "alpha", "parity", "n1", "n2", "points"):
+    for need in ("version", "q", "alpha", "parity", "n1", "n2", "points"):
         if need not in doc:
             raise FileFormatError(f"{path}:1: JSON missing field {need!r}")
-    params = QParams(q=doc["q"], alpha=doc["alpha"])
-    window = LatticeWindow(doc["n1"][0], doc["n1"][1], doc["n2"][0], doc["n2"][1])
-    arr = np.zeros(window.shape, dtype=np.complex128)
-    seen = set()
-    for idx, row in enumerate(doc["points"]):
-        if len(row) != 5:
-            raise FileFormatError(f"{path}: point {idx}: expected 5 entries")
-        sgn, n1, n2, re, im = row
-        key = (sgn, n1, n2)
-        if key in seen:
-            raise FileFormatError(f"{path}: point {idx}: duplicate {key}")
-        seen.add(key)
-        arr[0 if sgn == 1 else 1, int(n1) - window.n1_min, int(n2) - window.n2_min] = complex(re, im)
-    return GridFunction(params, window, doc["parity"], arr)
+    rows = ((f"{path}: point {idx}", row) for idx, row in enumerate(doc["points"]))
+    return _grid_from_rows(doc["version"], QParams(q=doc["q"], alpha=doc["alpha"]),
+                           LatticeWindow(doc["n1"][0], doc["n1"][1], doc["n2"][0], doc["n2"][1]),
+                           doc["parity"], rows, path)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +290,7 @@ def random_even_bump(params: QParams, support: LatticeWindow, seed: int,
 
 def _cmd_gen(args, cfg: JobConfig) -> int:
     params = cfg.params()
-    sup = LatticeWindow(*(int(v) for v in args.support.split(",")))
+    sup = LatticeWindow(*_parse_window(args.support, "--support"))
     f = random_even_bump(params, sup, cfg.seed)
     write_gridfunction(f, args.out, cfg.fmt)
     print(f"wrote {args.out} (support {sup.n1_min}..{sup.n1_max} x {sup.n2_min}..{sup.n2_max}, "
@@ -494,6 +502,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _parse_window(text: str, flag: str) -> list[int]:
+    """n1_min,n1_max,n2_min,n2_max from a command-line flag value."""
+    try:
+        parts = [int(v) for v in text.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) != 4:
+        raise FileFormatError(f"{flag} needs four comma-separated integers, got {text!r}")
+    return parts
+
+
 def _merge_config(args) -> JobConfig:
     config_path = getattr(args, "config", None)
     cfg = JobConfig.from_file(config_path) if config_path else JobConfig()
@@ -503,10 +522,7 @@ def _merge_config(args) -> JobConfig:
             setattr(cfg, key, val)
     window = getattr(args, "window", None)
     if window:
-        parts = [int(v) for v in window.split(",")]
-        if len(parts) != 4:
-            raise FileFormatError("--window needs four comma-separated integers")
-        cfg.n1_min, cfg.n1_max, cfg.n2_min, cfg.n2_max = parts
+        cfg.n1_min, cfg.n1_max, cfg.n2_min, cfg.n2_max = _parse_window(window, "--window")
     return cfg
 
 

@@ -1,9 +1,9 @@
 """Jackson q-integration and weighted L^p norms on the lattice.
 
 Integrals are (in)finite weighted sums over geometric lattices.  Terms are
-accumulated smallest-magnitude first with Neumaier compensation because the
-weights span many orders of magnitude; every integral reports a tail
-estimate alongside its value instead of silently truncating.
+summed with correct rounding (math.fsum) because the weights span many
+orders of magnitude; every integral reports a tail estimate alongside its
+value instead of silently truncating.
 """
 
 from __future__ import annotations
@@ -16,37 +16,6 @@ import numpy as np
 
 from .qcore import DEFAULT_POLICY, DivergenceError, QDomainError, QParams, TruncationPolicy
 from .qops import EVEN, GridFunction
-
-PLAIN_LINE = "plain-line"
-SIGNED_LINE = "signed-line"
-WEIGHTED_2D = "weighted-2d"
-
-
-@dataclass(frozen=True)
-class Measure:
-    """One of the three lattice measures used throughout."""
-
-    params: QParams
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (PLAIN_LINE, SIGNED_LINE, WEIGHTED_2D):
-            raise QDomainError(f"unknown measure kind {self.kind!r}")
-
-    def log_weight_grid(self, window) -> np.ndarray:
-        """Log of the measure weights on a lattice window (2d kind only)."""
-        if self.kind != WEIGHTED_2D:
-            raise QDomainError("log_weight_grid applies to the weighted-2d measure")
-        q = self.params.q
-        alpha = self.params.alpha
-        n1 = window.n1_exponents().astype(float)
-        n2 = window.n2_exponents().astype(float)
-        logw = (
-            2.0 * math.log1p(-q)
-            + n1[:, None] * math.log(q)
-            + n2[None, :] * (2.0 * alpha + 2.0) * math.log(q)
-        )
-        return np.broadcast_to(logw[None, :, :], window.shape)
 
 
 @dataclass(frozen=True)
@@ -61,28 +30,9 @@ class IntegralResult:
 
 
 def neumaier_sum(terms: np.ndarray) -> complex:
-    """Compensated summation, smallest magnitudes first."""
+    """Correctly rounded sum (math.fsum) of the real and the imaginary parts."""
     arr = np.asarray(terms, dtype=np.complex128).ravel()
-    order = np.argsort(np.abs(arr), kind="stable")
-    arr = arr[order]
-    total_re = comp_re = 0.0
-    total_im = comp_im = 0.0
-    for v in arr:
-        x = v.real
-        t = total_re + x
-        if abs(total_re) >= abs(x):
-            comp_re += (total_re - t) + x
-        else:
-            comp_re += (x - t) + total_re
-        total_re = t
-        x = v.imag
-        t = total_im + x
-        if abs(total_im) >= abs(x):
-            comp_im += (total_im - t) + x
-        else:
-            comp_im += (x - t) + total_im
-        total_im = t
-    return complex(total_re + comp_re, total_im + comp_im)
+    return complex(math.fsum(arr.real), math.fsum(arr.imag))
 
 
 def jackson_0_to_a(f: Callable[[float], complex], a: float, params: QParams,
@@ -143,21 +93,26 @@ def mu_weights(f: GridFunction) -> np.ndarray:
 
 
 def log_mu_weights(f: GridFunction) -> np.ndarray:
-    return Measure(f.params, WEIGHTED_2D).log_weight_grid(f.window)
-
-
-def _edge_mass_ratio(weighted: np.ndarray) -> float:
-    """Fraction of total |mass| sitting on the outermost window shells."""
-    total = float(np.sum(np.abs(weighted)))
-    if total == 0.0:
-        return 0.0
-    edge = (
-        float(np.sum(np.abs(weighted[:, 0, :])))
-        + float(np.sum(np.abs(weighted[:, -1, :])))
-        + float(np.sum(np.abs(weighted[:, :, 0])))
-        + float(np.sum(np.abs(weighted[:, :, -1])))
+    """Log of the mu_weights entries, computed directly so deep windows cannot overflow."""
+    q = f.params.q
+    n1 = f.window.n1_exponents().astype(float)
+    n2 = f.window.n2_exponents().astype(float)
+    logw = (
+        2.0 * math.log1p(-q)
+        + n1[:, None] * math.log(q)
+        + n2[None, :] * (2.0 * f.params.alpha + 2.0) * math.log(q)
     )
-    return edge / total
+    return np.broadcast_to(logw[None, :, :], f.window.shape)
+
+
+def edge_shell_mass(mass: np.ndarray, depth: int = 0) -> list[float]:
+    """Mass on the shell `depth` steps in from each window edge.
+
+    Entries follow the edges low n1, high n1, low n2, high n2; ``mass`` is a
+    nonnegative array over a window, axis 0 being the sign of x1.
+    """
+    return [float(mass[:, depth, :].sum()), float(mass[:, -1 - depth, :].sum()),
+            float(mass[:, :, depth].sum()), float(mass[:, :, -1 - depth].sum())]
 
 
 def integrate_mu(f: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> IntegralResult:
@@ -169,9 +124,23 @@ def integrate_mu(f: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> 
     if f.parity_y != EVEN:
         raise QDomainError("integrate_mu requires even parity in x2")
     weighted = f.samples * mu_weights(f)
-    value = neumaier_sum(weighted)
-    tail = _edge_mass_ratio(weighted) * float(np.sum(np.abs(weighted)))
-    return IntegralResult(value=value, tail=float(tail))
+    return IntegralResult(value=neumaier_sum(weighted),
+                          tail=sum(edge_shell_mass(np.abs(weighted))))
+
+
+def log_sum_exp(logs: np.ndarray) -> float:
+    """log(sum(exp(logs))), shifted by the max so no term overflows; -inf if empty."""
+    if logs.size == 0:
+        return -math.inf
+    m = float(np.max(logs))
+    return m + math.log(float(np.sum(np.exp(logs - m))))
+
+
+def _log_power_sum(values: np.ndarray, logw: np.ndarray, p: float) -> float:
+    """log of sum |values|^p * exp(logw) over the nonzero values."""
+    absv = np.abs(values)
+    mask = absv > 0.0
+    return log_sum_exp(p * np.log(absv[mask]) + logw[mask])
 
 
 def lp_norm(f: GridFunction, p: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
@@ -180,23 +149,9 @@ def lp_norm(f: GridFunction, p: float, policy: TruncationPolicy = DEFAULT_POLICY
         return float(np.max(np.abs(f.samples)))
     if p <= 0:
         raise QDomainError(f"lp_norm needs p > 0 or inf, got {p}")
-    logw = log_mu_weights(f)
-    absf = np.abs(f.samples)
-    mask = absf > 0.0
-    if not np.any(mask):
-        return 0.0
-    logs = p * np.log(absf[mask]) + logw[mask]
-    m = float(np.max(logs))
-    s = float(np.sum(np.exp(logs - m)))
-    return math.exp((m + math.log(s)) / p)
+    return math.exp(_log_power_sum(f.samples, log_mu_weights(f), p) / p)
 
 
 def log_l2_norm_sq(values: np.ndarray, logw: np.ndarray) -> float:
     """log of sum |values|^2 * exp(logw); -inf for identically zero input."""
-    absv = np.abs(values)
-    mask = absv > 0.0
-    if not np.any(mask):
-        return -math.inf
-    logs = 2.0 * np.log(absv[mask]) + logw[mask]
-    m = float(np.max(logs))
-    return m + math.log(float(np.sum(np.exp(logs - m))))
+    return _log_power_sum(values, logw, 2.0)

@@ -124,10 +124,6 @@ class GridFunction:
             samples=samples,
         )
 
-    def untainted_values(self) -> np.ndarray:
-        s1, s2 = self.window.untainted_slices()
-        return self.samples[:, s1, s2]
-
     @staticmethod
     def zeros(params: QParams, window: LatticeWindow, parity_y: str = EVEN) -> "GridFunction":
         return GridFunction(params, window, parity_y, np.zeros(window.shape, dtype=np.complex128))
@@ -291,7 +287,7 @@ def weinstein_op(f: GridFunction, n: int = 1) -> GridFunction:
         raise QDomainError("weinstein_op requires even parity")
     g = f
     for _ in range(n):
-        d2x = dq_partial(dq_partial(g, 1), 1)
+        d2x = dq_mixed(g, (2, 0))
         by = bessel_op(g)
         samples = d2x.samples + by.samples
         window = g.window.tainted_more(dx=2, dy=2)

@@ -27,8 +27,8 @@ from .qcore import (
     QParams,
     TruncationPolicy,
 )
-from .qintegrate import integrate_mu, log_mu_weights
-from .qops import EVEN, GridFunction, LatticeWindow, bessel_op, dq_partial, weinstein_op
+from .qintegrate import edge_shell_mass, integrate_mu, log_mu_weights
+from .qops import EVEN, GridFunction, LatticeWindow, bessel_op, dq_mixed, weinstein_op
 from .qspecial import (
     bessel_j,
     bessel_j_exponent_family,
@@ -45,15 +45,18 @@ _FAMILY_CACHE: dict = {}
 
 def _families(params: QParams, k_min: int, k_max: int,
               policy: TruncationPolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """(cos, sin, j_alpha) families over a cached exponent range covering [k_min, k_max]."""
-    key = (params.q, params.alpha)
+    """(cos, sin, j_alpha) families over a cached exponent range covering [k_min, k_max].
+
+    The cache is keyed on the policy as well, since the families depend on
+    its tolerances; a miss widens the cached range to cover both requests.
+    """
+    key = (params, policy)
+    lo, hi = min(k_min, -8), max(k_max, 8)
     hit = _FAMILY_CACHE.get(key)
     if hit is not None:
-        lo, hi, cos_v, sin_v, j_v = hit
-        if lo <= k_min and hi >= k_max:
-            return cos_v, sin_v, j_v, lo
-    lo = min(k_min, -8)
-    hi = max(k_max, 8)
+        if hit[0] <= k_min and hit[1] >= k_max:
+            return hit[2], hit[3], hit[4], hit[0]
+        lo, hi = min(lo, hit[0]), max(hi, hit[1])
     cos_v, sin_v = qtrig_exponent_families(params, lo, hi, policy)
     j_v = bessel_j_exponent_family(params.alpha, params, lo, hi, policy)
     _FAMILY_CACHE[key] = (lo, hi, cos_v, sin_v, j_v)
@@ -177,45 +180,25 @@ def _transform_array(data: np.ndarray, in_window: LatticeWindow, out_window: Lat
     return K * (1.0 - q) ** 2 * out
 
 
+def _l2_shell_mass(g: GridFunction) -> tuple[float, list[float], list[float]]:
+    """Total L2 mass of g and the mass of its outermost and next shells per edge."""
+    vals = np.abs(g.samples) ** 2 * np.exp(log_mu_weights(g))
+    return float(vals.sum()), edge_shell_mass(vals), edge_shell_mass(vals, 1)
+
+
 def _tail_report(grid: GridFunction) -> float:
     """Estimated relative L2 mass beyond the window, from edge-shell decay."""
-    vals = np.abs(grid.samples) ** 2 * np.exp(log_mu_weights(grid))
-    total = float(vals.sum())
+    total, edges, nexts = _l2_shell_mass(grid)
     if total == 0.0:
         return 0.0
     tails = 0.0
-    for axis_take in (
-        (vals[:, 0, :], vals[:, 1, :]),
-        (vals[:, -1, :], vals[:, -2, :]),
-        (vals[:, :, 0], vals[:, :, 1]),
-        (vals[:, :, -1], vals[:, :, -2]),
-    ):
-        edge = float(axis_take[0].sum())
-        nxt = float(axis_take[1].sum())
+    for edge, nxt in zip(edges, nexts):
         if edge == 0.0:
             continue
         r = edge / nxt if nxt > edge else 0.9
         r = min(r, 0.95)
         tails += edge * r / (1.0 - r)
     return tails / total
-
-
-def _check_input_mass(f: GridFunction, tol: float = 0.02) -> float:
-    vals = np.abs(f.samples) ** 2 * np.exp(log_mu_weights(f))
-    total = float(vals.sum())
-    if total == 0.0:
-        return 0.0
-    edge = (
-        float(vals[:, 0, :].sum()) + float(vals[:, -1, :].sum())
-        + float(vals[:, :, 0].sum()) + float(vals[:, :, -1].sum())
-    )
-    ratio = edge / total
-    if ratio > tol:
-        raise DivergenceError(
-            f"input mass touches the window edge (edge share {ratio:.2e}); "
-            "the function is not compactly supported inside its window"
-        )
-    return ratio
 
 
 def forward(f: GridFunction, lambda_window: LatticeWindow | None = None,
@@ -229,7 +212,13 @@ def forward(f: GridFunction, lambda_window: LatticeWindow | None = None,
     """
     if f.parity_y != EVEN:
         raise QDomainError("forward requires even parity in the second variable")
-    edge_ratio = _check_input_mass(f, tol=edge_tol)
+    total, edges, _ = _l2_shell_mass(f)
+    edge_ratio = sum(edges) / total if total else 0.0
+    if edge_ratio > edge_tol:
+        raise DivergenceError(
+            f"input mass touches the window edge (edge share {edge_ratio:.2e}); "
+            "the function is not compactly supported inside its window"
+        )
     if lambda_window is None:
         lambda_window = auto_lambda_window(f, policy, auto_tol)
     out = _transform_array(f.samples, f.window, lambda_window, f.params, policy, conj=_conj)
@@ -355,6 +344,14 @@ def apply_weinstein_spectrally(f: GridFunction, policy: TruncationPolicy = DEFAU
     return back.grid
 
 
+def _masked_rel_err(lhs: np.ndarray, rhs: np.ndarray, mask: np.ndarray,
+                    den: float) -> float | None:
+    """Max |lhs - rhs| / den over the masked entries; None if the mask keeps none."""
+    if not np.any(mask):
+        return None
+    return float(np.max(np.abs(lhs[mask] - rhs[mask]))) / max(den, 1e-300)
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     """Max relative discrepancies of the transform-operator identities.
@@ -425,83 +422,58 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None,
 
     # (a) -- at deep-inner shells the lhs integral cancels almost completely;
     # shells where the lhs summation noise floor (the same contraction with
-    # absolute kernels) would exceed the tolerance scale are excluded
-    eps_mach = 2.3e-16
-    worst = 0.0
-    for n in range(n_max + 1):
-        for p in range(p_max + 1):
-            if n == 0 and p == 0:
-                continue
-            gf = fpad
-            for _ in range(p):
-                gf = bessel_op(gf)
-            for _ in range(n):
-                gf = dq_partial(gf, 1)
-            clean = LatticeWindow(gf.window.n1_min, gf.window.n1_max,
-                                  gf.window.n2_min, gf.window.n2_max)
-            lhs = forward(gf.with_samples(gf.samples, window=clean),
-                          lambda_window=lam_pad, policy=policy).grid.samples
-            mult = (1j ** (n + 2 * p)) * lambda_multiplier(lam_pad, f.params, n, 2 * p)
-            rhs = mult * F0.samples
-            noise = eps_mach * _transform_array(np.abs(gf.samples), clean, lam_pad,
-                                                f.params, policy, conj=False,
-                                                abs_kernel=True).real
-            den = float(np.max(np.abs(rhs)))
-            mask = noise <= 1e-9 * den
-            if not np.any(mask):
-                skipped.append((n, p))
-                continue
-            worst = max(worst, float(np.max(np.abs(lhs[mask] - rhs[mask]))) / den)
-    res["derivative_to_multiplier"] = worst
-
+    # absolute kernels) would exceed the tolerance scale are excluded.
     # (b) -- spectral-side derivative stencils divide by powers of the tiny
     # inner lambdas; shells where that amplification lifts rounding noise
-    # above the comparison scale are excluded
-    worst = 0.0
+    # above the comparison scale are excluded.
+    eps_mach = 2.3e-16
+    orders = [(n, p) for n in range(n_max + 1) for p in range(p_max + 1) if n or p]
+    bessel_f, bessel_F = [fpad], [F0]
+    for _ in range(p_max):
+        bessel_f.append(bessel_op(bessel_f[-1]))
+        bessel_F.append(bessel_op(bessel_F[-1]))
     x1 = fpad.x1_values()[:, :, None]
     x2 = fpad.x2_values()[None, None, :]
     q_here = f.params.q
     L = math.log(1.0 / q_here)
     m1g = np.broadcast_to(lam_pad.n1_exponents()[None, :, None], lam_pad.shape).astype(float)
     m2g = np.broadcast_to(lam_pad.n2_exponents()[None, None, :], lam_pad.shape).astype(float)
-    F0_max = float(np.max(np.abs(F0.samples)))
-    for n in range(n_max + 1):
-        for p in range(p_max + 1):
-            if n == 0 and p == 0:
-                continue
-            mono = fpad.with_samples(fpad.samples * x1**n * x2 ** (2 * p))
-            lhs_grid = forward(mono, lambda_window=lam_pad, policy=policy).grid
-            Fg = F0
-            for _ in range(p):
-                Fg = bessel_op(Fg)
-            for _ in range(n):
-                Fg = dq_partial(Fg, 1)
-            rhs_arr = (1j ** (n + 2 * p)) * Fg.samples
-            s1, s2 = Fg.window.untainted_slices()
-            # per-application amplification: one symmetric derivative divides
-            # by 2(1-q) l1, one Bessel application by (1-q)^2 l2^2
-            log_amp = (
-                n * (m1g * L + math.log(1.0 / (2.0 * (1.0 - q_here))))
-                + p * (2.0 * m2g * L + 2.0 * math.log(1.0 / (1.0 - q_here)))
-            )
-            den = float(np.max(np.abs(rhs_arr[:, s1, s2])))
-            mask = np.zeros(lam_pad.shape, dtype=bool)
-            mask[:, s1, s2] = True
-            with np.errstate(over="ignore"):
-                noise = eps_mach * np.exp(np.minimum(log_amp, 700.0)) * F0_max
-            mask &= noise <= 1e-10 * den
-            if not np.any(mask):
-                skipped.append((n, p))
-                continue
-            diff = np.abs(lhs_grid.samples[mask] - rhs_arr[mask])
-            worst = max(worst, float(np.max(diff)) / max(den, 1e-300))
-    res["multiplier_to_derivative"] = worst
+    errs_a: dict = {}
+    errs_b: dict = {}
+    for n, p in orders:
+        gf = dq_mixed(bessel_f[p], (n, 0))
+        lhs = forward(gf, lambda_window=lam_pad, policy=policy).grid.samples
+        mult = (1j ** (n + 2 * p)) * lambda_multiplier(lam_pad, f.params, n, 2 * p)
+        rhs = mult * F0.samples
+        noise = eps_mach * _transform_array(np.abs(gf.samples), gf.window, lam_pad,
+                                            f.params, policy, conj=False,
+                                            abs_kernel=True).real
+        den = float(np.max(np.abs(rhs)))
+        errs_a[(n, p)] = _masked_rel_err(lhs, rhs, noise <= 1e-9 * den, den)
+
+        mono = fpad.with_samples(fpad.samples * x1**n * x2 ** (2 * p))
+        lhs = forward(mono, lambda_window=lam_pad, policy=policy).grid.samples
+        Fg = dq_mixed(bessel_F[p], (n, 0))
+        rhs = (1j ** (n + 2 * p)) * Fg.samples
+        s1, s2 = Fg.window.untainted_slices()
+        # per-application amplification: one symmetric derivative divides
+        # by 2(1-q) l1, one Bessel application by (1-q)^2 l2^2
+        log_amp = (
+            n * (m1g * L + math.log(1.0 / (2.0 * (1.0 - q_here))))
+            + p * (2.0 * m2g * L + 2.0 * math.log(1.0 / (1.0 - q_here)))
+        )
+        den = float(np.max(np.abs(rhs[:, s1, s2])))
+        mask = np.zeros(lam_pad.shape, dtype=bool)
+        mask[:, s1, s2] = True
+        with np.errstate(over="ignore"):
+            noise = eps_mach * np.exp(np.minimum(log_amp, 700.0)) * scale
+        errs_b[(n, p)] = _masked_rel_err(lhs, rhs, mask & (noise <= 1e-10 * den), den)
+    for key, errs in (("derivative_to_multiplier", errs_a), ("multiplier_to_derivative", errs_b)):
+        skipped += [order for order, err in errs.items() if err is None]
+        res[key] = max((err for err in errs.values() if err is not None), default=0.0)
 
     # (c)
-    wf = weinstein_op(fpad, 1)
-    lhs = forward(wf.with_samples(wf.samples, window=LatticeWindow(
-        wf.window.n1_min, wf.window.n1_max, wf.window.n2_min, wf.window.n2_max)),
-        lambda_window=lam_pad, policy=policy).grid.samples
+    lhs = forward(weinstein_op(fpad, 1), lambda_window=lam_pad, policy=policy).grid.samples
     rhs = -norm_sq_lambda(lam_pad, f.params) * F0.samples
     res["weinstein_eigen"] = float(np.max(np.abs(lhs - rhs))) / float(np.max(np.abs(rhs)))
 
@@ -523,9 +495,7 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None,
     )
     g_used = embed_zeros(g_used, 1, 1)
     Ff_at_g = forward(fpad, lambda_window=g_used.window, policy=policy).grid
-    x_win = LatticeWindow(fpad.window.n1_min, fpad.window.n1_max,
-                          fpad.window.n2_min, fpad.window.n2_max)
-    Fg_at_f = forward(g_used, lambda_window=x_win, policy=policy).grid
+    Fg_at_f = forward(g_used, lambda_window=fpad.window, policy=policy).grid
     lhs_d = complex(integrate_mu(g_used.with_samples(Ff_at_g.samples * g_used.samples),
                                  policy).value)
     rhs_d = complex(integrate_mu(fpad.with_samples(fpad.samples * Fg_at_f.samples),

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -188,3 +191,64 @@ def test_bandwidth_divergence_diagnostic_exit_2(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     rc = main(["--window=-2,4,-2,4", "bandwidth", "--input", str(path), "--N", "5"])
     assert rc == 2
+
+
+_CSV_HEADER = "# qweinstein v{v} q=0.5 alpha=0.0 parity=even n1=[0,2] n2=[0,2]\n"
+
+
+def _write_grid_file(tmp_path, fmt, rows, version=1):
+    if fmt == "csv":
+        path = tmp_path / "f.csv"
+        path.write_text(_CSV_HEADER.format(v=version)
+                        + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    else:
+        path = tmp_path / "f.json"
+        doc = {"format": "qweinstein", "q": 0.5, "alpha": 0.0, "parity": "even",
+               "n1": [0, 2], "n2": [0, 2], "points": rows}
+        if version is not None:
+            doc["version"] = version
+        path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows,version,match", [
+    ([[7, 0, 0, 1.0, 0.0]], 1, "sign"),
+    ([[1, -1, 0, 1.0, 0.0]], 1, "outside window"),
+    ([[1, 0, 3, 1.0, 0.0]], 1, "outside window"),
+    ([[1, 0.5, 0, 1.0, 0.0]], 1, "unparsable"),
+    ([[1, 0, 0, 1.0, 0.0], [1, 0, 0, 2.0, 0.0]], 1, "duplicate"),
+    ([[1, 0, 0, 1.0, 0.0]], 2, "version"),
+    ([[1, 0, 0, 1.0, 0.0]], None, "version"),
+], ids=["sign", "n1-below", "n2-above", "non-integer", "duplicate", "version", "no-version"])
+def test_reader_rejects_bad_rows(tmp_path, fmt, rows, version, match):
+    path = _write_grid_file(tmp_path, fmt, rows, version)
+    with pytest.raises(FileFormatError, match=match):
+        read_gridfunction(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--support=a,b,c,d"],
+    ["gen", "--support=1,2,3"],
+    ["--window=a,2,3,4", "gen", "--support=0,1,0,1"],
+], ids=["support-not-integers", "support-three-fields", "window-not-integers"])
+def test_malformed_window_flag_exit_1(tmp_path, capsys, argv):
+    rc = main(argv + ["--out", str(tmp_path / "f.csv")])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_bandwidth_ignores_inverse_residue(tmp_path, capsys):
+    # this seed's inverse leaves residue of ~1e-10 of the peak outside the
+    # support, which a support threshold of 1e-10 kept, so the radius came
+    # out at 1048576 instead of the true sqrt(2) * 2^4
+    src = tmp_path / "f.csv"
+    fwd = tmp_path / "F.csv"
+    assert main(["--seed", "87383064", "gen", "--support=-4,8,-4,8", "--out", str(src)]) == 0
+    assert main(["transform", "--input", str(src), "--out", str(fwd)]) == 0
+    capsys.readouterr()
+    assert main(["bandwidth", "--input", str(fwd), "--N", "20"]) == 0
+    out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    radius = math.sqrt(2.0) * 2.0**4
+    assert abs(float(out["oracle_radius"]) / radius - 1.0) < 1e-6
+    assert abs(float(out["estimate"]) / radius - 1.0) < 1e-3

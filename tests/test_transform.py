@@ -261,3 +261,19 @@ def test_orthogonality_sign_separated_points():
     res_d = orthogonality_check(x, x, p)
     res_o = orthogonality_check(x, (-1, 0, 0), p)
     assert abs(res_o.value) <= 1e-3 * res_d.predicted_diagonal
+
+
+def test_family_cache_keyed_on_policy():
+    # a call under another TruncationPolicy must not reuse the kernel
+    # families cached under the default one
+    from qweinstein import TruncationPolicy, transform
+
+    p = QParams(q=0.5, alpha=0.5)
+    f = make_bump(p, seed=30)
+    loose = TruncationPolicy(series_tol=1e-3)
+    transform._FAMILY_CACHE.clear()
+    forward(f)
+    warm = forward(f, policy=loose).grid.samples
+    transform._FAMILY_CACHE.clear()
+    cold = forward(f, policy=loose).grid.samples
+    assert np.array_equal(warm, cold)
