@@ -109,13 +109,16 @@ class JobConfig:
                 val = val.strip()
                 if key not in types:
                     raise FileFormatError(f"{path}:{lineno}: unknown key {key!r}")
-                cur = getattr(cfg, key)
                 if key in ("fmt",):
-                    setattr(cfg, key, val)
+                    convert = str
                 elif key in ("seed", "N", "sum_n_min", "sum_n_max") or key.startswith(("n1_", "n2_")):
-                    setattr(cfg, key, int(val))
+                    convert = int
                 else:
-                    setattr(cfg, key, float(val))
+                    convert = float
+                try:
+                    setattr(cfg, key, convert(val))
+                except ValueError as exc:
+                    raise FileFormatError(f"{path}:{lineno}: bad {key} value {val!r}") from exc
         return cfg
 
 
@@ -157,6 +160,9 @@ def write_gridfunction(f: GridFunction, path: str, fmt: str = "csv"):
         raise FileFormatError(f"unknown format {fmt!r}")
 
 
+_HEADER_KEYS = ("q", "alpha", "parity", "n1", "n2")
+
+
 def _parse_header(line: str, path: str) -> dict:
     if not line.startswith("# qweinstein"):
         raise FileFormatError(f"{path}:1: missing '# qweinstein' header")
@@ -172,17 +178,19 @@ def _parse_header(line: str, path: str) -> dict:
         if "=" not in tok:
             raise FileFormatError(f"{path}:1: bad header token {tok!r}")
         k, v = tok.split("=", 1)
-        if k in ("q", "alpha"):
-            out[k] = float(v)
-        elif k == "parity":
-            out[k] = v
-        elif k in ("n1", "n2"):
-            v = v.strip("[]")
-            lo, hi = v.split(",")
-            out[k] = (int(lo), int(hi))
-        else:
+        if k not in _HEADER_KEYS:
             raise FileFormatError(f"{path}:1: unknown header key {k!r}")
-    for need in ("q", "alpha", "parity", "n1", "n2"):
+        try:
+            if k in ("q", "alpha"):
+                out[k] = float(v)
+            elif k == "parity":
+                out[k] = v
+            else:
+                lo, hi = v.strip("[]").split(",")
+                out[k] = (int(lo), int(hi))
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:1: bad header value {tok!r}") from exc
+    for need in _HEADER_KEYS:
         if need not in out:
             raise FileFormatError(f"{path}:1: header missing {need!r}")
     return out
@@ -253,9 +261,23 @@ def _read_json(path: str) -> GridFunction:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{path}:1: expected a JSON object")
     for need in ("version", "q", "alpha", "parity", "n1", "n2", "points"):
         if need not in doc:
             raise FileFormatError(f"{path}:1: JSON missing field {need!r}")
+
+    def check(key: str, ok: bool, kind: str):
+        if not ok:
+            raise FileFormatError(f"{path}:1: JSON field {key!r} must be {kind}, got {doc[key]!r}")
+
+    for key in ("q", "alpha"):
+        check(key, type(doc[key]) in (int, float), "a number")
+    for key in ("n1", "n2"):
+        v = doc[key]
+        check(key, isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v),
+              "two integers")
+    check("points", isinstance(doc["points"], list), "a list")
     rows = ((f"{path}: point {idx}", row) for idx, row in enumerate(doc["points"]))
     return _grid_from_rows(doc["version"], QParams(q=doc["q"], alpha=doc["alpha"]),
                            LatticeWindow(doc["n1"][0], doc["n1"][1], doc["n2"][0], doc["n2"][1]),

@@ -33,6 +33,7 @@ from .transform import (
     embed_zeros,
     forward,
     inverse,
+    lattice_monomial,
     norm_sq_lambda,
 )
 
@@ -80,7 +81,6 @@ class _IterateState:
     n: int
     values: np.ndarray        # hybrid literal iterate, at common scale
     log_scale: float          # log of the accumulated scale factor
-    core_mask: np.ndarray
     core_fraction: float
     log_norm_sq_literal: float   # true log ||W^n F||^2, literal route
     log_norm_sq_spectral: float  # true log || ||t||^2n f_hat ||^2
@@ -138,6 +138,7 @@ class TransformSideIterates:
         log_scale = 0.0
         clean = LatticeWindow(self.window.n1_min, self.window.n1_max,
                               self.window.n2_min, self.window.n2_max)
+        w_lin = np.exp(self._logw_lam)
         for n in range(1, self.N + 1):
             eta_raw = eta * (-self._r2_x)
             s = float(np.max(np.abs(eta_raw)))
@@ -154,14 +155,12 @@ class TransformSideIterates:
             # norms (true logs, including the scale)
             log_lit = log_l2_norm_sq(G_lit, self._logw_lam) + 2.0 * log_scale
             log_spec = log_l2_norm_sq(eta, self._logw_x) + 2.0 * log_scale
-            w_lin = np.exp(self._logw_lam)
             tot = float(np.sum(np.abs(G_lit) ** 2 * w_lin))
             core = float(np.sum((np.abs(G_lit) ** 2 * w_lin)[mask])) if tot > 0 else 0.0
             yield _IterateState(
                 n=n,
                 values=G_lit,
                 log_scale=log_scale,
-                core_mask=mask,
                 core_fraction=core / tot if tot > 0 else 0.0,
                 log_norm_sq_literal=log_lit,
                 log_norm_sq_spectral=log_spec,
@@ -414,7 +413,7 @@ def monomial_derivative_bound_check(f: GridFunction, n1: int, n2: int, p1: int, 
     if not (p1 <= p < n1 and p2 <= p < n2):
         raise QDomainError("need p1 <= p < n1 and p2 <= p < n2")
     q = f.params.q
-    g = _monomial_times(f, n1, n2)
+    g = f.with_samples(f.samples * lattice_monomial(f.window, f.params, n1, n2))
     d = dq_mixed(embed_zeros(g, p1 + 2, p2 + 2), (p1, p2))
     lhs = float(np.max(np.abs(d.samples)))
 
@@ -428,12 +427,6 @@ def monomial_derivative_bound_check(f: GridFunction, n1: int, n2: int, p1: int, 
               "support_radius_out": support_radius(d),
               "support_radius_bound": R / q**p}
     return lhs, raw, detail
-
-
-def _monomial_times(f: GridFunction, n1: int, n2: int) -> GridFunction:
-    x1 = f.x1_values()[:, :, None]
-    x2 = f.x2_values()[None, None, :]
-    return f.with_samples(f.samples * x1 ** float(n1) * x2 ** float(n2))
 
 
 def radial_power_bound_check(f: GridFunction, n: int, i: int, j: int,

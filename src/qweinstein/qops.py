@@ -172,26 +172,16 @@ def even_odd_split(f: Callable[[float], complex]):
 # grid operators
 # ---------------------------------------------------------------------------
 
-def _shift_n1(arr: np.ndarray, step: int) -> np.ndarray:
-    """Samples at exponent n1+step, zero-filled outside the window."""
+def _shift(arr: np.ndarray, axis: int, step: int) -> np.ndarray:
+    """Samples at exponent n+step along axis (1: n1, 2: n2), zero-filled outside the window."""
     out = np.zeros_like(arr)
-    if step == 0:
-        return arr.copy()
+    dst = [slice(None)] * arr.ndim
+    src = [slice(None)] * arr.ndim
     if step > 0:
-        out[:, :-step, :] = arr[:, step:, :]
-    else:
-        out[:, -step:, :] = arr[:, :step, :]
-    return out
-
-
-def _shift_n2(arr: np.ndarray, step: int) -> np.ndarray:
-    out = np.zeros_like(arr)
-    if step == 0:
-        return arr.copy()
-    if step > 0:
-        out[:, :, :-step] = arr[:, :, step:]
-    else:
-        out[:, :, -step:] = arr[:, :, :step]
+        dst[axis], src[axis] = slice(None, -step), slice(step, None)
+    elif step < 0:
+        dst[axis], src[axis] = slice(-step, None), slice(None, step)
+    out[tuple(dst)] = arr[tuple(src)]
     return out
 
 
@@ -206,21 +196,21 @@ def dq_partial(f: GridFunction, var: int) -> GridFunction:
     if var == 1:
         flipped = s[::-1, :, :]
         num = (
-            _shift_n1(s, -1)          # f(z/q): exponent n1-1
-            + _shift_n1(flipped, -1)  # f(-z/q)
-            - _shift_n1(s, 1)         # f(qz)
-            + _shift_n1(flipped, 1)   # f(-qz)
-            - 2.0 * flipped           # f(-z)
+            _shift(s, 1, -1)            # f(z/q): exponent n1-1
+            + _shift(flipped, 1, -1)    # f(-z/q)
+            - _shift(s, 1, 1)           # f(qz)
+            + _shift(flipped, 1, 1)     # f(-qz)
+            - 2.0 * flipped             # f(-z)
         )
         denom = 2.0 * (1.0 - q) * f.x1_values()[:, :, None]
         return f.with_samples(num / denom, window=f.window.tainted_more(dx=1))
     if var == 2:
         y = f.x2_values()[None, None, :]
         if f.parity_y == EVEN:
-            num = _shift_n2(s, -1) - s          # f(y/q) - f(y)
+            num = _shift(s, 2, -1) - s          # f(y/q) - f(y)
             parity = ODD
         else:
-            num = s - _shift_n2(s, 1)           # f(y) - f(qy)
+            num = s - _shift(s, 2, 1)           # f(y) - f(qy)
             parity = EVEN
         return f.with_samples(num / ((1.0 - q) * y), window=f.window.tainted_more(dy=1),
                               parity_y=parity)
@@ -254,7 +244,7 @@ def bessel_op(f: GridFunction) -> GridFunction:
     q = f.params.q
     q2a = q ** (2.0 * f.params.alpha)
     s = f.samples
-    num = _shift_n2(s, -1) - (1.0 + q2a) * s + q2a * _shift_n2(s, 1)
+    num = _shift(s, 2, -1) - (1.0 + q2a) * s + q2a * _shift(s, 2, 1)
     y = f.x2_values()[None, None, :]
     out = num / ((1.0 - q) ** 2 * y * y)
     return f.with_samples(out, window=f.window.tainted_more(dy=2))

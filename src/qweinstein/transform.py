@@ -6,11 +6,13 @@ the second over the positive lattice {q^n}.  Every integral below sums
 over both signs of x1 and one sign of x2, against the measure
 x2^(2*alpha+1) d_q x1 d_q x2.
 
-The kernel e(-i l1 x1; q^2) j_alpha(l2 x2; q^2) separates, so transforms
-are two tensor contractions against 1-D kernel families indexed by the
-exponent sum of argument products.  Families come from qspecial and stay
-accurate (or cleanly underflow to exact zero) arbitrarily deep into the
-lattice.
+The kernel e(-i l1 x1; q^2) j_alpha(l2 x2; q^2) separates into 1-D kernel
+families indexed by the exponent sum of argument products.  Split by the
+sign of x1, the cosine family sees only the even part of the data and the
+sine family only the odd part, so a transform is two matrix products with
+real kernel matrices (_transform_array); the summation noise floor is the
+same product on the kernel moduli.  Families come from qspecial and stay accurate (or cleanly
+underflow to exact zero) arbitrarily deep into the lattice.
 """
 
 from __future__ import annotations
@@ -133,51 +135,33 @@ def _transform_array(data: np.ndarray, in_window: LatticeWindow, out_window: Lat
                      abs_kernel: bool = False) -> np.ndarray:
     """Core contraction: out(l) = K * sum_x data(x) e(∓i l1 x1) j(l2 x2) dmu(x).
 
-    With abs_kernel=True the kernel factors enter by modulus (and data
-    should be nonnegative): that evaluates the summation noise floor of
-    the same contraction.
+    The kernel e(-i l1 x1) = cos - i sign(l1 x1) sin splits the data by the
+    sign of x1: the cosine part sees d+ + d-, the sine part d+ - d-, so the
+    products a = C (d+ + d-) Jw^T and b = S (d+ - d-) Jw^T with real kernel
+    matrices give both signs of l1 as a -+ i kappa b.  With abs_kernel=True the same product
+    runs on the kernel moduli and |data| (hypot(C, S), S = 0, |J|): that
+    evaluates the summation noise floor of the contraction.
     """
     q = params.q
-    alpha = params.alpha
     n1 = in_window.n1_exponents()
     n2 = in_window.n2_exponents()
-    m1 = out_window.n1_exponents()
-    m2 = out_window.n2_exponents()
-
-    k1 = np.add.outer(m1, n1)
-    k2 = np.add.outer(m2, n2)
-    k_min = int(min(k1.min(), k2.min()))
-    k_max = int(max(k1.max(), k2.max()))
-    cos_v, sin_v, j_v, lo = _families(params, k_min, k_max, policy)
-
-    cos_g = cos_v[k1 - lo]                      # (M1, N1)
-    sin_g = sin_v[k1 - lo]
-    j_g = j_v[k2 - lo]                          # (M2, N2)
-
-    w1 = q ** n1.astype(float)                  # d_q x1 weight (per sign)
-    w2 = q ** ((2.0 * alpha + 2.0) * n2.astype(float))
-    K = normalization_K(params, policy)
-
+    k1 = np.add.outer(out_window.n1_exponents(), n1)
+    k2 = np.add.outer(out_window.n2_exponents(), n2)
+    cos_v, sin_v, j_v, lo = _families(params, int(min(k1.min(), k2.min())),
+                                      int(max(k1.max(), k2.max())), policy)
+    C, S, J = cos_v[k1 - lo], sin_v[k1 - lo], j_v[k2 - lo]    # (M1, N1), (M2, N2)
     if abs_kernel:
-        e_abs = np.hypot(cos_g, sin_g)
-        weighted = np.abs(data) * w1[None, :, None]
-        T = np.einsum("mn,bnj->mj", e_abs, weighted)
-        out = np.einsum("mj,pj->mp", T, np.abs(j_g) * w2[None, :])
-        return K * (1.0 - q) ** 2 * np.broadcast_to(out[None, :, :],
-                                                    (2, len(m1), len(m2))).copy()
+        C, S, J, data = np.hypot(C, S), np.zeros_like(S), np.abs(J), np.abs(data)
 
-    kappa = -1.0 if conj else 1.0
-    # E[sl, m1, sx, n1] = cos - i*kappa*sigma*sin, sigma = sign(l1)*sign(x1)
-    E = np.empty((2, len(m1), 2, len(n1)), dtype=np.complex128)
-    E[0, :, 0, :] = cos_g - 1j * kappa * sin_g
-    E[0, :, 1, :] = cos_g + 1j * kappa * sin_g
-    E[1, :, 0, :] = cos_g + 1j * kappa * sin_g
-    E[1, :, 1, :] = cos_g - 1j * kappa * sin_g
-
-    weighted = data * w1[None, :, None]
-    T = np.einsum("ambn,bnj->amj", E, weighted)
-    out = np.einsum("amj,pj->amp", T, j_g * w2[None, :])
-    return K * (1.0 - q) ** 2 * out
+    d = data * q ** n1.astype(float)[None, :, None]          # d_q x1 weight (per sign)
+    Jw = (normalization_K(params, policy) * (1.0 - q) ** 2
+          * J * q ** ((2.0 * params.alpha + 2.0) * n2.astype(float)))
+    a = C @ (d[0] + d[1]) @ Jw.T
+    ib = S @ (d[0] - d[1]) @ Jw.T * (-1j if conj else 1j)
+    out = np.stack([a, a], dtype=np.complex128)     # in place: no output-sized temporaries
+    out[0] -= ib
+    out[1] += ib
+    return out
 
 
 def _l2_shell_mass(g: GridFunction) -> tuple[float, list[float], list[float]]:
@@ -220,9 +204,10 @@ def forward(f: GridFunction, lambda_window: LatticeWindow | None = None,
             "the function is not compactly supported inside its window"
         )
     if lambda_window is None:
-        lambda_window = auto_lambda_window(f, policy, auto_tol)
-    out = _transform_array(f.samples, f.window, lambda_window, f.params, policy, conj=_conj)
-    grid = GridFunction(f.params, lambda_window, EVEN, out)
+        grid = _auto_window_transform(f, policy, auto_tol, _conj)
+    else:
+        out = _transform_array(f.samples, f.window, lambda_window, f.params, policy, conj=_conj)
+        grid = GridFunction(f.params, lambda_window, EVEN, out)
     tail = _tail_report(grid)
     return TransformResult(grid=grid, tail_bound=tail, policy_used=policy,
                            diagnostics={"input_edge_mass_ratio": edge_ratio})
@@ -232,21 +217,27 @@ def inverse(F: GridFunction, x_window: LatticeWindow | None = None,
             policy: TruncationPolicy = DEFAULT_POLICY, *, auto_tol: float = 1e-12,
             edge_tol: float = 0.02) -> TransformResult:
     """Inverse transform: forward with the sign-flipped first kernel argument."""
-    if x_window is None:
-        x_window = auto_lambda_window(F, policy, auto_tol)
     return forward(F, lambda_window=x_window, policy=policy, auto_tol=auto_tol,
                    edge_tol=edge_tol, _conj=True)
 
 
 def auto_lambda_window(f: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY,
                        tol: float = 1e-12) -> LatticeWindow:
-    """Select a spectral window with relative edge tails below tol.
+    """Select a spectral window with relative edge tails below tol (see _auto_window_transform)."""
+    return _auto_window_transform(f, policy, tol).window
+
+
+def _auto_window_transform(f: GridFunction, policy: TruncationPolicy, tol: float,
+                           conj: bool = False) -> GridFunction:
+    """The transform of f on an automatically selected spectral window.
 
     The transform is evaluated once on a generous window (outer edges at
     the kernel truncation frontier, where deeper shells are exact zeros;
     inner edges where the measure weight has decayed past tol), then the
     window is trimmed from each edge while the cumulative trimmed mass
-    stays below tol/8 of the total.
+    stays below tol/8 of the total, and the trimmed slice is returned.
+    Conjugation only swaps the two signs of l1, so it leaves the window
+    unchanged.
     """
     from .qspecial import effective_floor_exponent
 
@@ -263,16 +254,14 @@ def auto_lambda_window(f: GridFunction, policy: TruncationPolicy = DEFAULT_POLIC
     m2_hi = min(m2_hi, 500)
     win = LatticeWindow(m1_lo, m1_hi, m2_lo, m2_hi)
 
-    out = _transform_array(f.samples, f.window, win, f.params, policy, conj=False)
+    out = _transform_array(f.samples, f.window, win, f.params, policy, conj=conj)
     grid = GridFunction(f.params, win, EVEN, out)
-    w_lin = np.exp(log_mu_weights(grid))
-    absF = np.abs(grid.samples)
     # reconstruction error is linear in the discarded |F| mass, so the
     # trim budget uses the L1 shell masses, not the squared ones
-    l1 = absF * w_lin
+    l1 = np.abs(out) * np.exp(log_mu_weights(grid))
     total = float(l1.sum())
     if total == 0.0:
-        return LatticeWindow(-8 - w.n1_max, 8, -8 - w.n2_max, 8)
+        return GridFunction.zeros(f.params, LatticeWindow(-8 - w.n1_max, 8, -8 - w.n2_max, 8))
 
     budget = tol / 8.0 * total
 
@@ -293,8 +282,11 @@ def auto_lambda_window(f: GridFunction, policy: TruncationPolicy = DEFAULT_POLIC
     c_hi1 = trim(mass_m1, True)
     c_lo2 = trim(mass_m2, False)
     c_hi2 = trim(mass_m2, True)
-    return LatticeWindow(win.n1_min + c_lo1, win.n1_max - c_hi1,
-                         win.n2_min + c_lo2, win.n2_max - c_hi2)
+    trimmed = LatticeWindow(win.n1_min + c_lo1, win.n1_max - c_hi1,
+                            win.n2_min + c_lo2, win.n2_max - c_hi2)
+    # a copy, so the generous window's array is freed with this call
+    return GridFunction(f.params, trimmed, EVEN,
+                        out[:, c_lo1:len(mass_m1) - c_hi1, c_lo2:len(mass_m2) - c_hi2].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +307,12 @@ def embed_zeros(f: GridFunction, pad1: int, pad2: int) -> GridFunction:
     return GridFunction(f.params, nw, f.parity_y, arr)
 
 
-def lambda_multiplier(window: LatticeWindow, params: QParams, pow1: int, pow2: int) -> np.ndarray:
-    """Array (l1)^pow1 (l2)^pow2 over a spectral window, signed first variable."""
+def lattice_monomial(window: LatticeWindow, params: QParams, pow1: int, pow2: int) -> np.ndarray:
+    """Array x1^pow1 x2^pow2 over a window, signed first variable; shape (2, N1, N2)."""
     q = params.q
-    l1 = q ** window.n1_exponents().astype(float)
-    l2 = q ** window.n2_exponents().astype(float)
-    signed = np.stack([l1, -l1])                       # (2, M1)
-    a = signed[:, :, None] ** pow1 if pow1 else np.ones((2, len(l1), 1))
-    b = l2[None, None, :] ** pow2 if pow2 else np.ones((1, 1, len(l2)))
-    return a * b
+    x1 = q ** window.n1_exponents().astype(float)
+    x2 = q ** window.n2_exponents().astype(float)
+    return np.stack([x1, -x1])[:, :, None] ** pow1 * x2[None, None, :] ** pow2
 
 
 def norm_sq_lambda(window: LatticeWindow, params: QParams) -> np.ndarray:
@@ -432,8 +421,6 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None,
     for _ in range(p_max):
         bessel_f.append(bessel_op(bessel_f[-1]))
         bessel_F.append(bessel_op(bessel_F[-1]))
-    x1 = fpad.x1_values()[:, :, None]
-    x2 = fpad.x2_values()[None, None, :]
     q_here = f.params.q
     L = math.log(1.0 / q_here)
     m1g = np.broadcast_to(lam_pad.n1_exponents()[None, :, None], lam_pad.shape).astype(float)
@@ -443,7 +430,7 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None,
     for n, p in orders:
         gf = dq_mixed(bessel_f[p], (n, 0))
         lhs = forward(gf, lambda_window=lam_pad, policy=policy).grid.samples
-        mult = (1j ** (n + 2 * p)) * lambda_multiplier(lam_pad, f.params, n, 2 * p)
+        mult = (1j ** (n + 2 * p)) * lattice_monomial(lam_pad, f.params, n, 2 * p)
         rhs = mult * F0.samples
         noise = eps_mach * _transform_array(np.abs(gf.samples), gf.window, lam_pad,
                                             f.params, policy, conj=False,
@@ -451,7 +438,7 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None,
         den = float(np.max(np.abs(rhs)))
         errs_a[(n, p)] = _masked_rel_err(lhs, rhs, noise <= 1e-9 * den, den)
 
-        mono = fpad.with_samples(fpad.samples * x1**n * x2 ** (2 * p))
+        mono = fpad.with_samples(fpad.samples * lattice_monomial(fpad.window, f.params, n, 2 * p))
         lhs = forward(mono, lambda_window=lam_pad, policy=policy).grid.samples
         Fg = dq_mixed(bessel_F[p], (n, 0))
         rhs = (1j ** (n + 2 * p)) * Fg.samples
@@ -543,20 +530,12 @@ def orthogonality_check(x_pt: tuple[int, int, int], y_pt: tuple[int, int, int],
 
     ms = np.arange(m_lo, m_inner + 1)
     # 1-D spectral sums;  lambda1 runs over both signs
-    # A(m) = sum_{s} e(-i l1 x1) e(+i l1 y1) (1-q) q^m  with l1 = s q^m
-    def e_prod(m_arr, sx, nx, sy, ny):
-        kx = m_arr + nx
-        ky = m_arr + ny
-        cx, sxv = cos_v[kx - lo], sin_v[kx - lo]
-        cy, syv = cos_v[ky - lo], sin_v[ky - lo]
-        out = np.zeros(len(m_arr), dtype=np.complex128)
-        for s_l in (1.0, -1.0):
-            ex = cx - 1j * (s_l * sx) * sxv          # e(-i l1 x1)
-            ey = cy + 1j * (s_l * sy) * syv          # e(+i l1 y1)
-            out += ex * ey
-        return out * (1.0 - q) * q ** ms.astype(float)
-
-    A_terms = e_prod(ms, float(s1x), n1x, float(s1y), n1y)
+    # A(m) = sum_{s} e(-i l1 x1) e(+i l1 y1) (1-q) q^m  with l1 = s q^m; the
+    # odd terms in s cancel, leaving 2 (cos x cos y + s1x s1y sin x sin y)
+    kx = ms + n1x - lo
+    ky = ms + n1y - lo
+    A_terms = (2.0 * (cos_v[kx] * cos_v[ky] + s1x * s1y * sin_v[kx] * sin_v[ky])
+               * (1.0 - q) * q ** ms.astype(float))
     jx = j_v[(ms + n2x) - lo]
     jy = j_v[(ms + n2y) - lo]
     B_terms = jx * jy * (1.0 - q) * q ** ((2.0 * alpha + 2.0) * ms.astype(float))

@@ -252,3 +252,35 @@ def test_bandwidth_ignores_inverse_residue(tmp_path, capsys):
     radius = math.sqrt(2.0) * 2.0**4
     assert abs(float(out["oracle_radius"]) / radius - 1.0) < 1e-6
     assert abs(float(out["estimate"]) / radius - 1.0) < 1e-3
+
+
+@pytest.mark.parametrize("line", ["seed=abc", "q=x", "n1_min=1.5"])
+def test_config_unparsable_value_exit_1(tmp_path, capsys, line):
+    path = tmp_path / "job.cfg"
+    path.write_text(f"alpha=0.5\n{line}\n")
+    rc = main(["--config", str(path), "gen", "--support=0,1,0,1", "--out", str(tmp_path / "f.csv")])
+    assert rc == 1
+    assert f"error: {path}:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt,old,new", [
+    ("json", '"n1": [0, 2]', '"n1": 5'),
+    ("json", '"n2": [0, 2]', '"n2": [0, "2"]'),
+    ("json", '"q": 0.5', '"q": "x"'),
+    ("json", '"alpha": 0.0', '"alpha": null'),
+    ("json", '"points": [[1, 0, 0, 1.0, 0.0]]', '"points": 5'),
+    ("json", None, "5"),
+    ("csv", "q=0.5", "q=x"),
+    ("csv", "n1=[0,2]", "n1=5"),
+], ids=["json-n1-int", "json-n2-str-bound", "json-q-str", "json-alpha-null", "json-points-int",
+        "json-not-object", "csv-q-str", "csv-n1-int"])
+def test_reader_rejects_bad_header_types(tmp_path, capsys, fmt, old, new):
+    # a header field of the wrong type is a format error (exit 1), not a traceback
+    path = _write_grid_file(tmp_path, fmt, [[1, 0, 0, 1.0, 0.0]])
+    text = open(path).read()
+    assert old is None or old in text
+    open(path, "w").write(text.replace(old, new) if old else new)
+    with pytest.raises(FileFormatError, match=":1:"):
+        read_gridfunction(path)
+    assert main(["transform", "--input", path, "--out", str(tmp_path / "o.csv")]) == 1
+    assert "error:" in capsys.readouterr().err

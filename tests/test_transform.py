@@ -7,6 +7,7 @@ from qweinstein import (
     Kernel,
     LatticeWindow,
     QParams,
+    auto_lambda_window,
     bessel_j,
     forward,
     identity_suite,
@@ -25,7 +26,7 @@ from qweinstein.transform import (
     embed_zeros,
     riemann_lebesgue_trend,
 )
-from .conftest import make_bump
+from .conftest import make_bump, max_rel
 
 K_05_05 = 0.3710633704920698050136   # frozen oracle
 
@@ -277,3 +278,58 @@ def test_family_cache_keyed_on_policy():
     transform._FAMILY_CACHE.clear()
     cold = forward(f, policy=loose).grid.samples
     assert np.array_equal(warm, cold)
+
+
+def test_forward_matches_direct_kernel_sum():
+    # every lattice point of a bump filled on both signs of x1, summed
+    # against the series kernel: a swapped sign in the odd (sine) part of
+    # the sign-split contraction shows here
+    p = QParams(q=0.5, alpha=0.5)
+    q = p.q
+    f = make_bump(p, seed=50, lo1=-1, hi1=2, lo2=-1, hi2=2)
+    assert np.all(f.samples[:, 1:-1, 1:-1] != 0)
+    lam_win = LatticeWindow(-1, 2, -1, 2)
+    F = forward(f, lambda_window=lam_win).grid
+    K = normalization_K(p)
+    want = np.zeros(lam_win.shape, dtype=complex)
+    for sl, i1, i2 in np.ndindex(*lam_win.shape):
+        lam = ((1 - 2 * sl) * q ** float(lam_win.n1_min + i1), q ** float(lam_win.n2_min + i2))
+        for sx, j1, j2 in zip(*np.nonzero(f.samples)):
+            n1, n2 = f.window.n1_min + j1, f.window.n2_min + j2
+            x = ((1 - 2 * sx) * q ** float(n1), q ** float(n2))
+            dmu = (1 - q) ** 2 * q**n1 * q ** ((2 * p.alpha + 2) * n2)
+            want[sl, i1, i2] += K * f.samples[sx, j1, j2] * dmu * kernel_eval(lam, x, p)
+    assert max_rel(F.samples, want) <= 1e-12
+
+
+def test_auto_window_transform_matches_fixed_window():
+    p = QParams(q=0.5, alpha=0.0)
+    f = make_bump(p, seed=51, lo1=-3, hi1=5, lo2=-3, hi2=5)
+    F = forward(f).grid
+    win = auto_lambda_window(f)
+    assert F.window == win
+    fixed = forward(f, lambda_window=win).grid.samples
+    assert np.max(np.abs(F.samples - fixed)) <= 1e-14 * np.max(np.abs(fixed))
+    back = inverse(F).grid
+    x_win = auto_lambda_window(F)
+    assert back.window == x_win
+    fixed = inverse(F, x_window=x_win).grid.samples
+    assert np.max(np.abs(back.samples - fixed)) <= 1e-14 * np.max(np.abs(fixed))
+
+
+def test_auto_window_makes_one_contraction(monkeypatch):
+    from qweinstein import transform
+
+    calls = []
+    contract = transform._transform_array
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return contract(*args, **kwargs)
+
+    monkeypatch.setattr(transform, "_transform_array", counted)
+    p = QParams(q=0.5, alpha=0.5)
+    F = forward(make_bump(p, seed=52)).grid
+    assert len(calls) == 1
+    inverse(F)
+    assert len(calls) == 2
