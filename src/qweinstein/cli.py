@@ -8,6 +8,7 @@ Exit codes: 0 ok, 1 usage or parse error, 2 numerical diagnostics
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -44,6 +45,7 @@ from .paleywiener import (
 )
 
 FORMAT_VERSION = 1
+FORMATS = ("csv", "json")
 
 
 class FileFormatError(ValueError):
@@ -109,7 +111,9 @@ class JobConfig:
                 val = val.strip()
                 if key not in types:
                     raise FileFormatError(f"{path}:{lineno}: unknown key {key!r}")
-                if key in ("fmt",):
+                if key == "fmt":
+                    if val not in FORMATS:
+                        raise FileFormatError(f"{path}:{lineno}: unknown format {val!r}")
                     convert = str
                 elif key in ("seed", "N", "sum_n_min", "sum_n_max") or key.startswith(("n1_", "n2_")):
                     convert = int
@@ -129,20 +133,16 @@ class JobConfig:
 def write_gridfunction(f: GridFunction, path: str, fmt: str = "csv"):
     """Sparse on-disk form: only nonzero points, absent points are zero."""
     w = f.window
-    rows = []
-    for s_idx, sgn in ((0, 1), (1, -1)):
-        for i1, n1 in enumerate(range(w.n1_min, w.n1_max + 1)):
-            for i2, n2 in enumerate(range(w.n2_min, w.n2_max + 1)):
-                v = f.samples[s_idx, i1, i2]
-                if v != 0:
-                    rows.append((sgn, n1, n2, float(v.real), float(v.imag)))
+    s_idx, i1, i2 = np.nonzero(f.samples)   # C order: sign, then n1, then n2
+    v = f.samples[s_idx, i1, i2]
+    cols = ((1 - 2 * s_idx).tolist(), (i1 + w.n1_min).tolist(), (i2 + w.n2_min).tolist(),
+            v.real.tolist(), v.imag.tolist())
     if fmt == "csv":
         with open(path, "w") as fh:
             fh.write(f"# qweinstein v{FORMAT_VERSION} q={f.params.q} alpha={f.params.alpha} "
                      f"parity={f.parity_y} n1=[{w.n1_min},{w.n1_max}] n2=[{w.n2_min},{w.n2_max}]\n")
             fh.write("sign,n1,n2,re,im\n")
-            for r in rows:
-                fh.write(f"{r[0]},{r[1]},{r[2]},{r[3]!r},{r[4]!r}\n")
+            fh.write("".join(map("{},{},{},{!r},{!r}\n".format, *cols)))
     elif fmt == "json":
         doc = {
             "format": "qweinstein",
@@ -152,10 +152,10 @@ def write_gridfunction(f: GridFunction, path: str, fmt: str = "csv"):
             "parity": f.parity_y,
             "n1": [w.n1_min, w.n1_max],
             "n2": [w.n2_min, w.n2_max],
-            "points": [list(r) for r in rows],
+            "points": list(map(list, zip(*cols))),
         }
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
+            fh.write(json.dumps(doc))   # no indent: json's C encoder
     else:
         raise FileFormatError(f"unknown format {fmt!r}")
 
@@ -205,35 +205,64 @@ def _integer(v) -> int:
     raise TypeError(f"not an integer: {v!r}")
 
 
-def _grid_from_rows(version, params: QParams, window: LatticeWindow, parity: str,
-                    rows, path: str) -> GridFunction:
-    """Build a grid function from (location, fields) rows, checking every row.
+def _column(values, convert, dtype) -> np.ndarray:
+    """The values converted to dtype, cut short at the first that does not convert."""
+    try:
+        return np.fromiter(map(convert, values), dtype, len(values))
+    except (TypeError, ValueError, OverflowError):
+        out = []
+        for v in values:
+            try:
+                out.append(dtype(convert(v)))
+            except (TypeError, ValueError, OverflowError):
+                break
+        return np.array(out, dtype)
 
-    Each row is sign, n1, n2, re, im; the sign must be +-1, the exponents
-    integers inside the window, and no point may repeat.
+
+def _grid_from_rows(version, params: QParams, window: LatticeWindow, parity: str,
+                    rows, where, path: str) -> GridFunction:
+    """Build a grid function from field rows, checking every row.
+
+    Each row is sign, n1, n2, re, im; the values must be finite, the sign
+    +-1, the exponents integers inside the window, and no point may repeat.
+    ``where(i)`` names row i's place in the file.  The checks run a column
+    at a time, and the error names the first bad row in file order with the
+    first check it fails.
     """
     if version != FORMAT_VERSION:
         raise FileFormatError(f"{path}:1: unsupported format version {version!r}, "
                               f"expected {FORMAT_VERSION}")
+    n = next((i for i, r in enumerate(rows) if not isinstance(r, list) or len(r) != 5),
+             len(rows))
+    error = f"expected 5 fields, got {rows[n]!r}" if n < len(rows) else None
+    cols = list(zip(*rows[:n])) or [()] * 5
+    for k, (convert, dtype) in enumerate([(_integer, np.int64)] * 3 + [(float, np.float64)] * 2):
+        cols[k] = _column(cols[k][:n], convert, dtype)
+        if len(cols[k]) < n:
+            n = len(cols[k])
+            error = f"unparsable row: {rows[n]!r}"
+    sgn, n1, n2, re, im = (c[:n] for c in cols)
+    # a bad sign or exponent is clipped to some lattice index; a repeat that
+    # fakes falls on that row or a later one, where the row's own check wins
+    flat = np.ravel_multi_index(((sgn == -1).astype(np.intp), n1 - window.n1_min,
+                                 n2 - window.n2_min), window.shape, mode="clip")
+    repeat = np.ones(n, dtype=bool)
+    repeat[np.unique(flat, return_index=True)[1]] = False
+    checks = np.array([~(np.isfinite(re) & np.isfinite(im)), (sgn != 1) & (sgn != -1),
+                       (n1 < window.n1_min) | (n1 > window.n1_max)
+                       | (n2 < window.n2_min) | (n2 > window.n2_max), repeat])
+    bad = np.flatnonzero(checks.any(axis=0))
+    if bad.size:
+        n = int(bad[0])
+        point = (int(sgn[n]), int(n1[n]), int(n2[n]))
+        messages = ("non-finite value: {row!r}", "sign must be 1 or -1",
+                    "point ({0},{1},{2}) outside window", "duplicate point {point}")
+        error = messages[checks[:, n].argmax()].format(*point, point=point, row=rows[n])
+    if error is not None:
+        raise FileFormatError(f"{where(n)}: {error}")
     arr = np.zeros(window.shape, dtype=np.complex128)
-    seen = set()
-    for where, fields in rows:
-        if not isinstance(fields, list) or len(fields) != 5:
-            raise FileFormatError(f"{where}: expected 5 fields, got {fields!r}")
-        try:
-            sgn, n1, n2 = map(_integer, fields[:3])
-            value = complex(float(fields[3]), float(fields[4]))
-        except (TypeError, ValueError) as exc:
-            raise FileFormatError(f"{where}: unparsable row: {fields!r}") from exc
-        if sgn not in (1, -1):
-            raise FileFormatError(f"{where}: sign must be 1 or -1")
-        if not (window.n1_min <= n1 <= window.n1_max and window.n2_min <= n2 <= window.n2_max):
-            raise FileFormatError(f"{where}: point ({sgn},{n1},{n2}) outside window")
-        key = (sgn, n1, n2)
-        if key in seen:
-            raise FileFormatError(f"{where}: duplicate point {key}")
-        seen.add(key)
-        arr[0 if sgn == 1 else 1, n1 - window.n1_min, n2 - window.n2_min] = value
+    arr.reshape(-1).real[flat] = re
+    arr.reshape(-1).imag[flat] = im
     return GridFunction(params, window, parity, arr)
 
 
@@ -248,11 +277,12 @@ def read_gridfunction(path: str) -> GridFunction:
     start = 1
     if len(lines) > 1 and lines[1].replace(" ", "") == "sign,n1,n2,re,im":
         start = 2
-    rows = ((f"{path}:{lineno}", line.split(","))
-            for lineno, line in enumerate(lines[start:], start + 1)
-            if line.strip() and not line.startswith("#"))
+    numbered = [(lineno, line.split(",")) for lineno, line in enumerate(lines[start:], start + 1)
+                if line.strip() and not line.startswith("#")]
+    linenos, rows = zip(*numbered) if numbered else ((), ())
     return _grid_from_rows(hdr["version"], QParams(q=hdr["q"], alpha=hdr["alpha"]),
-                           LatticeWindow(*hdr["n1"], *hdr["n2"]), hdr["parity"], rows, path)
+                           LatticeWindow(*hdr["n1"], *hdr["n2"]), hdr["parity"], rows,
+                           lambda i: f"{path}:{linenos[i]}", path)
 
 
 def _read_json(path: str) -> GridFunction:
@@ -278,10 +308,9 @@ def _read_json(path: str) -> GridFunction:
         check(key, isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v),
               "two integers")
     check("points", isinstance(doc["points"], list), "a list")
-    rows = ((f"{path}: point {idx}", row) for idx, row in enumerate(doc["points"]))
     return _grid_from_rows(doc["version"], QParams(q=doc["q"], alpha=doc["alpha"]),
                            LatticeWindow(doc["n1"][0], doc["n1"][1], doc["n2"][0], doc["n2"][1]),
-                           doc["parity"], rows, path)
+                           doc["parity"], doc["points"], lambda i: f"{path}: point {i}", path)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +511,10 @@ def _cmd_verify(args, cfg: JobConfig) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # the shared flags are accepted both before and after the subcommand;
+    # built once per process: parse_args keeps no state between calls.
+    # The shared flags are accepted both before and after the subcommand;
     # SUPPRESS defaults keep an unset later occurrence from clobbering an
     # earlier one
     shared = argparse.ArgumentParser(add_help=False)
@@ -495,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--tol", type=float, default=argparse.SUPPRESS)
     shared.add_argument("--window", default=argparse.SUPPRESS,
                         help="n1_min,n1_max,n2_min,n2_max (use --window=... for negatives)")
-    shared.add_argument("--format", dest="fmt", choices=("csv", "json"),
+    shared.add_argument("--format", dest="fmt", choices=FORMATS,
                         default=argparse.SUPPRESS)
 
     ap = argparse.ArgumentParser(prog="qweinstein", parents=[shared],

@@ -8,6 +8,7 @@ factors 1 - x*q^k with |x*q^k| -> 0 geometrically; truncation at
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,11 +123,13 @@ def qfactorial(n: int, params: QParams) -> float:
     return out
 
 
+@functools.lru_cache(maxsize=256)
 def qgamma(x: float, params: QParams, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """q-Gamma via the quotient of infinite products.
 
     Gamma_q(x) = (q; q)_inf / (q^x; q)_inf * (1-q)^(1-x), poles at the
-    nonpositive integers are rejected explicitly.
+    nonpositive integers are rejected explicitly.  Memoized on
+    (x, params, policy): callers ask for the same few values many times.
     """
     q = params.q
     if x <= 0 and float(x).is_integer():

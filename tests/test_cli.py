@@ -284,3 +284,128 @@ def test_reader_rejects_bad_header_types(tmp_path, capsys, fmt, old, new):
         read_gridfunction(path)
     assert main(["transform", "--input", path, "--out", str(tmp_path / "o.csv")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt,rows,match", [
+    ("csv", [[1, 0, 0, 1.0, 0.0], [1, 0, 1, "nan", 0.0]], ":3:"),
+    ("csv", [[1, 0, 0, 1.0, 0.0], [1, 0, 1, 1.0, "-inf"]], ":3:"),
+    ("json", [[1, 0, 0, math.nan, 0.0], [1, 0, 1, 1.0, 0.0]], "point 0"),
+    ("json", [[1, 0, 0, 1.0, math.inf]], "point 0"),
+], ids=["csv-nan", "csv-inf", "json-nan", "json-inf"])
+def test_reader_rejects_non_finite_values(tmp_path, fmt, rows, match):
+    path = _write_grid_file(tmp_path, fmt, rows)
+    with pytest.raises(FileFormatError, match=match):
+        read_gridfunction(path)
+
+
+def test_config_unknown_format_exit_1(tmp_path, capsys):
+    # an unknown fmt is rejected where the config is parsed, before the command runs
+    path = tmp_path / "job.cfg"
+    path.write_text("alpha=0.5\nfmt=xml\n")
+    out = tmp_path / "f.csv"
+    rc = main(["--config", str(path), "gen", "--support=0,1,0,1", "--out", str(out)])
+    assert rc == 1
+    assert f"error: {path}:2:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# grid-file properties
+# ---------------------------------------------------------------------------
+
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
+
+from qweinstein import GridFunction  # noqa: E402
+
+_PROPERTY = settings(max_examples=25, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+_VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([5e-324, -5e-324, 1e300, -1e300, 0.0, -0.0]))
+
+
+@st.composite
+def _grid_functions(draw):
+    n1_min, n2_min = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    window = LatticeWindow(n1_min, n1_min + draw(st.integers(0, 3)),
+                           n2_min, n2_min + draw(st.integers(0, 3)))
+    samples = np.zeros(window.shape, dtype=np.complex128)
+    # set part by part: re + 1j * im would turn a -0.0 part into +0.0
+    samples.real, samples.imag = (draw(hnp.arrays(np.float64, window.shape, elements=_VALUES))
+                                  for _ in range(2))
+    samples[draw(hnp.arrays(np.bool_, window.shape))] = 0.0
+    params = QParams(q=draw(st.sampled_from([0.5, 0.7])), alpha=draw(st.sampled_from([0.0, 0.5])))
+    return GridFunction(params, window, "even", samples)
+
+
+@_PROPERTY
+@given(f=_grid_functions())
+def test_round_trip_is_exact(tmp_path, f):
+    for fmt in ("csv", "json"):
+        path = str(tmp_path / f"f.{fmt}")
+        write_gridfunction(f, path, fmt)
+        g = read_gridfunction(path)
+        assert (g.params, g.window, g.parity_y) == (f.params, f.window, f.parity_y)
+        assert np.array_equal(g.samples, f.samples)
+        stored = f.samples != 0   # zeros are not written; stored values keep every bit
+        assert np.array_equal(g.samples[stored].view(np.int64), f.samples[stored].view(np.int64))
+
+
+@_PROPERTY
+@given(data=st.data(), fmt=st.sampled_from(["csv", "json"]),
+       kind=st.sampled_from(["sign", "outside window", "duplicate"]))
+def test_reader_names_the_injected_bad_row(tmp_path, data, fmt, kind):
+    # the _write_grid_file window is n1, n2 in [0, 2]; its CSV rows start on line 2
+    points = [[s, a, b] for s in (1, -1) for a in range(3) for b in range(3)]
+    rows = [p + [1.0, -2.0] for p in data.draw(st.permutations(points))[:data.draw(st.integers(1, 8))]]
+    pos = data.draw(st.integers(1 if kind == "duplicate" else 0, len(rows)))
+    if kind == "sign":
+        bad = [data.draw(st.sampled_from([0, 2, -2, 7])), 1, 1, 0.5, 0.0]
+    elif kind == "outside window":
+        n = data.draw(st.one_of(st.integers(-1000, -1), st.integers(3, 1000)))
+        bad = [1, n, 1, 0.5, 0.0] if data.draw(st.booleans()) else [-1, 1, n, 0.5, 0.0]
+    else:
+        bad = rows[data.draw(st.integers(0, pos - 1))][:3] + [0.5, 0.0]
+    rows.insert(pos, bad)
+    where = f":{pos + 2}: " if fmt == "csv" else f": point {pos}: "
+    with pytest.raises(FileFormatError, match=where + ".*" + kind):
+        read_gridfunction(_write_grid_file(tmp_path, fmt, rows))
+
+
+@pytest.mark.parametrize("fmt,where", [("csv", ":3: "), ("json", ": point 1: ")])
+@pytest.mark.parametrize("later", [[1, 1, 1, 1.0], [1, 1, 1, "x", 0.0], [1, 1, 1, "nan", 0.0],
+                                   [1, 5, 1, 1.0, 0.0], [1, 0, 0, 1.0, 0.0]],
+                         ids=["short", "unparsable", "non-finite", "outside", "duplicate"])
+def test_reader_reports_the_first_bad_row(tmp_path, fmt, where, later):
+    # a bad sign on line 3 (point 1) comes before a worse-looking row on line 5
+    rows = [[1, 0, 0, 1.0, 0.0], [7, 0, 1, 1.0, 0.0], [1, 1, 0, 1.0, 0.0], later]
+    with pytest.raises(FileFormatError, match=where + "sign"):
+        read_gridfunction(_write_grid_file(tmp_path, fmt, rows))
+
+
+def _small_grid() -> GridFunction:
+    samples = np.zeros((2, 2, 2), dtype=np.complex128)
+    samples[0, 0, 0] = complex(0.1, -0.0)
+    samples[0, 1, 1] = complex(5e-324, 1e300)
+    samples[1, 0, 1] = -2.5
+    return GridFunction(QParams(q=0.5, alpha=0.0), LatticeWindow(0, 1, -1, 0), "even", samples)
+
+
+def test_csv_output_is_byte_exact(tmp_path):
+    path = tmp_path / "f.csv"
+    write_gridfunction(_small_grid(), str(path), "csv")
+    assert path.read_text() == ("# qweinstein v1 q=0.5 alpha=0.0 parity=even n1=[0,1] n2=[-1,0]\n"
+                                "sign,n1,n2,re,im\n"
+                                "1,0,-1,0.1,-0.0\n"
+                                "1,1,0,5e-324,1e+300\n"
+                                "-1,0,0,-2.5,0.0\n")
+
+
+def test_indented_json_still_reads(tmp_path):
+    f = _small_grid()
+    path = tmp_path / "f.json"
+    write_gridfunction(f, str(path), "json")
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(doc, indent=1))
+    assert np.array_equal(read_gridfunction(str(path)).samples, f.samples)

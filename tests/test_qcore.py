@@ -101,6 +101,15 @@ def test_qgamma_pole():
             qgamma(x, p)
 
 
+def test_qgamma_memo_keyed_on_policy():
+    # a value cached under one truncation policy is never returned for another
+    p = QParams(q=0.5, alpha=0.0)
+    coarse = TruncationPolicy(product_tol=1e-3)
+    fine = qgamma(0.3, p)
+    assert qgamma(0.3, p, coarse) == qgamma.__wrapped__(0.3, p, coarse) != fine
+    assert qgamma(0.3, p) == qgamma.__wrapped__(0.3, p) == fine
+
+
 def test_lattice_alignment_binary_exact_half():
     eps, j = lattice_alignment(0.5)
     assert eps == 0.0 and j == 1
