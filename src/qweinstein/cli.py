@@ -196,18 +196,20 @@ def _parse_header(line: str, path: str) -> dict:
     return out
 
 
-def _integer(v) -> int:
-    """A sign or exponent field: a JSON integer or a decimal string (CSV)."""
-    if type(v) is int:
-        return v
-    if isinstance(v, str):
-        return int(v)
-    raise TypeError(f"not an integer: {v!r}")
+# per field: converter, dtype and the types a value may have; CSV fields are strings
+# to parse, while JSON fields are numbers already, and no strings or booleans
+_CSV_FIELDS = [(int, np.int64, None)] * 3 + [(float, np.float64, None)] * 2
+_JSON_FIELDS = [(int, np.int64, {int})] * 3 + [(float, np.float64, {int, float})] * 2
 
 
-def _column(values, convert, dtype) -> np.ndarray:
-    """The values converted to dtype, cut short at the first that does not convert."""
+def _column(values, convert, dtype, types) -> np.ndarray:
+    """The values converted to dtype, cut short at the first that does not convert
+    or, with types given, whose type is not one of them."""
+    if types is not None and not set(map(type, values)) <= types:
+        values = values[:next(i for i, v in enumerate(values) if type(v) not in types)]
     try:
+        if types is not None:
+            return np.array(values, dtype)
         return np.fromiter(map(convert, values), dtype, len(values))
     except (TypeError, ValueError, OverflowError):
         out = []
@@ -220,12 +222,13 @@ def _column(values, convert, dtype) -> np.ndarray:
 
 
 def _grid_from_rows(version, params: QParams, window: LatticeWindow, parity: str,
-                    rows, where, path: str) -> GridFunction:
+                    rows, where, path: str, fields) -> GridFunction:
     """Build a grid function from field rows, checking every row.
 
     Each row is sign, n1, n2, re, im; the values must be finite, the sign
     +-1, the exponents integers inside the window, and no point may repeat.
-    ``where(i)`` names row i's place in the file.  The checks run a column
+    ``where(i)`` names row i's place in the file, and ``fields`` says how
+    each field converts (_CSV_FIELDS or _JSON_FIELDS).  The checks run a column
     at a time, and the error names the first bad row in file order with the
     first check it fails.
     """
@@ -236,8 +239,8 @@ def _grid_from_rows(version, params: QParams, window: LatticeWindow, parity: str
              len(rows))
     error = f"expected 5 fields, got {rows[n]!r}" if n < len(rows) else None
     cols = list(zip(*rows[:n])) or [()] * 5
-    for k, (convert, dtype) in enumerate([(_integer, np.int64)] * 3 + [(float, np.float64)] * 2):
-        cols[k] = _column(cols[k][:n], convert, dtype)
+    for k, field_spec in enumerate(fields):
+        cols[k] = _column(cols[k][:n], *field_spec)
         if len(cols[k]) < n:
             n = len(cols[k])
             error = f"unparsable row: {rows[n]!r}"
@@ -282,7 +285,7 @@ def read_gridfunction(path: str) -> GridFunction:
     linenos, rows = zip(*numbered) if numbered else ((), ())
     return _grid_from_rows(hdr["version"], QParams(q=hdr["q"], alpha=hdr["alpha"]),
                            LatticeWindow(*hdr["n1"], *hdr["n2"]), hdr["parity"], rows,
-                           lambda i: f"{path}:{linenos[i]}", path)
+                           lambda i: f"{path}:{linenos[i]}", path, _CSV_FIELDS)
 
 
 def _read_json(path: str) -> GridFunction:
@@ -310,7 +313,8 @@ def _read_json(path: str) -> GridFunction:
     check("points", isinstance(doc["points"], list), "a list")
     return _grid_from_rows(doc["version"], QParams(q=doc["q"], alpha=doc["alpha"]),
                            LatticeWindow(doc["n1"][0], doc["n1"][1], doc["n2"][0], doc["n2"][1]),
-                           doc["parity"], doc["points"], lambda i: f"{path}: point {i}", path)
+                           doc["parity"], doc["points"], lambda i: f"{path}: point {i}", path,
+                           _JSON_FIELDS)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,12 @@ import numpy as np
 
 from .qcore import DEFAULT_POLICY, QDomainError, QParams, TruncationPolicy
 from .qintegrate import log_l2_norm_sq, log_mu_weights, log_sum_exp
-from .qops import EVEN, GridFunction, LatticeWindow, dq_mixed, weinstein_op
+from .qops import EVEN, GridFunction, LatticeWindow, _weinstein_array, dq_mixed, weinstein_op
 from .qspecial import bessel_j
 from .transform import (
     TransformResult,
-    _transform_array,
+    _contract,
+    _kernel_matrices,
     auto_lambda_window,
     embed_zeros,
     forward,
@@ -115,26 +116,27 @@ class TransformSideIterates:
             lam_window = LatticeWindow(lam_window.n1_min - 2, lam_window.n1_max + 4,
                                        lam_window.n2_min - 2, lam_window.n2_max + 4)
         self.window = lam_window
-        self._logw_lam = log_mu_weights(GridFunction.zeros(self.params, lam_window, EVEN))
+        grid = GridFunction.zeros(self.params, lam_window, EVEN)
+        self._logw_lam = log_mu_weights(grid)
+        self._x1, self._x2 = grid.x1_values(), grid.x2_values()
         self._logw_x = log_mu_weights(f_hat)
         self._r2_x = norm_sq_lambda(f_hat.window, self.params)
-        m1 = lam_window.n1_exponents()
-        m2 = lam_window.n2_exponents()
-        self._m1_grid = np.broadcast_to(m1[None, :, None], lam_window.shape)
-        self._m2_grid = np.broadcast_to(m2[None, None, :], lam_window.shape)
 
     def _core_cutoff(self, n: int) -> float:
         slack = (self._log_amp_budget / n - math.log(self._stencil_const)) / (2.0 * self._L)
         return self._m_r + slack
 
-    def _core_mask(self, n: int) -> np.ndarray:
+    def _core_box(self, n: int) -> tuple[int, int]:
+        """Shells (n1, n2) of the core: the box m1, m2 <= cutoff at the window's low corner."""
         c = self._core_cutoff(n)
-        return (self._m1_grid <= c) & (self._m2_grid <= c)
+        return (int(np.searchsorted(self.window.n1_exponents(), c, side="right")),
+                int(np.searchsorted(self.window.n2_exponents(), c, side="right")))
 
     def run(self):
-        params, policy = self.params, self.policy
+        params = self.params
+        kernel = _kernel_matrices(self.f_hat.window, self.window, params, self.policy)
         eta = self.f_hat.samples.copy()
-        G_prev = _transform_array(eta, self.f_hat.window, self.window, params, policy, conj=False)
+        G_prev = _contract(kernel, eta, conj=False)
         log_scale = 0.0
         clean = LatticeWindow(self.window.n1_min, self.window.n1_max,
                               self.window.n2_min, self.window.n2_max)
@@ -146,17 +148,21 @@ class TransformSideIterates:
                 s = 1.0
             eta = eta_raw / s
             log_scale += math.log(s)
-            G_dir = _transform_array(eta, self.f_hat.window, self.window, params, policy,
-                                     conj=False)
-            gf_prev = GridFunction(params, clean, EVEN, G_prev)
-            G_sten = weinstein_op(gf_prev, 1).samples / s
-            mask = self._core_mask(n)
-            G_lit = np.where(mask, G_sten, G_dir)
+            GridFunction(params, clean, EVEN, G_prev)   # G_prev must be finite
+            # direct values, with the stencil's on the core: the stencil reaches
+            # 2 shells past it in n1 and 1 in n2, and the low edges are the window's
+            G_lit = _contract(kernel, eta, conj=False)
+            c1, c2 = self._core_box(n)
+            if c1 and c2:
+                G_sten = _weinstein_array(G_prev[:, :c1 + 2, :c2 + 1], params,
+                                          self._x1[:, :c1 + 2], self._x2[:c2 + 1])
+                G_lit[:, :c1, :c2] = G_sten[:, :c1, :c2] / s
             # norms (true logs, including the scale)
             log_lit = log_l2_norm_sq(G_lit, self._logw_lam) + 2.0 * log_scale
             log_spec = log_l2_norm_sq(eta, self._logw_x) + 2.0 * log_scale
-            tot = float(np.sum(np.abs(G_lit) ** 2 * w_lin))
-            core = float(np.sum((np.abs(G_lit) ** 2 * w_lin)[mask])) if tot > 0 else 0.0
+            mass = np.abs(G_lit) ** 2 * w_lin
+            tot = float(np.sum(mass))
+            core = float(np.sum(mass[:, :c1, :c2].ravel())) if tot > 0 else 0.0   # one flat sum
             yield _IterateState(
                 n=n,
                 values=G_lit,

@@ -172,17 +172,42 @@ def even_odd_split(f: Callable[[float], complex]):
 # grid operators
 # ---------------------------------------------------------------------------
 
-def _shift(arr: np.ndarray, axis: int, step: int) -> np.ndarray:
-    """Samples at exponent n+step along axis (1: n1, 2: n2), zero-filled outside the window."""
-    out = np.zeros_like(arr)
-    dst = [slice(None)] * arr.ndim
-    src = [slice(None)] * arr.ndim
-    if step > 0:
-        dst[axis], src[axis] = slice(None, -step), slice(step, None)
-    elif step < 0:
-        dst[axis], src[axis] = slice(-step, None), slice(None, step)
-    out[tuple(dst)] = arr[tuple(src)]
+def _pad(s: np.ndarray, axis: int) -> np.ndarray:
+    """s with a zero shell at both ends of axis (1: n1, 2: n2): its [:-2], [2:] read n-1, n+1."""
+    shape = list(s.shape)
+    shape[axis] += 2
+    out = np.zeros(shape, dtype=s.dtype)
+    out[(slice(None),) * axis + (slice(1, -1),)] = s
     return out
+
+
+def _dx_array(s: np.ndarray, q: float, x1: np.ndarray) -> np.ndarray:
+    """Symmetric q-derivative along variable 1 of raw samples; x1 is the (2, N1) signed grid."""
+    p = _pad(s, 1)
+    flipped = p[::-1]
+    num = (
+        p[:, :-2]                   # f(z/q): exponent n1-1
+        + flipped[:, :-2]           # f(-z/q)
+        - p[:, 2:]                  # f(qz)
+        + flipped[:, 2:]            # f(-qz)
+        - 2.0 * flipped[:, 1:-1]    # f(-z)
+    )
+    return num / (2.0 * (1.0 - q) * x1[:, :, None])
+
+
+def _bessel_array(s: np.ndarray, params: QParams, y: np.ndarray) -> np.ndarray:
+    """Conjugated q-Bessel stencil of raw even samples; y is the (N2,) second-variable grid."""
+    q = params.q
+    q2a = q ** (2.0 * params.alpha)
+    p = _pad(s, 2)
+    num = p[:, :, :-2] - (1.0 + q2a) * s + q2a * p[:, :, 2:]
+    return num / ((1.0 - q) ** 2 * y * y)
+
+
+def _weinstein_array(s: np.ndarray, params: QParams, x1: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """One Weinstein step d^2/dx1^2 + Bessel_y of raw even samples; it reads 2 shells
+    out in n1 and 1 in n2, zero-filled outside."""
+    return _dx_array(_dx_array(s, params.q, x1), params.q, x1) + _bessel_array(s, params, y)
 
 
 def dq_partial(f: GridFunction, var: int) -> GridFunction:
@@ -194,26 +219,17 @@ def dq_partial(f: GridFunction, var: int) -> GridFunction:
     q = f.params.q
     s = f.samples
     if var == 1:
-        flipped = s[::-1, :, :]
-        num = (
-            _shift(s, 1, -1)            # f(z/q): exponent n1-1
-            + _shift(flipped, 1, -1)    # f(-z/q)
-            - _shift(s, 1, 1)           # f(qz)
-            + _shift(flipped, 1, 1)     # f(-qz)
-            - 2.0 * flipped             # f(-z)
-        )
-        denom = 2.0 * (1.0 - q) * f.x1_values()[:, :, None]
-        return f.with_samples(num / denom, window=f.window.tainted_more(dx=1))
+        return f.with_samples(_dx_array(s, q, f.x1_values()), window=f.window.tainted_more(dx=1))
     if var == 2:
-        y = f.x2_values()[None, None, :]
+        p = _pad(s, 2)
         if f.parity_y == EVEN:
-            num = _shift(s, 2, -1) - s          # f(y/q) - f(y)
+            num = p[:, :, :-2] - s              # f(y/q) - f(y)
             parity = ODD
         else:
-            num = s - _shift(s, 2, 1)           # f(y) - f(qy)
+            num = s - p[:, :, 2:]               # f(y) - f(qy)
             parity = EVEN
-        return f.with_samples(num / ((1.0 - q) * y), window=f.window.tainted_more(dy=1),
-                              parity_y=parity)
+        return f.with_samples(num / ((1.0 - q) * f.x2_values()),
+                              window=f.window.tainted_more(dy=1), parity_y=parity)
     raise QDomainError(f"var must be 1 or 2, got {var}")
 
 
@@ -241,12 +257,7 @@ def bessel_op(f: GridFunction) -> GridFunction:
     """
     if f.parity_y != EVEN:
         raise QDomainError("bessel_op requires even parity in the second variable")
-    q = f.params.q
-    q2a = q ** (2.0 * f.params.alpha)
-    s = f.samples
-    num = _shift(s, 2, -1) - (1.0 + q2a) * s + q2a * _shift(s, 2, 1)
-    y = f.x2_values()[None, None, :]
-    out = num / ((1.0 - q) ** 2 * y * y)
+    out = _bessel_array(f.samples, f.params, f.x2_values())
     return f.with_samples(out, window=f.window.tainted_more(dy=2))
 
 
@@ -275,12 +286,10 @@ def weinstein_op(f: GridFunction, n: int = 1) -> GridFunction:
         raise QDomainError("weinstein_op needs n >= 0")
     if f.parity_y != EVEN:
         raise QDomainError("weinstein_op requires even parity")
-    g = f
+    samples, window = f.samples, f.window
+    x1, y = f.x1_values(), f.x2_values()
     for _ in range(n):
-        d2x = dq_mixed(g, (2, 0))
-        by = bessel_op(g)
-        samples = d2x.samples + by.samples
-        window = g.window.tainted_more(dx=2, dy=2)
-        g = g.with_samples(samples, window=window)
-        g.window.untainted_slices()   # taint budget check
-    return g
+        samples = _weinstein_array(samples, f.params, x1, y)
+        window = window.tainted_more(dx=2, dy=2)
+        window.untainted_slices()   # taint budget check
+    return f.with_samples(samples, window=window) if n else f

@@ -142,6 +142,16 @@ def _transform_array(data: np.ndarray, in_window: LatticeWindow, out_window: Lat
     runs on the kernel moduli and |data| (hypot(C, S), S = 0, |J|): that
     evaluates the summation noise floor of the contraction.
     """
+    C, S, Jw, x1w = _kernel_matrices(in_window, out_window, params, policy)
+    if abs_kernel:   # K and the weights are positive, so |Jw| is Jw built on |J|
+        C, S, Jw, data = np.hypot(C, S), np.zeros_like(S), np.abs(Jw), np.abs(data)
+    return _contract((C, S, Jw, x1w), data, conj)
+
+
+def _kernel_matrices(in_window: LatticeWindow, out_window: LatticeWindow, params: QParams,
+                     policy: TruncationPolicy) -> tuple:
+    """(C, S, Jw, x1w) of _transform_array: the gathered family matrices, with
+    K (1-q)^2 and the x2 measure weight folded into Jw, and the d_q x1 weight."""
     q = params.q
     n1 = in_window.n1_exponents()
     n2 = in_window.n2_exponents()
@@ -150,12 +160,15 @@ def _transform_array(data: np.ndarray, in_window: LatticeWindow, out_window: Lat
     cos_v, sin_v, j_v, lo = _families(params, int(min(k1.min(), k2.min())),
                                       int(max(k1.max(), k2.max())), policy)
     C, S, J = cos_v[k1 - lo], sin_v[k1 - lo], j_v[k2 - lo]    # (M1, N1), (M2, N2)
-    if abs_kernel:
-        C, S, J, data = np.hypot(C, S), np.zeros_like(S), np.abs(J), np.abs(data)
-
-    d = data * q ** n1.astype(float)[None, :, None]          # d_q x1 weight (per sign)
     Jw = (normalization_K(params, policy) * (1.0 - q) ** 2
           * J * q ** ((2.0 * params.alpha + 2.0) * n2.astype(float)))
+    return C, S, Jw, q ** n1.astype(float)[None, :, None]
+
+
+def _contract(kernel: tuple, data: np.ndarray, conj: bool) -> np.ndarray:
+    """The sign-split product of _transform_array with prebuilt kernel matrices."""
+    C, S, Jw, x1w = kernel
+    d = data * x1w                                            # d_q x1 weight (per sign)
     a = C @ (d[0] + d[1]) @ Jw.T
     ib = S @ (d[0] - d[1]) @ Jw.T * (-1j if conj else 1j)
     out = np.stack([a, a], dtype=np.complex128)     # in place: no output-sized temporaries

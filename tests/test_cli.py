@@ -298,6 +298,27 @@ def test_reader_rejects_non_finite_values(tmp_path, fmt, rows, match):
         read_gridfunction(path)
 
 
+@pytest.mark.parametrize("rows,where", [
+    ([[1, 0, 0, True, False]], "point 0"),
+    ([["-1", "1", "1", 1.0, 0.0]], "point 0"),
+    ([[1, 0, 0, 1.0, 0.0], [1, 0, 1, "2.5", 0.0]], "point 1"),
+    ([[1, 0, 0, 1.0, 0.0], [-1, 0, "1", 1.0, 0.0]], "point 1"),
+    ([[1, 0, 0, 1.0, 0.0], [1, 1, 1, 0.5, True]], "point 1"),
+], ids=["bool-values", "string-fields", "string-value", "string-exponent", "bool-imag"])
+def test_json_reader_rejects_strings_and_booleans(tmp_path, capsys, rows, where):
+    # JSON numbers are numbers already; only the CSV reader parses strings
+    path = _write_grid_file(tmp_path, "json", rows)
+    with pytest.raises(FileFormatError, match=f": {where}: unparsable row"):
+        read_gridfunction(path)
+    assert main(["transform", "--input", path, "--out", str(tmp_path / "o.csv")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_json_reader_takes_integer_values(tmp_path):
+    f = read_gridfunction(_write_grid_file(tmp_path, "json", [[-1, 2, 0, 3, -2]]))
+    assert f.samples[1, 2, 0] == 3 - 2j
+
+
 def test_config_unknown_format_exit_1(tmp_path, capsys):
     # an unknown fmt is rejected where the config is parsed, before the command runs
     path = tmp_path / "job.cfg"

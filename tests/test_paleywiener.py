@@ -20,8 +20,10 @@ from qweinstein import (
     support_radius,
     weinstein_sup_bound_check,
 )
+from qweinstein.paleywiener import TransformSideIterates
+from qweinstein.qintegrate import log_l2_norm_sq
 from qweinstein.qops import EVEN, dq_partial, weinstein_op
-from qweinstein.transform import embed_zeros
+from qweinstein.transform import _transform_array, embed_zeros
 from qweinstein.cli import random_even_bump
 
 from .conftest import make_bump
@@ -134,6 +136,77 @@ def test_bandwidth_through_inverse_reconstruction():
     F = forward(f)
     rep = bandwidth_estimate(F.grid, 30, x_window=embed_zeros(f, 2, 2).window)
     assert abs(rep.estimate / support_radius(f) - 1) < 0.02
+
+
+# ---------------------------------------------------------------------------
+# the iterate engine against the plain loop
+# ---------------------------------------------------------------------------
+
+def _reference_run(eng):
+    """TransformSideIterates.run as a plain loop: every step contracts afresh and
+    applies weinstein_op on the whole window, then keeps its values on the core mask."""
+    params, win, x_win = eng.params, eng.window, eng.f_hat.window
+    clean = LatticeWindow(win.n1_min, win.n1_max, win.n2_min, win.n2_max)
+    m1 = win.n1_exponents()[None, :, None]
+    m2 = win.n2_exponents()[None, None, :]
+    w_lin = np.exp(eng._logw_lam)
+    eta = eng.f_hat.samples.copy()
+    G_prev = _transform_array(eta, x_win, win, params, eng.policy, conj=False)
+    log_scale = 0.0
+    for n in range(1, eng.N + 1):
+        eta_raw = eta * (-eng._r2_x)
+        s = float(np.max(np.abs(eta_raw))) or 1.0
+        eta = eta_raw / s
+        log_scale += math.log(s)
+        G_dir = _transform_array(eta, x_win, win, params, eng.policy, conj=False)
+        G_sten = weinstein_op(GridFunction(params, clean, EVEN, G_prev), 1).samples / s
+        c = eng._core_cutoff(n)
+        mask = np.broadcast_to((m1 <= c) & (m2 <= c), G_dir.shape)
+        G_lit = np.where(mask, G_sten, G_dir)
+        mass = np.abs(G_lit) ** 2 * w_lin
+        tot = float(np.sum(mass))
+        core = float(np.sum(mass[mask])) if tot > 0 else 0.0
+        yield G_lit, [log_scale, core / tot if tot > 0 else 0.0,
+                      log_l2_norm_sq(G_lit, eng._logw_lam) + 2.0 * log_scale,
+                      log_l2_norm_sq(eta, eng._logw_x) + 2.0 * log_scale], c
+        G_prev = G_lit
+
+
+@pytest.mark.parametrize("q,alpha,support,N,narrows", [
+    (0.5, 0.0, (-2, 4, -2, 4), 50, False),
+    (0.5, 1.5, (-2, 4, -2, 4), 30, False),
+    (0.7, 0.0, (-1, 3, -1, 3), 30, False),
+    (0.7, 1.5, (-1, 3, -1, 3), 30, False),
+    (0.8, 0.0, (0, 2, 0, 2), 50, True),
+])
+def test_run_is_bit_identical_to_the_plain_loop(q, alpha, support, N, narrows):
+    f = make_bump(QParams(q=q, alpha=alpha), 81, *support)
+    eng = TransformSideIterates(f, N)
+    core_shells = set()
+    for st, (values, scalars, c) in zip(eng.run(), _reference_run(eng), strict=True):
+        assert np.array_equal(st.values.view(np.int64), values.view(np.int64))
+        got = [st.log_scale, st.core_fraction, st.log_norm_sq_literal, st.log_norm_sq_spectral]
+        assert np.array_equal(np.array(got).view(np.int64), np.array(scalars).view(np.int64))
+        core_shells.add(int(np.sum(eng.window.n1_exponents() <= c)))
+    # a core of 1 shell is narrower than the stencil's reach, and an empty one skips it
+    assert ({0, 1} <= core_shells) == narrows
+
+
+def test_run_gathers_kernel_families_once(monkeypatch):
+    from qweinstein import transform
+
+    f = make_bump(QParams(q=0.5, alpha=0.0), 82, -2, 4, -2, 4)
+    eng = TransformSideIterates(f, 10)
+    calls = []
+    families = transform._families
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return families(*args, **kwargs)
+
+    monkeypatch.setattr(transform, "_families", counted)
+    assert len(list(eng.run())) == 10
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

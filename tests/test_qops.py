@@ -361,3 +361,71 @@ def test_kernel_derivative_bound():
         s1, s2 = d.window.untainted_slices()
         sup = np.max(np.abs(d.samples[:, s1, s2]))
         assert sup <= abs(bound_const) * lam[0] ** beta[0] * lam[1] ** beta[1] * (1 + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# stencil properties on random windows, q and alpha
+# ---------------------------------------------------------------------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+_PROPERTY = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def _grid_functions(draw, min_width: int):
+    """A random complex grid function on a window at least min_width shells wide."""
+    n1_min, n2_min = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    window = LatticeWindow(n1_min, n1_min + min_width - 1 + draw(st.integers(0, 6)),
+                           n2_min, n2_min + min_width - 1 + draw(st.integers(0, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.standard_normal(window.shape) + 1j * rng.standard_normal(window.shape)
+    params = QParams(q=draw(st.floats(0.2, 0.9)), alpha=draw(st.floats(-0.5, 3.0)))
+    return GridFunction(params, window, draw(st.sampled_from([EVEN, ODD])), samples)
+
+
+@_PROPERTY
+@given(f=_grid_functions(13), n=st.integers(1, 3))
+def test_weinstein_op_is_the_composed_stencil(f, n):
+    f = f.with_samples(f.samples, parity_y=EVEN)
+    g = f
+    for _ in range(n):
+        g = g.with_samples(dq_mixed(g, (2, 0)).samples + bessel_op(g).samples,
+                           window=g.window.tainted_more(dx=2, dy=2))
+    w = weinstein_op(f, n)
+    assert (w.window, w.parity_y) == (g.window, EVEN)
+    assert np.array_equal(w.samples.view(np.int64), g.samples.view(np.int64))
+
+
+@_PROPERTY
+@given(f=_grid_functions(3))
+def test_dq_partial_along_var_2_flips_parity(f):
+    flipped = ODD if f.parity_y == EVEN else EVEN
+    assert dq_partial(f, 2).parity_y == flipped
+    assert dq_partial(dq_partial(f, 2), 2).parity_y == f.parity_y
+    assert dq_partial(f, 1).parity_y == f.parity_y
+
+
+@_PROPERTY
+@given(f=_grid_functions(11), var=st.sampled_from([1, 2]),
+       taint=st.tuples(*[st.integers(0, 2)] * 4), cut=st.tuples(*[st.integers(0, 2)] * 4))
+def test_derivative_adds_one_taint_layer(f, var, taint, cut):
+    # differentiate a sub-window of f that carries some taint already
+    w, (a1, b1, a2, b2) = f.window, cut
+    sub = f.with_samples(f.samples[:, a1:w.shape[1] - b1, a2:w.shape[2] - b2],
+                         window=LatticeWindow(w.n1_min + a1, w.n1_max - b1,
+                                              w.n2_min + a2, w.n2_max - b2, *taint))
+    d = dq_partial(sub, var)
+    dx, dy = (1, 0) if var == 1 else (0, 1)
+    t = d.window
+    assert (t.taint_x_lo, t.taint_x_hi, t.taint_y_lo, t.taint_y_hi) == (
+        taint[0] + dx, taint[1] + dx, taint[2] + dy, taint[3] + dy)
+    assert (t.n1_min, t.n1_max, t.n2_min, t.n2_max) == (
+        sub.window.n1_min, sub.window.n1_max, sub.window.n2_min, sub.window.n2_max)
+    # the zero fill past the sub-window reaches only the layer the derivative added:
+    # the untainted values equal those of the derivative on the whole window
+    whole = dq_partial(f, var).samples[:, a1:w.shape[1] - b1, a2:w.shape[2] - b2]
+    s1, s2 = LatticeWindow(0, sub.window.shape[1] - 1, 0, sub.window.shape[2] - 1,
+                           dx, dx, dy, dy).untainted_slices()
+    assert np.array_equal(d.samples[:, s1, s2], whole[:, s1, s2])
