@@ -505,9 +505,9 @@ def _cmd_verify(args, cfg: JobConfig) -> int:
     rows = suite(cfg)
     failed = []
     for name, err, tol in rows:
-        status = "ok" if err <= tol else "FAIL"
-        print(f"{name}: max_rel_err={err:.3e} tol={tol:.1e} [{status}]")
-        if err > tol:
+        ok = err <= tol   # False for a NaN error or tolerance: the row fails
+        print(f"{name}: max_rel_err={err:.3e} tol={tol:.1e} [{'ok' if ok else 'FAIL'}]")
+        if not ok:
             failed.append(name)
     if failed:
         print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
@@ -580,6 +580,10 @@ def _merge_config(args) -> JobConfig:
     window = getattr(args, "window", None)
     if window:
         cfg.n1_min, cfg.n1_max, cfg.n2_min, cfg.n2_max = _parse_window(window, "--window")
+    if cfg.seed < 0:
+        raise QDomainError(f"seed must be >= 0, got {cfg.seed}")
+    if not (math.isfinite(cfg.tol) and cfg.tol > 0):
+        raise QDomainError(f"tol must be finite and > 0, got {cfg.tol}")
     return cfg
 
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from .qcore import DEFAULT_POLICY, QDomainError, QParams, TruncationPolicy
 from .qintegrate import log_l2_norm_sq, log_mu_weights, log_sum_exp
-from .qops import EVEN, GridFunction, LatticeWindow, _weinstein_array, dq_mixed, weinstein_op
+from .qops import (EVEN, GridFunction, LatticeWindow, _weinstein_array, dq_ladder, dq_mixed,
+                   weinstein_op)
 from .qspecial import bessel_j
 from .transform import (
     TransformResult,
@@ -480,9 +481,8 @@ def weinstein_sup_bound_check(f: GridFunction, k: int) -> tuple[float, float, di
     bracket = (1.0 - q ** (2.0 * alpha + 2.0)) / (1.0 - q)
     Ck = (1.0 + bracket) ** k
     worst = 0.0
-    for pp1 in range(k + 1):
-        for pp2 in range(k + 1):
-            d = dq_mixed(fpad, (2 * pp1, 2 * pp2))
+    for dx in dq_ladder(fpad, (2, 0), k):   # D^(2 p1, 0), then its x2 orders 2 p2
+        for d in dq_ladder(dx, (0, 2), k):
             worst = max(worst, float(np.max(np.abs(d.samples))))
     rhs = Ck * worst
     return lhs, rhs, {"C_k": Ck, "max_derivative_sup": worst}
@@ -510,7 +510,7 @@ def sonine_identity_check(alpha: float, p: int, y_exponents: list[int], params: 
     fam_ap = {k: bessel_j(alpha + p, q ** float(k), base, policy).value.real
               for k in range(k_lo, max(y_exponents) + 1)}
     worst = 0.0
-    weights = np.array([sonine_weight(p, q**jj, base, policy) for jj in range(n_terms)])
+    weights = sonine_weight(p, np.array([q**jj for jj in range(n_terms)]), base, policy)
     for ky in y_exponents:
         lhs = fam_ap[ky]
         acc = 0.0

@@ -109,10 +109,14 @@ def edge_shell_mass(mass: np.ndarray, depth: int = 0) -> list[float]:
     """Mass on the shell `depth` steps in from each window edge.
 
     Entries follow the edges low n1, high n1, low n2, high n2; ``mass`` is a
-    nonnegative array over a window, axis 0 being the sign of x1.
+    nonnegative array over a window, axis 0 being the sign of x1.  A shell
+    that the window does not have (depth past its width) has zero mass.
     """
-    return [float(mass[:, depth, :].sum()), float(mass[:, -1 - depth, :].sum()),
-            float(mass[:, :, depth].sum()), float(mass[:, :, -1 - depth].sum())]
+    _, n1, n2 = mass.shape
+    return [float(mass[:, depth, :].sum()) if depth < n1 else 0.0,
+            float(mass[:, -1 - depth, :].sum()) if depth < n1 else 0.0,
+            float(mass[:, :, depth].sum()) if depth < n2 else 0.0,
+            float(mass[:, :, -1 - depth].sum()) if depth < n2 else 0.0]
 
 
 def integrate_mu(f: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> IntegralResult:

@@ -22,6 +22,7 @@ from .qcore import LatticePoint, QDomainError, QParams, TaintError
 
 EVEN = "even"
 ODD = "odd"
+_FLIP = {EVEN: ODD, ODD: EVEN}
 
 
 @dataclass(frozen=True)
@@ -195,6 +196,14 @@ def _dx_array(s: np.ndarray, q: float, x1: np.ndarray) -> np.ndarray:
     return num / (2.0 * (1.0 - q) * x1[:, :, None])
 
 
+def _dy_array(s: np.ndarray, q: float, y: np.ndarray, parity_y: str) -> np.ndarray:
+    """Symmetric q-derivative along variable 2 of raw samples of the given parity; y is
+    the (N2,) grid.  The result has the other parity."""
+    p = _pad(s, 2)   # even: f(y/q) - f(y); odd: f(y) - f(qy)
+    num = p[:, :, :-2] - s if parity_y == EVEN else s - p[:, :, 2:]
+    return num / ((1.0 - q) * y)
+
+
 def _bessel_array(s: np.ndarray, params: QParams, y: np.ndarray) -> np.ndarray:
     """Conjugated q-Bessel stencil of raw even samples; y is the (N2,) second-variable grid."""
     q = params.q
@@ -217,34 +226,39 @@ def dq_partial(f: GridFunction, var: int) -> GridFunction:
     function is odd and vice versa.
     """
     q = f.params.q
-    s = f.samples
     if var == 1:
-        return f.with_samples(_dx_array(s, q, f.x1_values()), window=f.window.tainted_more(dx=1))
+        return f.with_samples(_dx_array(f.samples, q, f.x1_values()),
+                              window=f.window.tainted_more(dx=1))
     if var == 2:
-        p = _pad(s, 2)
-        if f.parity_y == EVEN:
-            num = p[:, :, :-2] - s              # f(y/q) - f(y)
-            parity = ODD
-        else:
-            num = s - p[:, :, 2:]               # f(y) - f(qy)
-            parity = EVEN
-        return f.with_samples(num / ((1.0 - q) * f.x2_values()),
-                              window=f.window.tainted_more(dy=1), parity_y=parity)
+        return f.with_samples(_dy_array(f.samples, q, f.x2_values(), f.parity_y),
+                              window=f.window.tainted_more(dy=1), parity_y=_FLIP[f.parity_y])
     raise QDomainError(f"var must be 1 or 2, got {var}")
 
 
 def dq_mixed(f: GridFunction, beta: tuple[int, int]) -> GridFunction:
-    """D_q^beta = (d/d x1)^beta1 (d/d x2)^beta2 by iterated application."""
+    """D_q^beta = (d/d x1)^beta1 (d/d x2)^beta2, applied to the samples; (0, 0) returns f."""
     b1, b2 = beta
     if b1 < 0 or b2 < 0:
         raise QDomainError("derivative orders must be >= 0")
     g = f
-    for _ in range(b1):
-        g = dq_partial(g, 1)
-    for _ in range(b2):
-        g = dq_partial(g, 2)
+    if b1 or b2:
+        s, parity, q = f.samples, f.parity_y, f.params.q
+        x1, y = (f.x1_values() if b1 else None), (f.x2_values() if b2 else None)
+        for _ in range(b1):
+            s = _dx_array(s, q, x1)
+        for _ in range(b2):
+            s, parity = _dy_array(s, q, y, parity), _FLIP[parity]
+        g = f.with_samples(s, window=f.window.tainted_more(dx=b1, dy=b2), parity_y=parity)
     g.window.untainted_slices()   # raises TaintError if nothing survives
     return g
+
+
+def dq_ladder(f: GridFunction, beta: tuple[int, int], count: int):
+    """f, D^beta f, D^beta D^beta f, ...: count + 1 rungs, each one dq_mixed from the last."""
+    yield f
+    for _ in range(count):
+        f = dq_mixed(f, beta)
+        yield f
 
 
 def bessel_op(f: GridFunction) -> GridFunction:

@@ -252,8 +252,8 @@ def qtrig_exponent_families(params: QParams, k_min: int, k_max: int,
     return cos_vals, sin_vals
 
 
-def sonine_weight(p: int, t: float, params: QParams,
-                  policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+def sonine_weight(p: int, t: float | np.ndarray, params: QParams,
+                  policy: TruncationPolicy = DEFAULT_POLICY) -> float | np.ndarray:
     """Weight W_{p-1}(t; q^2) of the Sonine-type q-integral representation.
 
     W_{p-1}(t; q^2) = (1+q) Gamma_{q^2}(alpha+p+1) /
@@ -262,11 +262,13 @@ def sonine_weight(p: int, t: float, params: QParams,
     normalized so that
     j_{alpha+p}(y) = int_0^1 W_{p-1}(t) j_alpha(yt) t^(2*alpha+1) d_q t
     holds identically; at y = 0 the weight integrates to 1 against
-    t^(2*alpha+1) d_q t.
+    t^(2*alpha+1) d_q t.  t may be an array, evaluated elementwise with the
+    constant computed once; a scalar t gives a float.
     """
     if p < 1:
         raise QDomainError(f"sonine_weight needs p >= 1, got {p}")
-    if not (0.0 <= t <= 1.0):
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= t) & (t <= 1.0)):
         raise QDomainError(f"sonine_weight needs t in [0, 1], got {t}")
     q = params.q
     alpha = params.alpha
@@ -274,7 +276,7 @@ def sonine_weight(p: int, t: float, params: QParams,
     const = (1.0 + q) * qgamma_base(alpha + p + 1.0, q2, policy) / (
         qgamma_base(alpha + 1.0, q2, policy) * qgamma_base(float(p), q2, policy)
     )
-    prod = 1.0
+    prod = np.ones_like(t)
     for k in range(p - 1):
         prod *= 1.0 - t * t * q2 ** (k + 1)
-    return const * prod
+    return float(const * prod) if t.ndim == 0 else const * prod

@@ -30,7 +30,7 @@ from .qcore import (
     TruncationPolicy,
 )
 from .qintegrate import edge_shell_mass, integrate_mu, log_mu_weights
-from .qops import EVEN, GridFunction, LatticeWindow, bessel_op, dq_mixed, weinstein_op
+from .qops import EVEN, GridFunction, LatticeWindow, bessel_op, dq_ladder, weinstein_op
 from .qspecial import (
     bessel_j,
     bessel_j_exponent_family,
@@ -131,21 +131,15 @@ class TransformResult:
 
 
 def _transform_array(data: np.ndarray, in_window: LatticeWindow, out_window: LatticeWindow,
-                     params: QParams, policy: TruncationPolicy, conj: bool,
-                     abs_kernel: bool = False) -> np.ndarray:
+                     params: QParams, policy: TruncationPolicy, conj: bool) -> np.ndarray:
     """Core contraction: out(l) = K * sum_x data(x) e(∓i l1 x1) j(l2 x2) dmu(x).
 
     The kernel e(-i l1 x1) = cos - i sign(l1 x1) sin splits the data by the
     sign of x1: the cosine part sees d+ + d-, the sine part d+ - d-, so the
     products a = C (d+ + d-) Jw^T and b = S (d+ - d-) Jw^T with real kernel
-    matrices give both signs of l1 as a -+ i kappa b.  With abs_kernel=True the same product
-    runs on the kernel moduli and |data| (hypot(C, S), S = 0, |J|): that
-    evaluates the summation noise floor of the contraction.
+    matrices give both signs of l1 as a -+ i kappa b.
     """
-    C, S, Jw, x1w = _kernel_matrices(in_window, out_window, params, policy)
-    if abs_kernel:   # K and the weights are positive, so |Jw| is Jw built on |J|
-        C, S, Jw, data = np.hypot(C, S), np.zeros_like(S), np.abs(Jw), np.abs(data)
-    return _contract((C, S, Jw, x1w), data, conj)
+    return _contract(_kernel_matrices(in_window, out_window, params, policy), data, conj)
 
 
 def _kernel_matrices(in_window: LatticeWindow, out_window: LatticeWindow, params: QParams,
@@ -177,17 +171,27 @@ def _contract(kernel: tuple, data: np.ndarray, conj: bool) -> np.ndarray:
     return out
 
 
-def _l2_shell_mass(g: GridFunction) -> tuple[float, list[float], list[float]]:
-    """Total L2 mass of g and the mass of its outermost and next shells per edge."""
-    vals = np.abs(g.samples) ** 2 * np.exp(log_mu_weights(g))
-    return float(vals.sum()), edge_shell_mass(vals), edge_shell_mass(vals, 1)
+def _input_edge_ratio(samples: np.ndarray, weights: np.ndarray, edge_tol: float = 0.02) -> float:
+    """Share of the L2 mass |samples|^2 weights on the outermost shells, where weights
+    are the window's measure weights; DivergenceError above edge_tol."""
+    mass = np.abs(samples) ** 2 * weights
+    total = float(mass.sum())
+    edge_ratio = sum(edge_shell_mass(mass)) / total if total else 0.0
+    if edge_ratio > edge_tol:
+        raise DivergenceError(
+            f"input mass touches the window edge (edge share {edge_ratio:.2e}); "
+            "the function is not compactly supported inside its window"
+        )
+    return edge_ratio
 
 
 def _tail_report(grid: GridFunction) -> float:
     """Estimated relative L2 mass beyond the window, from edge-shell decay."""
-    total, edges, nexts = _l2_shell_mass(grid)
+    mass = np.abs(grid.samples) ** 2 * np.exp(log_mu_weights(grid))
+    total = float(mass.sum())
     if total == 0.0:
         return 0.0
+    edges, nexts = edge_shell_mass(mass), edge_shell_mass(mass, 1)
     tails = 0.0
     for edge, nxt in zip(edges, nexts):
         if edge == 0.0:
@@ -209,13 +213,7 @@ def forward(f: GridFunction, lambda_window: LatticeWindow | None = None,
     """
     if f.parity_y != EVEN:
         raise QDomainError("forward requires even parity in the second variable")
-    total, edges, _ = _l2_shell_mass(f)
-    edge_ratio = sum(edges) / total if total else 0.0
-    if edge_ratio > edge_tol:
-        raise DivergenceError(
-            f"input mass touches the window edge (edge share {edge_ratio:.2e}); "
-            "the function is not compactly supported inside its window"
-        )
+    edge_ratio = _input_edge_ratio(f.samples, np.exp(log_mu_weights(f)), edge_tol)
     if lambda_window is None:
         grid = _auto_window_transform(f, policy, auto_tol, _conj)
     else:
@@ -414,7 +412,19 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None,
         max(lam_win.n2_min - pad, floor_k - fpad.window.n2_min),
         lam_win.n2_max + pad,
     )
-    F0 = forward(fpad, lambda_window=lam_pad, policy=policy).grid
+    # one kernel (and one set of measure weights) for every transform from
+    # fpad's window onto lam_pad; each input still passes forward's edge
+    # check, and only the tail reports are skipped
+    kernel = _kernel_matrices(fpad.window, lam_pad, f.params, policy)
+    C, S, Jw, x1w = kernel
+    abs_kernel = (np.hypot(C, S), np.zeros_like(S), np.abs(Jw), x1w)
+    weights = np.exp(log_mu_weights(fpad))
+
+    def transform(g: GridFunction) -> GridFunction:
+        _input_edge_ratio(g.samples, weights)
+        return GridFunction(f.params, lam_pad, EVEN, _contract(kernel, g.samples, conj=False))
+
+    F0 = transform(fpad)
 
     scale = float(np.max(np.abs(F0.samples)))
     if scale == 0.0:
@@ -423,8 +433,8 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None,
         return IdentityReport(zero, [], lam_pad)
 
     # (a) -- at deep-inner shells the lhs integral cancels almost completely;
-    # shells where the lhs summation noise floor (the same contraction with
-    # absolute kernels) would exceed the tolerance scale are excluded.
+    # shells where the lhs summation noise floor (the same contraction on the
+    # kernel moduli) would exceed the tolerance scale are excluded.
     # (b) -- spectral-side derivative stencils divide by powers of the tiny
     # inner lambdas; shells where that amplification lifts rounding noise
     # above the comparison scale are excluded.
@@ -434,6 +444,9 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None,
     for _ in range(p_max):
         bessel_f.append(bessel_op(bessel_f[-1]))
         bessel_F.append(bessel_op(bessel_F[-1]))
+    # D^n B^p of fpad and of F0 as [p][n], one derivative per rung
+    d_f = [list(dq_ladder(b, (1, 0), n_max)) for b in bessel_f]
+    d_F = [list(dq_ladder(b, (1, 0), n_max)) for b in bessel_F]
     q_here = f.params.q
     L = math.log(1.0 / q_here)
     m1g = np.broadcast_to(lam_pad.n1_exponents()[None, :, None], lam_pad.shape).astype(float)
@@ -441,19 +454,17 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None,
     errs_a: dict = {}
     errs_b: dict = {}
     for n, p in orders:
-        gf = dq_mixed(bessel_f[p], (n, 0))
-        lhs = forward(gf, lambda_window=lam_pad, policy=policy).grid.samples
+        gf = d_f[p][n]
+        lhs = transform(gf).samples
         mult = (1j ** (n + 2 * p)) * lattice_monomial(lam_pad, f.params, n, 2 * p)
         rhs = mult * F0.samples
-        noise = eps_mach * _transform_array(np.abs(gf.samples), gf.window, lam_pad,
-                                            f.params, policy, conj=False,
-                                            abs_kernel=True).real
+        noise = eps_mach * _contract(abs_kernel, np.abs(gf.samples), conj=False).real
         den = float(np.max(np.abs(rhs)))
         errs_a[(n, p)] = _masked_rel_err(lhs, rhs, noise <= 1e-9 * den, den)
 
         mono = fpad.with_samples(fpad.samples * lattice_monomial(fpad.window, f.params, n, 2 * p))
-        lhs = forward(mono, lambda_window=lam_pad, policy=policy).grid.samples
-        Fg = dq_mixed(bessel_F[p], (n, 0))
+        lhs = transform(mono).samples
+        Fg = d_F[p][n]
         rhs = (1j ** (n + 2 * p)) * Fg.samples
         s1, s2 = Fg.window.untainted_slices()
         # per-application amplification: one symmetric derivative divides
@@ -473,7 +484,7 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None,
         res[key] = max((err for err in errs.values() if err is not None), default=0.0)
 
     # (c)
-    lhs = forward(weinstein_op(fpad, 1), lambda_window=lam_pad, policy=policy).grid.samples
+    lhs = transform(weinstein_op(fpad, 1)).samples
     rhs = -norm_sq_lambda(lam_pad, f.params) * F0.samples
     res["weinstein_eigen"] = float(np.max(np.abs(lhs - rhs))) / float(np.max(np.abs(rhs)))
 

@@ -430,3 +430,57 @@ def test_indented_json_still_reads(tmp_path):
     doc = json.loads(path.read_text())
     path.write_text(json.dumps(doc, indent=1))
     assert np.array_equal(read_gridfunction(str(path)).samples, f.samples)
+
+
+@pytest.mark.parametrize("row", [("nan-error", math.nan, 1.0), ("nan-tol", 0.5, math.nan)])
+def test_verify_nan_row_fails_with_exit_3(monkeypatch, capsys, row):
+    from qweinstein import cli
+
+    monkeypatch.setitem(cli._SUITES, "sonine", lambda cfg: [row])
+    assert main(["verify", "--suite", "sonine"]) == 3
+    assert "[FAIL]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["--seed", "-1", "gen", "--support=0,1,0,1"], None),
+    (["gen", "--support=0,1,0,1"], "seed=-5\n"),
+    (["--tol", "0", "gen", "--support=0,1,0,1"], None),
+    (["--tol", "-1", "verify", "--suite", "sonine"], None),
+    (["--tol", "nan", "verify", "--suite", "sonine"], None),
+    (["--tol", "inf", "verify", "--suite", "sonine"], None),
+    (["gen", "--support=0,1,0,1"], "tol=nan\n"),
+], ids=["seed-flag", "seed-config", "tol-zero", "tol-negative", "tol-nan", "tol-inf",
+        "tol-config"])
+def test_bad_seed_or_tol_exit_1(tmp_path, capsys, argv, config):
+    if argv[-1].startswith("--support"):
+        argv = argv + ["--out", str(tmp_path / "f.csv")]
+    if config is not None:
+        (tmp_path / "job.cfg").write_text(config)
+        argv = ["--config", str(tmp_path / "job.cfg")] + argv
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--window=0,0,0,0"],
+    ["transform", "--window=-5,9,0,0"],
+    ["transform", "--direction", "inverse", "--window=0,0,0,0"],
+], ids=["transform-1x1", "transform-1-shell-n2", "inverse-1x1"])
+def test_one_shell_window_transforms(tmp_path, argv):
+    src = tmp_path / "f.csv"
+    assert main(["gen", "--support=-2,4,-2,4", "--out", str(src)]) == 0
+    out = tmp_path / "F.csv"
+    assert main(argv + ["--input", str(src), "--out", str(out)]) == 0
+    F = read_gridfunction(str(out))
+    w = LatticeWindow(*[int(v) for v in argv[-1].split("=")[1].split(",")])
+    assert (F.window.shape, np.all(np.isfinite(F.samples))) == (w.shape, True)
+
+
+def test_one_shell_window_bandwidth_and_verify(tmp_path, capsys):
+    src, F = tmp_path / "f.csv", tmp_path / "F.json"
+    assert main(["gen", "--support=-2,4,-2,4", "--out", str(src)]) == 0
+    assert main(["transform", "--input", str(src), "--out", str(F), "--format", "json"]) == 0
+    assert main(["bandwidth", "--input", str(F), "--window=0,0,0,0"]) == 0
+    assert main(["verify", "--suite", "plancherel", "--window=0,0,0,0"]) == 3
+    assert "[FAIL]" in capsys.readouterr().out

@@ -357,3 +357,15 @@ def test_sonine_identity_stability_under_refinement():
     a = sonine_identity_check(0.5, 2, [0, 2], p, TruncationPolicy(series_tol=tol))
     b = sonine_identity_check(0.5, 2, [0, 2], p, TruncationPolicy(series_tol=tol / 2))
     assert abs(a - b) < 10 * tol
+
+
+@pytest.mark.parametrize("q,alpha", [(0.5, 0.5), (0.7, 0.0)])
+def test_weinstein_sup_bound_ladder_matches_direct_derivatives(q, alpha):
+    from qweinstein.qops import dq_mixed
+
+    f = random_even_bump(QParams(q=q, alpha=alpha), LatticeWindow(0, 3, 0, 3), 5, pad=2)
+    _, _, detail = weinstein_sup_bound_check(f, 2)
+    fpad = embed_zeros(f, 6, 6)
+    direct = max(float(np.max(np.abs(dq_mixed(fpad, (2 * p1, 2 * p2)).samples)))
+                 for p1 in range(3) for p2 in range(3))
+    assert detail["max_derivative_sup"] == direct

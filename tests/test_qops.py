@@ -429,3 +429,24 @@ def test_derivative_adds_one_taint_layer(f, var, taint, cut):
     s1, s2 = LatticeWindow(0, sub.window.shape[1] - 1, 0, sub.window.shape[2] - 1,
                            dx, dx, dy, dy).untainted_slices()
     assert np.array_equal(d.samples[:, s1, s2], whole[:, s1, s2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_grid_functions(5), b1=st.integers(0, 4), b2=st.integers(0, 4))
+def test_dq_mixed_is_iterated_dq_partial(f, b1, b2):
+    # the reference differentiates one variable at a time through dq_partial
+    g = f
+    for var, order in ((1, b1), (2, b2)):
+        for _ in range(order):
+            g = dq_partial(g, var)
+    try:
+        g.window.untainted_slices()
+    except TaintError:
+        with pytest.raises(TaintError):
+            dq_mixed(f, (b1, b2))
+        return
+    d = dq_mixed(f, (b1, b2))
+    if (b1, b2) == (0, 0):
+        assert d is f
+    assert (d.window, d.parity_y) == (g.window, g.parity_y)
+    assert np.array_equal(d.samples.view(np.int64), g.samples.view(np.int64))

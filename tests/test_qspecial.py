@@ -209,3 +209,19 @@ def test_oracle_regeneration_matches_frozen():
 
     assert abs(oracles.jalpha_deep("0.5", "0.5", -6) - J_A05_Q05[-6]) < 1e-22
     assert abs(oracles.jalpha_deep("0.5", "0.5", 1) - J_A05_Q05[1]) < 1e-15
+
+
+@pytest.mark.parametrize("q,alpha,pp", [(0.5, 0.0, 1), (0.5, 0.5, 3), (0.7, 1.5, 2), (0.9, 0.0, 4)])
+def test_sonine_weight_on_an_array_equals_scalar_calls(q, alpha, pp):
+    from qweinstein import QDomainError
+
+    p = QParams(q=q, alpha=alpha)
+    ts = np.array([q**j for j in range(40)] + [0.0, 0.3])
+    arr = sonine_weight(pp, ts, p)
+    scalars = [sonine_weight(pp, float(t), p) for t in ts]
+    assert all(type(s) is float for s in scalars)
+    assert np.array_equal(arr.view(np.int64), np.array(scalars).view(np.int64))
+    with pytest.raises(QDomainError):
+        sonine_weight(pp, np.array([0.5, 1.5]), p)
+    with pytest.raises(QDomainError):
+        sonine_weight(pp, np.array([0.5, np.nan]), p)

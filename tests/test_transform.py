@@ -333,3 +333,29 @@ def test_auto_window_makes_one_contraction(monkeypatch):
     assert len(calls) == 1
     inverse(F)
     assert len(calls) == 2
+
+
+def test_identity_suite_builds_each_kernel_once(monkeypatch):
+    from collections import Counter
+
+    from qweinstein import transform
+
+    builds = Counter()
+    build = transform._kernel_matrices
+
+    def extents(w):
+        return (w.n1_min, w.n1_max, w.n2_min, w.n2_max)
+
+    def counted(in_window, out_window, *args):
+        builds[extents(in_window), extents(out_window)] += 1
+        return build(in_window, out_window, *args)
+
+    monkeypatch.setattr(transform, "_kernel_matrices", counted)
+    p = QParams(q=0.5, alpha=0.5)
+    f = make_bump(p, seed=61, lo1=-2, hi1=3, lo2=-2, hi2=3, pad=0)
+    rep = identity_suite(f)
+    pad = 2 * 2 + 2 * 2 + 2     # the suite's x-side padding for n_max = p_max = 2
+    w = f.window
+    fpad = (w.n1_min - pad, w.n1_max + pad, w.n2_min - pad, w.n2_max + pad)
+    assert builds[fpad, extents(rep.lambda_window)] == 1
+    assert max(builds.values()) == 1
