@@ -322,18 +322,15 @@ def _read_json(path: str) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 def random_even_bump(params: QParams, support: LatticeWindow, seed: int,
-                     pad: int = 0, complex_values: bool = True) -> GridFunction:
+                     pad: int = 0) -> GridFunction:
     """Seeded random compactly supported even grid function.
 
     Values are standard complex gaussians on the support window; the pad
     embeds the support in a larger window of exact zeros.
     """
     rng = np.random.default_rng(seed)
-    shape = support.shape
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape) if complex_values else 0.0
-    arr = re + 1j * im
-    f = GridFunction(params, support, EVEN, arr)
+    re = rng.standard_normal(support.shape)
+    f = GridFunction(params, support, EVEN, re + 1j * rng.standard_normal(support.shape))
     if pad:
         f = embed_zeros(f, pad, pad)
     return f
@@ -371,9 +368,7 @@ def _cmd_transform(args, cfg: JobConfig) -> int:
 
 def _cmd_bandwidth(args, cfg: JobConfig) -> int:
     F = read_gridfunction(args.input)
-    if args.N < 1:
-        raise FileFormatError("bandwidth: N must be >= 1")
-    rep = bandwidth_estimate(F, args.N, cfg.policy(), x_window=cfg.window())
+    rep = bandwidth_estimate(F, cfg.N, cfg.policy(), x_window=cfg.window())
     print(f"estimate={rep.estimate:.8g}")
     print(f"oracle_radius={rep.oracle_radius:.8g}")
     print(f"n_used={rep.n_used}")
@@ -476,16 +471,9 @@ def _suite_pw_m(cfg: JobConfig) -> list[tuple[str, float, float]]:
     sup, per_n = pw_m_sup(F.grid, pw, policy, f_hat=f)
     finite = 0.0 if (math.isfinite(sup) and sup < 1e12) else 1.0
     out = [("pw-m-finite", finite, 0.5)]
-    run = []
-    best = 0.0
-    for v in per_n:
-        best = max(best, v)
-        run.append(best)
-    incs = [run[i + 1] - run[i] for i in range(len(run) - 1)]
-    nonmono = 0.0
-    for i in range(len(incs) - 1):
-        if incs[i + 1] > incs[i] + 1e-12 * max(1.0, run[-1]):
-            nonmono = 1.0
+    run = np.maximum.accumulate(per_n)
+    incs = np.diff(run)
+    nonmono = float(np.any(incs[1:] > incs[:-1] + 1e-12 * max(1.0, run[-1])))
     out.append(("pw-m-increments-nonincreasing", nonmono, 0.5))
     return out
 
@@ -551,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bandwidth", parents=[shared],
                        help="estimate the preimage support radius")
     b.add_argument("--input", required=True)
-    b.add_argument("--N", type=int, default=20)
+    b.add_argument("--N", type=int, default=argparse.SUPPRESS)
     b.add_argument("--out")
 
     v = sub.add_parser("verify", parents=[shared], help="run a named verification suite")
@@ -573,7 +561,7 @@ def _parse_window(text: str, flag: str) -> list[int]:
 def _merge_config(args) -> JobConfig:
     config_path = getattr(args, "config", None)
     cfg = JobConfig.from_file(config_path) if config_path else JobConfig()
-    for key in ("q", "alpha", "seed", "tol", "fmt"):
+    for key in ("q", "alpha", "seed", "tol", "fmt", "N"):
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
@@ -584,6 +572,8 @@ def _merge_config(args) -> JobConfig:
         raise QDomainError(f"seed must be >= 0, got {cfg.seed}")
     if not (math.isfinite(cfg.tol) and cfg.tol > 0):
         raise QDomainError(f"tol must be finite and > 0, got {cfg.tol}")
+    if cfg.N < 1:
+        raise QDomainError(f"N must be >= 1, got {cfg.N}")
     return cfg
 
 

@@ -28,12 +28,10 @@ from .qops import (EVEN, GridFunction, LatticeWindow, _weinstein_array, dq_ladde
                    weinstein_op)
 from .qspecial import bessel_j
 from .transform import (
-    TransformResult,
     _contract,
     _kernel_matrices,
     auto_lambda_window,
     embed_zeros,
-    forward,
     inverse,
     lattice_monomial,
     norm_sq_lambda,
@@ -44,19 +42,16 @@ from .transform import (
 # support and norm growth
 # ---------------------------------------------------------------------------
 
-def _support_mask(f: GridFunction, zero_tol: float | None = None) -> np.ndarray:
-    """Samples with |f(x)| > zero_tol.
-
-    zero_tol defaults to 1e-12 * max|f|, separating exact lattice zeros
-    from rounding residue.
-    """
+def _support_mask(f: GridFunction) -> np.ndarray:
+    """Samples with |f(x)| > 1e-12 * max|f|, separating exact lattice zeros
+    from rounding residue."""
     absf = np.abs(f.samples)
-    return absf > (1e-12 * float(np.max(absf)) if zero_tol is None else zero_tol)
+    return absf > 1e-12 * float(np.max(absf))
 
 
-def support_radius(f: GridFunction, zero_tol: float | None = None) -> float:
+def support_radius(f: GridFunction) -> float:
     """Max of ||x|| over the support of f (see _support_mask); 0 if it is empty."""
-    mask = _support_mask(f, zero_tol)
+    mask = _support_mask(f)
     if not np.any(mask):
         return 0.0
     rad2 = np.broadcast_to(norm_sq_lambda(f.window, f.params), f.samples.shape)
@@ -95,10 +90,7 @@ class TransformSideIterates:
     scaling, plus both routes' norms, for n = 1..N.
     """
 
-    def __init__(self, f_hat: GridFunction, N: int,
-                 lam_window: LatticeWindow | None = None,
-                 policy: TruncationPolicy = DEFAULT_POLICY,
-                 junk_budget: float = 1e-9):
+    def __init__(self, f_hat: GridFunction, N: int, policy: TruncationPolicy = DEFAULT_POLICY):
         if f_hat.parity_y != EVEN:
             raise QDomainError("iterates need an even preimage")
         self.f_hat = f_hat
@@ -108,16 +100,12 @@ class TransformSideIterates:
         q = self.params.q
         self._L = math.log(1.0 / q)
         r = support_radius(f_hat)
-        self.radius = r
         self._m_r = math.log(r) / self._L if r > 0 else 0.0
         self._stencil_const = 16.0 / (1.0 - q) ** 2
-        self._log_amp_budget = math.log(junk_budget / 2.2e-16)
-        if lam_window is None:
-            lam_window = auto_lambda_window(f_hat, policy, tol=1e-12)
-            lam_window = LatticeWindow(lam_window.n1_min - 2, lam_window.n1_max + 4,
-                                       lam_window.n2_min - 2, lam_window.n2_max + 4)
-        self.window = lam_window
-        grid = GridFunction.zeros(self.params, lam_window, EVEN)
+        self._log_amp_budget = math.log(1e-9 / 2.2e-16)   # junk budget over rounding
+        w = auto_lambda_window(f_hat, policy, tol=1e-12)
+        self.window = LatticeWindow(w.n1_min - 2, w.n1_max + 4, w.n2_min - 2, w.n2_max + 4)
+        grid = GridFunction.zeros(self.params, self.window, EVEN)
         self._logw_lam = log_mu_weights(grid)
         self._x1, self._x2 = grid.x1_values(), grid.x2_values()
         self._logw_x = log_mu_weights(f_hat)
@@ -139,8 +127,6 @@ class TransformSideIterates:
         eta = self.f_hat.samples.copy()
         G_prev = _contract(kernel, eta, conj=False)
         log_scale = 0.0
-        clean = LatticeWindow(self.window.n1_min, self.window.n1_max,
-                              self.window.n2_min, self.window.n2_max)
         w_lin = np.exp(self._logw_lam)
         for n in range(1, self.N + 1):
             eta_raw = eta * (-self._r2_x)
@@ -149,7 +135,7 @@ class TransformSideIterates:
                 s = 1.0
             eta = eta_raw / s
             log_scale += math.log(s)
-            GridFunction(params, clean, EVEN, G_prev)   # G_prev must be finite
+            GridFunction(params, self.window, EVEN, G_prev)   # G_prev must be finite
             # direct values, with the stencil's on the core: the stencil reaches
             # 2 shells past it in n1 and 1 in n2, and the low edges are the window's
             G_lit = _contract(kernel, eta, conj=False)
@@ -207,25 +193,33 @@ def _fit_limit(a_seq: list[float]) -> float:
     return math.exp(coef[0])
 
 
+def _preimage(F: GridFunction, x_window: LatticeWindow | None,
+              policy: TruncationPolicy) -> GridFunction:
+    """The inverse transform of F, with samples below 1e-8 of the peak zeroed.
+
+    The moments ||t||^(2n) amplify any reconstruction residue at large
+    radius without bound, so the support must be thresholded before
+    iterating.  The inverse leaves residue of up to ~2e-10 of the peak
+    outside the support, while the in-support samples of random bumps stay
+    above ~1e-3 of it; the threshold sits between.
+    """
+    raw = inverse(F, x_window=x_window, policy=policy).grid
+    absf = np.abs(raw.samples)
+    return raw.with_samples(np.where(absf > 1e-8 * float(np.max(absf)), raw.samples, 0.0))
+
+
 def bandwidth_estimate(F: GridFunction, N: int,
                        policy: TruncationPolicy = DEFAULT_POLICY, *,
                        x_window: LatticeWindow | None = None,
-                       f_hat: GridFunction | None = None,
-                       support_tol: float = 1e-8) -> BandwidthReport:
+                       f_hat: GridFunction | None = None) -> BandwidthReport:
     """Estimate the support radius of the preimage from iterated-operator norms.
 
     Computes a_n = ||W^n F||^(1/2n) by the literal stencil route and the
     spectral route, extrapolates the limit by fitting log a_n against 1/n,
     and compares with the directly measured support radius of the inverse
     transform.  The numerics confirm the sup||x|| normalization of the
-    limit (not sup||x||^2); both are reported.
-
-    When the preimage is reconstructed here, samples below support_tol of
-    the peak are zeroed first: the moments ||t||^(2n) amplify any
-    reconstruction residue at large radius without bound, so the support
-    must be thresholded before iterating.  The inverse leaves residue of up
-    to ~2e-10 of the peak outside the support, while the in-support samples
-    of random bumps stay above ~1e-3 of it; the default sits between.
+    limit (not sup||x||^2); both are reported.  Without f_hat the preimage
+    is reconstructed by _preimage on x_window.
     """
     if N < 1:
         raise QDomainError("bandwidth_estimate needs N >= 1")
@@ -234,11 +228,7 @@ def bandwidth_estimate(F: GridFunction, N: int,
                                oracle_radius=0.0, n_used=N, route_max_rel_dev=0.0,
                                exponent_normalization="sup||x|| (trivial)")
     if f_hat is None:
-        back = inverse(F, x_window=x_window, policy=policy)
-        raw = back.grid
-        peak = float(np.max(np.abs(raw.samples)))
-        cleaned = np.where(np.abs(raw.samples) > support_tol * peak, raw.samples, 0.0)
-        f_hat = raw.with_samples(cleaned)
+        f_hat = _preimage(F, x_window, policy)
     oracle = support_radius(f_hat)
 
     eng = TransformSideIterates(f_hat, N, policy=policy)
@@ -293,12 +283,12 @@ def log_B_nm(n: int, m: int, params: QParams) -> float:
 
 def pw_m_sup(F: GridFunction, p: PWmParams,
              policy: TruncationPolicy = DEFAULT_POLICY, *,
-             x_window: LatticeWindow | None = None,
              f_hat: GridFunction | None = None) -> tuple[float, list[float]]:
     """sup over stored x and m <= n <= N of a^(-2n) B_{n,m,q} (1+||x||^2)^m |W^n F(x)|.
 
     Enforces m > alpha + 3/2.  Returns (running sup, per-n sup values); the
     per-n values are computed in log space so deep windows cannot overflow.
+    Without f_hat the preimage is reconstructed by _preimage.
     """
     alpha = F.params.alpha
     if not (p.m > alpha + 1.5):
@@ -306,8 +296,7 @@ def pw_m_sup(F: GridFunction, p: PWmParams,
     if float(np.max(np.abs(F.samples))) == 0.0:
         return 0.0, [0.0] * (p.N - p.m + 1)
     if f_hat is None:
-        back = inverse(F, x_window=x_window, policy=policy)
-        f_hat = back.grid
+        f_hat = _preimage(F, None, policy)
     eng = TransformSideIterates(f_hat, p.N, policy=policy)
     log_1px2 = np.log1p(norm_sq_lambda(eng.window, F.params))
     log_a = math.log(p.a)
@@ -387,11 +376,10 @@ def _support_extent(f: GridFunction):
     return float(r1.max()), float(r2.max()), float(r1.min()), float(r2.min())
 
 
-def _term_bound(terms: dict, f: GridFunction) -> float:
-    """Provable sup bound of a sampled-dilation expansion over the lattice."""
-    q = f.params.q
-    sup1, sup2, inf1, inf2 = _support_extent(f)
-    fmax = float(np.max(np.abs(f.samples)))
+def _term_bound(terms: dict, q: float, extent: tuple, fmax: float) -> float:
+    """Provable sup bound of a sampled-dilation expansion over the lattice, for f
+    with support extent _support_extent(f) and peak fmax = max|f|."""
+    sup1, sup2, inf1, inf2 = extent
     total = 0.0
     for (a1, a2, _s1, u1, u2), c in terms.items():
         b1 = (q ** (-u1) * sup1) ** a1 if a1 >= 0 else (q ** (-u1) * inf1) ** a1
@@ -425,7 +413,7 @@ def monomial_derivative_bound_check(f: GridFunction, n1: int, n2: int, p1: int, 
     lhs = float(np.max(np.abs(d.samples)))
 
     terms = _expand_derivative_terms(n1, n2, p1, p2, q)
-    raw = _term_bound(terms, f)
+    raw = _term_bound(terms, q, _support_extent(f), float(np.max(np.abs(f.samples))))
     R = support_radius(f)
     disp = ((R / q ** (2 * p)) ** (n1 + n2)
             * _qpoch_desc(q, n1, p) * _qpoch_desc(q, n2, p) / (1.0 - q) ** (2 * p))
@@ -452,10 +440,11 @@ def radial_power_bound_check(f: GridFunction, n: int, i: int, j: int,
     d = dq_mixed(embed_zeros(g, 2 * i + 2, 2 * j + 2), (2 * i, 2 * j))
     lhs = float(np.max(np.abs(d.samples)))
 
+    extent, fmax = _support_extent(f), float(np.max(np.abs(f.samples)))
     raw = 0.0
     for m in range(n + 1):
         terms = _expand_derivative_terms(2 * m, 2 * (n - m), 2 * i, 2 * j, q)
-        raw += math.comb(n, m) * _term_bound(terms, f)
+        raw += math.comb(n, m) * _term_bound(terms, q, extent, fmax)
     R = support_radius(f)
     disp = ((R / q ** (4 * p)) ** (2 * n)
             * (_qpoch_desc(q, 2 * n, 2 * p) / (1.0 - q) ** (2 * p)) ** 2)

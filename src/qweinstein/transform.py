@@ -11,7 +11,7 @@ families indexed by the exponent sum of argument products.  Split by the
 sign of x1, the cosine family sees only the even part of the data and the
 sine family only the odd part, so a transform is two matrix products with
 real kernel matrices (_transform_array); the summation noise floor is the
-same product on the kernel moduli.  Families come from qspecial and stay accurate (or cleanly
+cosine product on the kernel moduli.  Families come from qspecial and stay accurate (or cleanly
 underflow to exact zero) arbitrarily deep into the lattice.
 """
 
@@ -334,10 +334,10 @@ def norm_sq_lambda(window: LatticeWindow, params: QParams) -> np.ndarray:
     return l1[None, :, None] + l2[None, None, :]
 
 
-def apply_weinstein_spectrally(f: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY,
-                               auto_tol: float = 1e-12) -> GridFunction:
+def apply_weinstein_spectrally(f: GridFunction,
+                               policy: TruncationPolicy = DEFAULT_POLICY) -> GridFunction:
     """Multiply the transform by -||l||^2 and invert; spectral route for the operator."""
-    F = forward(f, policy=policy, auto_tol=auto_tol)
+    F = forward(f, policy=policy)
     mult = -norm_sq_lambda(F.grid.window, f.params)
     G = F.grid.with_samples(F.grid.samples * mult)
     back = forward(G, lambda_window=f.window, policy=policy, _conj=True)
@@ -382,8 +382,7 @@ class IdentityReport:
 
 def identity_suite(f: GridFunction, g: GridFunction | None = None,
                    n_max: int = 2, p_max: int = 2,
-                   policy: TruncationPolicy = DEFAULT_POLICY,
-                   auto_tol: float = 1e-12) -> IdentityReport:
+                   policy: TruncationPolicy = DEFAULT_POLICY) -> IdentityReport:
     """Check the four transform-operator identities on a compact function.
 
     (a) transform of d^n B^p f  vs (i l1)^n (i l2)^(2p) transform of f
@@ -402,7 +401,7 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None,
     skipped: list = []
     pad = 2 * max(n_max, 1) + 2 * max(p_max, 1) + 2
     fpad = embed_zeros(f, pad, pad)
-    lam_win = auto_lambda_window(f, policy, auto_tol)
+    lam_win = auto_lambda_window(f, policy)
     floor_k = effective_floor_exponent(f.params.q)
     # pad the spectral window for (b)'s derivatives, then keep every kernel
     # product above the truncation frontier
@@ -417,7 +416,7 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None,
     # check, and only the tail reports are skipped
     kernel = _kernel_matrices(fpad.window, lam_pad, f.params, policy)
     C, S, Jw, x1w = kernel
-    abs_kernel = (np.hypot(C, S), np.zeros_like(S), np.abs(Jw), x1w)
+    abs_C, abs_JwT = np.hypot(C, S), np.abs(Jw).T
     weights = np.exp(log_mu_weights(fpad))
 
     def transform(g: GridFunction) -> GridFunction:
@@ -433,7 +432,7 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None,
         return IdentityReport(zero, [], lam_pad)
 
     # (a) -- at deep-inner shells the lhs integral cancels almost completely;
-    # shells where the lhs summation noise floor (the same contraction on the
+    # shells where the lhs summation noise floor (the cosine product on the
     # kernel moduli) would exceed the tolerance scale are excluded.
     # (b) -- spectral-side derivative stencils divide by powers of the tiny
     # inner lambdas; shells where that amplification lifts rounding noise
@@ -458,9 +457,11 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None,
         lhs = transform(gf).samples
         mult = (1j ** (n + 2 * p)) * lattice_monomial(lam_pad, f.params, n, 2 * p)
         rhs = mult * F0.samples
-        noise = eps_mach * _contract(abs_kernel, np.abs(gf.samples), conj=False).real
+        d = np.abs(gf.samples) * x1w
+        noise = eps_mach * (abs_C @ (d[0] + d[1]) @ abs_JwT)    # the same for both signs
         den = float(np.max(np.abs(rhs)))
-        errs_a[(n, p)] = _masked_rel_err(lhs, rhs, noise <= 1e-9 * den, den)
+        errs_a[(n, p)] = _masked_rel_err(lhs, rhs, np.broadcast_to(noise <= 1e-9 * den,
+                                                                   lhs.shape), den)
 
         mono = fpad.with_samples(fpad.samples * lattice_monomial(fpad.window, f.params, n, 2 * p))
         lhs = transform(mono).samples
@@ -529,12 +530,12 @@ class OrthogonalityResult:
 
 
 def orthogonality_check(x_pt: tuple[int, int, int], y_pt: tuple[int, int, int],
-                        params: QParams, policy: TruncationPolicy = DEFAULT_POLICY,
-                        m_inner: int = 40, m_outer: int | None = None) -> OrthogonalityResult:
+                        params: QParams,
+                        policy: TruncationPolicy = DEFAULT_POLICY) -> OrthogonalityResult:
     """Truncated kernel-orthogonality sum by symmetric square shells.
 
     x_pt, y_pt are (sign1, n1, n2) lattice points.  The spectral sum over
-    the square exponent region [-t, m_inner]^2 factors into a product of
+    the square exponent region [-t, 40]^2 factors into a product of
     1-D partial sums, which is how the shells are accumulated.  The sum
     converges only conditionally off the diagonal; the fluctuation of the
     last shells is reported, not asserted.
@@ -545,9 +546,8 @@ def orthogonality_check(x_pt: tuple[int, int, int], y_pt: tuple[int, int, int],
     alpha = params.alpha
     s1x, n1x, n2x = x_pt
     s1y, n1y, n2y = y_pt
-    if m_outer is None:
-        m_outer = -(effective_floor_exponent(q)) + max(n1x, n1y, n2x, n2y)
-    m_lo = -m_outer
+    m_inner = 40
+    m_lo = effective_floor_exponent(q) - max(n1x, n1y, n2x, n2y)
     k_lo = m_lo + min(n1x, n1y, n2x, n2y)
     k_hi = m_inner + max(n1x, n1y, n2x, n2y)
     cos_v, sin_v, j_v, lo = _families(params, k_lo, k_hi, policy)
@@ -581,12 +581,12 @@ def orthogonality_check(x_pt: tuple[int, int, int], y_pt: tuple[int, int, int],
 
 
 def riemann_lebesgue_trend(f: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY,
-                           n_shells: int = 4, base_outer: int = 6) -> list[float]:
+                           n_shells: int = 4) -> list[float]:
     """Sup of |transform| on the outermost spectral shell for growing windows."""
     sups = []
     w = f.window
     for t in range(n_shells):
-        outer = base_outer + 2 * t
+        outer = 6 + 2 * t
         win = LatticeWindow(-(outer + w.n1_max), 8, -(outer + w.n2_max), 8)
         F = forward(f, lambda_window=win, policy=policy).grid
         shell = np.concatenate([

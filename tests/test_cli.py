@@ -484,3 +484,24 @@ def test_one_shell_window_bandwidth_and_verify(tmp_path, capsys):
     assert main(["bandwidth", "--input", str(F), "--window=0,0,0,0"]) == 0
     assert main(["verify", "--suite", "plancherel", "--window=0,0,0,0"]) == 3
     assert "[FAIL]" in capsys.readouterr().out
+
+
+def test_bandwidth_reads_N_from_config_file(tmp_path):
+    src, fwd, cfg = (tmp_path / n for n in ("f.csv", "F.csv", "job.cfg"))
+    assert main(["--seed", "6", "gen", "--support=0,2,0,2", "--out", str(src)]) == 0
+    assert main(["transform", "--input", str(src), "--out", str(fwd)]) == 0
+    cfg.write_text("N=3\n")
+    for flags, rows in (([], 3), (["--N", "5"], 5)):   # a flag overrides the file
+        out = tmp_path / f"a{rows}.csv"
+        assert main(["--config", str(cfg), "bandwidth", "--input", str(fwd),
+                     "--out", str(out)] + flags) == 0
+        assert len(out.read_text().splitlines()) == rows + 1
+
+
+def test_bandwidth_N_below_one_in_config_exit_1(tmp_path, capsys):
+    src = tmp_path / "f.csv"
+    assert main(["--seed", "6", "gen", "--support=0,2,0,2", "--out", str(src)]) == 0
+    (tmp_path / "job.cfg").write_text("N=0\n")
+    capsys.readouterr()
+    assert main(["--config", str(tmp_path / "job.cfg"), "bandwidth", "--input", str(src)]) == 1
+    assert "error:" in capsys.readouterr().err

@@ -249,6 +249,20 @@ def test_pw_m_finite_and_settled():
     assert np.all(np.diff(incs) <= 1e-12 * max(1.0, run[-1]))
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5])
+def test_pw_m_reconstructed_preimage_matches_given_one(alpha):
+    # the verify pw-m suite's bump; the reconstruction must drop the inverse's residue
+    p = QParams(q=0.5, alpha=alpha)
+    f = random_even_bump(p, LatticeWindow(-1, 3, -1, 3), seed=1, pad=1)
+    m = math.ceil(alpha + 1.5) + 1
+    pw = PWmParams(m=m, a=support_radius(f) / p.q ** (4 * m), N=2 * m + 10)
+    F = forward(f).grid
+    sup, per_n = pw_m_sup(F, pw)
+    sup_f, per_n_f = pw_m_sup(F, pw, f_hat=f)
+    assert abs(sup / sup_f - 1.0) <= 1e-6
+    assert np.allclose(per_n, per_n_f, rtol=1e-6, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # constructive bound checks
 # ---------------------------------------------------------------------------
