@@ -398,13 +398,13 @@ def _suite_plancherel(cfg: JobConfig) -> list[tuple[str, float, float]]:
     for i in range(4):
         f = random_even_bump(params, LatticeWindow(-2, 4, -2, 4), cfg.seed + i, pad=1)
         F = forward(f, lambda_window=lam_win, policy=policy)
-        ratio = lp_norm(F.grid, 2.0, policy) / lp_norm(f, 2.0, policy)
+        ratio = lp_norm(F.grid, 2.0) / lp_norm(f, 2.0)
         out.append((f"plancherel[seed={cfg.seed + i},tail={F.tail_bound:.1e}]",
                     abs(ratio - 1.0), cfg.tol))
         back = inverse(F.grid, x_window=f.window, policy=policy, edge_tol=math.inf)
         diff = f.with_samples(back.grid.samples - f.samples)
         out.append((f"inversion[seed={cfg.seed + i}]",
-                    lp_norm(diff, 2.0, policy) / lp_norm(f, 2.0, policy), cfg.tol))
+                    lp_norm(diff, 2.0) / lp_norm(f, 2.0), cfg.tol))
     return out
 
 
@@ -447,15 +447,11 @@ def _suite_bounds(cfg: JobConfig) -> list[tuple[str, float, float]]:
     out = []
     for i in range(3):
         f = random_even_bump(params, LatticeWindow(0, 3, 0, 3), cfg.seed + i, pad=2)
-        lhs, rhs, _ = monomial_derivative_bound_check(f, 3, 3, 1, 1, 2)
-        out.append((f"monomial-bound[seed={cfg.seed + i}]",
-                    lhs / rhs if rhs > 0 else 0.0, 1.0))
-        lhs, rhs, _ = radial_power_bound_check(f, 3, 1, 1, 1)
-        out.append((f"radial-bound[seed={cfg.seed + i}]",
-                    lhs / rhs if rhs > 0 else 0.0, 1.0))
-        lhs, rhs, _ = weinstein_sup_bound_check(f, 2)
-        out.append((f"weinstein-sup-bound[seed={cfg.seed + i}]",
-                    lhs / rhs if rhs > 0 else 0.0, 1.0))
+        for name, (lhs, rhs, _) in (
+                ("monomial-bound", monomial_derivative_bound_check(f, 3, 3, 1, 1, 2)),
+                ("radial-bound", radial_power_bound_check(f, 3, 1, 1, 1)),
+                ("weinstein-sup-bound", weinstein_sup_bound_check(f, 2))):
+            out.append((f"{name}[seed={cfg.seed + i}]", lhs / rhs if rhs > 0 else 0.0, 1.0))
     return out
 
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from .qcore import DEFAULT_POLICY, QDomainError, QParams, TruncationPolicy
 from .qintegrate import log_l2_norm_sq, log_mu_weights, log_sum_exp
-from .qops import (EVEN, GridFunction, LatticeWindow, _weinstein_array, dq_ladder, dq_mixed,
-                   weinstein_op)
+from .qops import (_FLIP, EVEN, GridFunction, LatticeWindow, _weinstein_array, dq_ladder,
+                   dq_mixed, weinstein_op)
 from .qspecial import bessel_j
 from .transform import (
     _contract,
@@ -321,71 +321,51 @@ def pw_m_sup(F: GridFunction, p: PWmParams,
 
 
 # ---------------------------------------------------------------------------
-# constructive derivative bounds (symbolic term expansion)
+# constructive derivative bounds (one 1-D dilation expansion per variable)
 # ---------------------------------------------------------------------------
 
-def _expand_derivative_terms(n1: int, n2: int, p1: int, p2: int, q: float) -> dict:
-    """Expand D^(p1,p2)(t1^n1 t2^n2 f) into sampled-dilation terms.
-
-    Keys are (a1, a2, s1, u1, u2) meaning coeff * t1^a1 t2^a2 *
-    f(s1 q^u1 t1, q^u2 t2); f is even in the second variable so the
-    second-argument sign is normalized away.  One symmetric q-derivative
-    maps a term to five, each argument shift staying within +-1.
-    """
-    terms = {(n1, n2, 1, 0, 0): 1.0}
-
-    def d_var(terms_in: dict, var: int) -> dict:
-        out: dict = {}
-        for (a1, a2, s1, u1, u2), c in terms_in.items():
-            if var == 1:
-                a, s, u = a1, s1, u1
-            else:
-                a, s, u = a2, 1, u2
-            sgn = -1.0 if (a % 2) else 1.0
-            base = c / (2.0 * (1.0 - q))
-            # (new_s, new_u, coeff)
-            pieces = [
-                (s, u - 1, base * q ** (-a)),
-                (-s, u - 1, base * sgn * q ** (-a)),
-                (s, u + 1, -base * q**a),
-                (-s, u + 1, base * sgn * q**a),
-                (-s, u, -2.0 * base * sgn),
-            ]
-            for ns, nu, cc in pieces:
-                if var == 1:
-                    key = (a1 - 1, a2, ns, nu, u2)
-                else:
-                    key = (a1, a2 - 1, s1, u1, nu)   # evenness: drop the sign
-                out[key] = out.get(key, 0.0) + cc
-        return {k: v for k, v in out.items() if v != 0.0}
-
-    for _ in range(p2):
-        terms = d_var(terms, 2)
-    for _ in range(p1):
-        terms = d_var(terms, 1)
-    return terms
-
-
 def _support_extent(f: GridFunction):
-    """(sup|x1|, sup|x2|, inf|x1|, inf|x2|) over the support of f."""
+    """((sup|x1|, inf|x1|), (sup|x2|, inf|x2|)) over the support of f."""
     mask = _support_mask(f)
     if not np.any(mask):
-        return 0.0, 0.0, 0.0, 0.0
+        return (0.0, 0.0), (0.0, 0.0)
     r1 = f.x1_values()[0][mask.any(axis=(0, 2))]
     r2 = f.x2_values()[mask.any(axis=(0, 1))]
-    return float(r1.max()), float(r2.max()), float(r1.min()), float(r2.min())
+    return (float(r1.max()), float(r1.min())), (float(r2.max()), float(r2.min()))
 
 
-def _term_bound(terms: dict, q: float, extent: tuple, fmax: float) -> float:
-    """Provable sup bound of a sampled-dilation expansion over the lattice, for f
-    with support extent _support_extent(f) and peak fmax = max|f|."""
-    sup1, sup2, inf1, inf2 = extent
-    total = 0.0
-    for (a1, a2, _s1, u1, u2), c in terms.items():
-        b1 = (q ** (-u1) * sup1) ** a1 if a1 >= 0 else (q ** (-u1) * inf1) ** a1
-        b2 = (q ** (-u2) * sup2) ** a2 if a2 >= 0 else (q ** (-u2) * inf2) ** a2
-        total += abs(c) * b1 * b2
-    return total * fmax
+def _dilation_bound(n: int, p: int, q: float, sup: float, inf: float,
+                    parity: str | None) -> float:
+    """Sum of |c| (q^-u sup)^a (inf for sup when a < 0) over the expansion of
+    D^p(t^n h) into terms c t^a h(s q^u t): a bound on sup|D^p(t^n h)| for
+    |h| <= 1 supported in inf <= |t| <= sup, since h(s q^u t) vanishes
+    unless q^u |t| lies there.  parity None: t is the signed first variable
+    and a step is the five-point stencil of dq_1d.  Otherwise t is the
+    positive second variable, h has that parity, and a step is the
+    two-point stencil of qops._dy_array for the current parity, as on the
+    grid, whatever the parity of t^n.
+    """
+    terms = {(1, 0): 1.0}   # (s, u) -> c
+    for a in range(n, n - p, -1):
+        if parity is None:   # [g(t/q) + g(-t/q) - g(qt) + g(-qt) - 2 g(-t)] / (2 (1-q) t)
+            half = 0.5 if a % 2 == 0 else -0.5   # half the sign t^a takes at -t
+            stencil = [(1, -1, 0.5 * q ** (-a)), (-1, -1, half * q ** (-a)), (1, 1, -0.5 * q**a),
+                       (-1, 1, half * q**a), (-1, 0, -2.0 * half)]
+        elif parity == EVEN:   # [g(t/q) - g(t)] / ((1-q) t)
+            stencil = [(1, -1, q ** (-a)), (1, 0, -1.0)]
+        else:                  # [g(t) - g(qt)] / ((1-q) t)
+            stencil = [(1, 0, 1.0), (1, 1, -q**a)]
+        out: dict = {}
+        for (s, u), c in terms.items():
+            for ds, du, w in stencil:
+                key = (ds * s, u + du)
+                out[key] = out.get(key, 0.0) + c / (1.0 - q) * w
+        terms = out
+        if parity is not None:
+            parity = _FLIP[parity]
+    a = n - p
+    r = sup if a >= 0 else inf
+    return sum(abs(c) * (q ** (-u) * r) ** a for (_s, u), c in terms.items())
 
 
 def _qpoch_desc(base: float, n: int, p: int) -> float:
@@ -400,10 +380,12 @@ def monomial_derivative_bound_check(f: GridFunction, n1: int, n2: int, p1: int, 
                                     p: int) -> tuple[float, float, dict]:
     """Check ||D^(p1,p2)(t1^n1 t2^n2 f)||_inf against its constructive bound.
 
-    Returns (lhs, rhs, detail).  rhs is the displayed product
-    C * (R/q^(2p))^(n1+n2) (q^n1; q^-1)_p (q^n2; q^-1)_p / (1-q)^(2p)
-    with C solved from the provable sampled-dilation bound, so lhs <= rhs
-    is a theorem; the check exercises the stencil arithmetic against it.
+    Returns (lhs, rhs, detail); on the even extension t2^n2 means |t2|^n2,
+    as the samples hold.  Lattice and stencils are separable, so every term
+    of the 2-D expansion is a product of 1-D ones and rhs is max|f| times
+    the product of the two _dilation_bound sums: lhs <= rhs is a theorem.
+    detail's C relates rhs to the displayed
+    C * (R/q^(2p))^(n1+n2) (q^n1; q^-1)_p (q^n2; q^-1)_p / (1-q)^(2p).
     """
     if not (p1 <= p < n1 and p2 <= p < n2):
         raise QDomainError("need p1 <= p < n1 and p2 <= p < n2")
@@ -412,13 +394,14 @@ def monomial_derivative_bound_check(f: GridFunction, n1: int, n2: int, p1: int, 
     d = dq_mixed(embed_zeros(g, p1 + 2, p2 + 2), (p1, p2))
     lhs = float(np.max(np.abs(d.samples)))
 
-    terms = _expand_derivative_terms(n1, n2, p1, p2, q)
-    raw = _term_bound(terms, q, _support_extent(f), float(np.max(np.abs(f.samples))))
+    ext1, ext2 = _support_extent(f)
+    raw = (float(np.max(np.abs(f.samples))) * _dilation_bound(n1, p1, q, *ext1, None)
+           * _dilation_bound(n2, p2, q, *ext2, f.parity_y))
     R = support_radius(f)
     disp = ((R / q ** (2 * p)) ** (n1 + n2)
             * _qpoch_desc(q, n1, p) * _qpoch_desc(q, n2, p) / (1.0 - q) ** (2 * p))
     C = raw / disp if disp > 0 else math.inf
-    detail = {"C": C, "displayed_factor": disp, "radius": R, "terms": len(terms),
+    detail = {"C": C, "displayed_factor": disp, "radius": R,
               "support_radius_out": support_radius(d),
               "support_radius_bound": R / q**p}
     return lhs, raw, detail
@@ -428,10 +411,11 @@ def radial_power_bound_check(f: GridFunction, n: int, i: int, j: int,
                              p: int) -> tuple[float, float, dict]:
     """Check ||D^(2i,2j)(||t||^2n f)||_inf against the binomial-sum bound.
 
-    ||t||^(2n) expands binomially into monomials t1^(2m) t2^(2(n-m)); the
-    bound adds the sampled-dilation bound of each term.  Terms whose
-    monomial degree is exhausted by the derivatives need the inner support
-    radii of the bump to stay bounded, so those enter the constant.
+    ||t||^(2n) expands binomially into monomials t1^(2m) t2^(2(n-m)); as in
+    monomial_derivative_bound_check, each one's bound is max|f| times a
+    product of two 1-D _dilation_bound sums.  Terms whose degree is used up
+    by the derivatives need the inner support radii of the bump to stay
+    bounded, so those enter the constant.
     """
     if not (i <= p and j <= p):
         raise QDomainError("need i, j <= p")
@@ -440,11 +424,10 @@ def radial_power_bound_check(f: GridFunction, n: int, i: int, j: int,
     d = dq_mixed(embed_zeros(g, 2 * i + 2, 2 * j + 2), (2 * i, 2 * j))
     lhs = float(np.max(np.abs(d.samples)))
 
-    extent, fmax = _support_extent(f), float(np.max(np.abs(f.samples)))
-    raw = 0.0
-    for m in range(n + 1):
-        terms = _expand_derivative_terms(2 * m, 2 * (n - m), 2 * i, 2 * j, q)
-        raw += math.comb(n, m) * _term_bound(terms, q, extent, fmax)
+    ext1, ext2 = _support_extent(f)
+    raw = float(np.max(np.abs(f.samples))) * sum(
+        math.comb(n, m) * _dilation_bound(2 * m, 2 * i, q, *ext1, None)
+        * _dilation_bound(2 * (n - m), 2 * j, q, *ext2, f.parity_y) for m in range(n + 1))
     R = support_radius(f)
     disp = ((R / q ** (4 * p)) ** (2 * n)
             * (_qpoch_desc(q, 2 * n, 2 * p) / (1.0 - q) ** (2 * p)) ** 2)

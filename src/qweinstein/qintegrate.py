@@ -119,7 +119,7 @@ def edge_shell_mass(mass: np.ndarray, depth: int = 0) -> list[float]:
             float(mass[:, :, -1 - depth].sum()) if depth < n2 else 0.0]
 
 
-def integrate_mu(f: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> IntegralResult:
+def integrate_mu(f: GridFunction) -> IntegralResult:
     """Double Jackson integral of f against x2^(2a+1) d_q x1 d_q x2.
 
     Exact (up to rounding) for compactly supported grid functions whose
@@ -147,7 +147,7 @@ def _log_power_sum(values: np.ndarray, logw: np.ndarray, p: float) -> float:
     return log_sum_exp(p * np.log(absv[mask]) + logw[mask])
 
 
-def lp_norm(f: GridFunction, p: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+def lp_norm(f: GridFunction, p: float) -> float:
     """L^p norm against the weighted measure; p = inf is the sup over samples."""
     if p == math.inf:
         return float(np.max(np.abs(f.samples)))

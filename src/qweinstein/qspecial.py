@@ -168,22 +168,15 @@ def bessel_j_exponent_family(alpha: float, params: QParams, k_min: int, k_max: i
     ks = np.arange(k_min, k_max + 1)
     out = np.zeros(len(ks))
     k_norm = _series_matching_exponent(q)
-
+    lo_eff = k_min if k_min >= 0 else max(k_min, effective_floor_exponent(q))
+    # Miller below k_norm; otherwise the frontier is shallow and the series
+    # is accurate on every kept shell
+    miller = lo_eff < -2 and lattice_alignment(q)[0] < 1e-8
+    lo_series = k_norm if miller else lo_eff
     for i, k in enumerate(ks):
-        if k >= k_norm or k_min >= 0:
+        if k >= lo_series:
             out[i] = bessel_j(alpha, q ** float(k), params, policy).value.real
-    if k_min >= 0:
-        return out
-
-    floor_k = effective_floor_exponent(q)
-    lo_eff = max(k_min, floor_k)
-    eps_align, _ = lattice_alignment(q)
-
-    if eps_align >= 1e-8 or lo_eff >= -2:
-        # shallow frontier: series is accurate on every kept shell
-        for idx, k in enumerate(ks):
-            if k_norm > k >= lo_eff:
-                out[idx] = bessel_j(alpha, q ** float(k), params, policy).value.real
+    if not miller:
         return out
 
     q2a = q ** (2.0 * alpha)

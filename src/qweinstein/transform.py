@@ -340,8 +340,7 @@ def apply_weinstein_spectrally(f: GridFunction,
     F = forward(f, policy=policy)
     mult = -norm_sq_lambda(F.grid.window, f.params)
     G = F.grid.with_samples(F.grid.samples * mult)
-    back = forward(G, lambda_window=f.window, policy=policy, _conj=True)
-    return back.grid
+    return inverse(G, x_window=f.window, policy=policy).grid
 
 
 def _masked_rel_err(lhs: np.ndarray, rhs: np.ndarray, mask: np.ndarray,
@@ -508,10 +507,8 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None,
     g_used = embed_zeros(g_used, 1, 1)
     Ff_at_g = forward(fpad, lambda_window=g_used.window, policy=policy).grid
     Fg_at_f = forward(g_used, lambda_window=fpad.window, policy=policy).grid
-    lhs_d = complex(integrate_mu(g_used.with_samples(Ff_at_g.samples * g_used.samples),
-                                 policy).value)
-    rhs_d = complex(integrate_mu(fpad.with_samples(fpad.samples * Fg_at_f.samples),
-                                 policy).value)
+    lhs_d = complex(integrate_mu(g_used.with_samples(Ff_at_g.samples * g_used.samples)).value)
+    rhs_d = complex(integrate_mu(fpad.with_samples(fpad.samples * Fg_at_f.samples)).value)
     den = max(abs(lhs_d), abs(rhs_d), 1e-300)
     res["pairing_symmetry"] = abs(lhs_d - rhs_d) / den
     return IdentityReport(res, skipped, lam_pad)

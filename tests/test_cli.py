@@ -150,6 +150,12 @@ def test_verify_unknown_suite():
     assert main(["verify", "--suite", "nonsense"]) == 1
 
 
+def test_verify_bounds_pass_at_small_q(capsys):
+    # odd-degree monomial bounds cover the even extension the grid holds
+    rc = main(["--q", "0.1", "verify", "--suite", "bounds"])
+    assert rc == 0, capsys.readouterr().out
+
+
 @pytest.mark.parametrize("suite", ["identities", "sonine", "bounds", "orthogonality", "pw-m"])
 def test_verify_suites_pass_at_aligned_q(suite, capsys):
     rc = main(["--q", "0.5", "--alpha", "0.5", "--seed", "3",

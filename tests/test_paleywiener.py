@@ -383,3 +383,40 @@ def test_weinstein_sup_bound_ladder_matches_direct_derivatives(q, alpha):
     direct = max(float(np.max(np.abs(dq_mixed(fpad, (2 * p1, 2 * p2)).samples)))
                  for p1 in range(3) for p2 in range(3))
     assert detail["max_derivative_sup"] == direct
+
+
+# ---------------------------------------------------------------------------
+# the constructive bounds hold on random bumps, odd and even degrees
+# ---------------------------------------------------------------------------
+
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+_BOUND_PROPERTY = settings(max_examples=40, deadline=None)
+# with no derivative taken the bound can be attained; its two sides then
+# differ by the rounding of their products
+_ULPS = 1.0 + 1e-15
+
+
+def _bound_bump(q, alpha, seed):
+    return random_even_bump(QParams(q=q, alpha=alpha), LatticeWindow(0, 3, 0, 3), seed, pad=2)
+
+
+@_BOUND_PROPERTY
+@given(q=st.floats(0.1, 0.9), alpha=st.floats(-0.5, 1.5), seed=st.integers(0, 2**32 - 1),
+       p=st.integers(1, 3), dn1=st.integers(1, 2), dn2=st.integers(1, 2),
+       p1=st.integers(0, 3), p2=st.integers(0, 3))
+@example(q=0.3, alpha=1.0, seed=4, p=2, dn1=1, dn2=1, p1=1, p2=1)
+def test_monomial_bound_holds_on_random_bumps(q, alpha, seed, p, dn1, dn2, p1, p2):
+    # degrees n = p + dn run over 2..5; with odd n2 the samples hold |t2|^n2 f
+    lhs, rhs, _ = monomial_derivative_bound_check(_bound_bump(q, alpha, seed), p + dn1, p + dn2,
+                                                  min(p1, p), min(p2, p), p)
+    assert lhs <= rhs * _ULPS
+
+
+@_BOUND_PROPERTY
+@given(q=st.floats(0.1, 0.9), alpha=st.floats(-0.5, 1.5), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(1, 3), i=st.integers(0, 2), j=st.integers(0, 2))
+def test_radial_bound_holds_on_random_bumps(q, alpha, seed, n, i, j):
+    lhs, rhs, _ = radial_power_bound_check(_bound_bump(q, alpha, seed), n, i, j, max(i, j))
+    assert lhs <= rhs * _ULPS
