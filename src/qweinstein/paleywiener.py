@@ -26,7 +26,7 @@ from .qcore import DEFAULT_POLICY, QDomainError, QParams, TruncationPolicy
 from .qintegrate import log_l2_norm_sq, log_mu_weights, log_sum_exp
 from .qops import (_FLIP, EVEN, GridFunction, LatticeWindow, _weinstein_array, dq_ladder,
                    dq_mixed, weinstein_op)
-from .qspecial import bessel_j
+from .qspecial import bessel_j, sonine_weight
 from .transform import (
     _contract,
     _kernel_matrices,
@@ -468,8 +468,6 @@ def sonine_identity_check(alpha: float, p: int, y_exponents: list[int], params: 
     W_{p-1}(t) j_alpha(q^k t; q^2) t^(2*alpha+1) over (0, 1], evaluating
     the integrand along exponent families so deep arguments stay accurate.
     """
-    from .qspecial import sonine_weight
-
     q = params.q
     base = QParams(q=q, alpha=alpha)
     n_terms = max(policy.n_max, 60)
@@ -477,17 +475,13 @@ def sonine_identity_check(alpha: float, p: int, y_exponents: list[int], params: 
     k_hi = max(y_exponents) + n_terms
     # arguments q^k here are bounded by q^(min y exponent): shallow, so the
     # direct series is accurate at every q (no lattice-family truncation)
-    fam_a = {k: bessel_j(alpha, q ** float(k), base, policy).value.real
-             for k in range(k_lo, k_hi + 1)}
-    fam_ap = {k: bessel_j(alpha + p, q ** float(k), base, policy).value.real
-              for k in range(k_lo, max(y_exponents) + 1)}
+    fam_a = np.array([bessel_j(alpha, q ** float(k), base, policy).value.real
+                      for k in range(k_lo, k_hi + 1)])
+    jj = np.arange(n_terms)
+    # (1-q) q^jj t^(2a+1) W_{p-1}(t) at t = q^jj
+    w = (1.0 - q) * q ** (jj * (2.0 * alpha + 2.0)) * sonine_weight(p, q**jj, base, policy)
     worst = 0.0
-    weights = sonine_weight(p, np.array([q**jj for jj in range(n_terms)]), base, policy)
     for ky in y_exponents:
-        lhs = fam_ap[ky]
-        acc = 0.0
-        for jj in range(n_terms):
-            acc += q ** (jj * (2.0 * alpha + 2.0)) * weights[jj] * fam_a[ky + jj]
-        rhs = (1.0 - q) * acc
-        worst = max(worst, abs(lhs - rhs))
+        lhs = bessel_j(alpha + p, q ** float(ky), base, policy).value.real
+        worst = max(worst, abs(lhs - w @ fam_a[ky - k_lo:ky - k_lo + n_terms]))
     return worst

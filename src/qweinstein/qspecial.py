@@ -8,7 +8,8 @@ Two evaluation strategies coexist:
 * an inward three-term recurrence along the lattice argument q^k
   (Miller's algorithm) for whole families j_alpha(q^k; q^2).  The series
   loses everything to cancellation once q^k is large, while the
-  recurrence tracks the recessive solution to ~1e-13 relative accuracy.
+  recurrence, matched to the series at its turning point, tracks the
+  family to ~1e-15 relative accuracy at q = 1/2.
 """
 
 from __future__ import annotations
@@ -23,11 +24,9 @@ from .qcore import (
     QDomainError,
     QParams,
     TruncationPolicy,
+    lattice_alignment,
     qgamma_base,
 )
-
-_LN2 = math.log(2.0)
-
 
 @dataclass(frozen=True)
 class SeriesValue:
@@ -123,9 +122,11 @@ def effective_floor_exponent(q: float) -> int:
       epsilon * q^(-k(k-1)) passes 1e3, past which spectral sums are
       dominated by the divergence anyway.
     """
-    from .qcore import lattice_alignment
+    return _floor_exponent(q, lattice_alignment(q)[0])
 
-    eps, _ = lattice_alignment(q)
+
+def _floor_exponent(q: float, eps: float) -> int:
+    # effective_floor_exponent for a known alignment residual eps
     floor_rep = decay_floor_exponent(q)
     if eps == 0.0:
         return floor_rep
@@ -138,96 +139,74 @@ def effective_floor_exponent(q: float) -> int:
     return max(floor_rep, -int(math.floor(k_grow)))
 
 
-def _series_matching_exponent(q: float) -> int:
-    # argument q^k small enough that the series is a few eps-accurate terms
-    return max(4, int(math.ceil(2.0 * math.log(1.0 / (1.0 - q)) / math.log(1.0 / q))))
-
-
 def bessel_j_exponent_family(alpha: float, params: QParams, k_min: int, k_max: int,
                              policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
     """j_alpha(q^k; q^2) for every integer k in [k_min, k_max], float64.
 
-    Small arguments come from the series.  Deep arguments (k below the
-    series-safe zone) are served down to the effective decay frontier of
-    the lattice family and are exact zeros beyond it:
+    The series serves every k down to the matching point k_s, the deepest
+    k with (1-q) q^k <= 1 (-1 at q = 1/2, -j at aligned_q(j)): up to there
+    its peak term stays within double-precision headroom.  Deeper
+    arguments are served down to the effective decay frontier of the
+    lattice family and are exact zeros beyond it:
 
     * at lattice-aligned q (1 - q = q^j; binary-exact at q = 1/2) the
       family decays superexponentially and deep entries come from the
       inward three-term recurrence (Miller's algorithm), which follows
-      the inward-growing Bessel solution so seed junk dies off;
+      the inward-growing Bessel solution so seed junk dies off; it is
+      normalized once, against the series at k_s.  Above k_s the family
+      is the recurrence's subdominant solution, so k_s is also the
+      shallowest point where the two are matched accurately;
     * near-aligned q keep the Miller zone down to the alignment
       turnaround;
-    * strongly misaligned q have a shallow frontier where the plain
-      series is still accurate, so the series serves everything kept.
+    * strongly misaligned q, and zones under 3 shells deep, have a
+      shallow frontier where the plain series is still accurate, so the
+      series serves everything kept.
     """
     if k_min > k_max:
         raise QDomainError("bessel_j_exponent_family needs k_min <= k_max")
-    from .qcore import lattice_alignment
-
     q = params.q
-    ks = np.arange(k_min, k_max + 1)
-    out = np.zeros(len(ks))
-    k_norm = _series_matching_exponent(q)
-    lo_eff = k_min if k_min >= 0 else max(k_min, effective_floor_exponent(q))
-    # Miller below k_norm; otherwise the frontier is shallow and the series
-    # is accurate on every kept shell
-    miller = lo_eff < -2 and lattice_alignment(q)[0] < 1e-8
-    lo_series = k_norm if miller else lo_eff
-    for i, k in enumerate(ks):
-        if k >= lo_series:
-            out[i] = bessel_j(alpha, q ** float(k), params, policy).value.real
+    eps = lattice_alignment(q)[0]
+    lo_eff = k_min if k_min >= 0 else max(k_min, _floor_exponent(q, eps))
+    # the 1e-9 keeps a double-rounded aligned root on -j from either side
+    k_s = -int(math.floor(math.log(1.0 - q) / math.log(q) + 1e-9))
+    miller = eps < 1e-8 and lo_eff <= min(k_s - 3, k_max)
+    lo_series = k_s if miller else lo_eff
+    out = np.zeros(k_max - k_min + 1)
+    for k in range(lo_series, k_max + 1):
+        out[k - k_min] = bessel_j(alpha, q ** float(k), params, policy).value.real
     if not miller:
         return out
 
-    q2a = q ** (2.0 * alpha)
-    one_m_q_sq = (1.0 - q) ** 2
+    # ratios g_(k+1) / g_k of the recurrence
+    #   q^(2 alpha) g_(k+1) = (1 + q^(2 alpha) - (1-q)^2 q^(2k)) g_k - g_(k-1)
+    # for k = k0 .. k_s, seeded with g_(k0-1) = 0; the margin below lo_eff
+    # lets the seed's share decay by ~2^-160 before the first kept shell
     margin = max(
         10,
         int(math.ceil(math.sqrt(lo_eff * lo_eff + 160.0 / math.log2(1.0 / q)))) - abs(lo_eff) + 8,
     )
-
-    ref = bessel_j(alpha, q ** float(k_norm), params, policy).value.real
-    ref2 = bessel_j(alpha, q ** float(k_norm + 1), params, policy).value.real
-
-    for attempt in range(4):
-        k0 = lo_eff - margin
-        n_steps = (k_norm + 1) - k0 + 1
-        vals = np.zeros(n_steps)
-        scale_log2 = np.zeros(n_steps)
-        g_prev, g_cur, cur_log2 = 0.0, 1e-280, 0.0
-        vals[0] = g_cur
-        for i in range(1, n_steps):
-            m = k0 + i - 1
-            coef = 1.0 + q2a - one_m_q_sq * q ** (2.0 * m)
-            g_prev, g_cur = g_cur, (coef * g_cur - g_prev) / q2a
-            if abs(g_cur) > 1e250:
-                g_cur *= 2.0**-900
-                g_prev *= 2.0**-900
-                cur_log2 += 900.0
-            vals[i] = g_cur
-            scale_log2[i] = cur_log2
-        i_norm = k_norm - k0
-        ok = vals[i_norm] != 0.0 and vals[i_norm + 1] != 0.0
-        if ok:
-            lr1 = math.log(abs(ref)) - (math.log(abs(vals[i_norm])) + scale_log2[i_norm] * _LN2)
-            lr2 = math.log(abs(ref2)) - (math.log(abs(vals[i_norm + 1])) + scale_log2[i_norm + 1] * _LN2)
-            same_sign = (ref > 0) == (vals[i_norm] > 0)
-            ok = abs(lr1 - lr2) < 1e-11 and same_sign == ((ref2 > 0) == (vals[i_norm + 1] > 0))
-        if ok:
-            sign_rho = 1.0 if same_sign else -1.0
-            log_rho = math.log(abs(ref)) - (math.log(abs(vals[i_norm])) + scale_log2[i_norm] * _LN2)
-            for idx, k in enumerate(ks):
-                if k >= k_norm:
-                    continue
-                i = k - k0
-                if k < lo_eff or vals[i] == 0.0:
-                    out[idx] = 0.0
-                    continue
-                lg = math.log(abs(vals[i])) + scale_log2[i] * _LN2 + log_rho
-                out[idx] = 0.0 if lg < math.log(1e-300) else sign_rho * math.copysign(math.exp(lg), vals[i])
-            return out
-        margin += 12 + 6 * attempt
-    raise ArithmeticError("bessel_j_exponent_family: Miller normalization failed to converge")
+    k0 = lo_eff - margin
+    q2a = q ** (2.0 * alpha)
+    coef = 1.0 + q2a - (1.0 - q) ** 2 * q ** (2.0 * np.arange(k0, k_s + 1))
+    ratios = []
+    inv = 0.0
+    for c in coef.tolist():
+        r = (c - inv) / q2a
+        ratios.append(r)
+        inv = 1.0 / r
+    # the series at the default tolerance: a looser policy's values are
+    # too coarse to check the match against
+    ref, ref2 = (bessel_j(alpha, q ** float(k), params).value.real for k in (k_s, k_s + 1))
+    if not abs(ratios[-1] * ref - ref2) < 1e-11 * abs(ref2):
+        raise ArithmeticError("bessel_j_exponent_family: Miller normalization failed to converge")
+    # j_k = ref * g_k / g_(k_s) on lo_eff <= k < k_s; past the overflow of
+    # the ratio product the family is an exact zero
+    with np.errstate(over="ignore"):
+        zone = ref / np.cumprod(np.array(ratios[lo_eff - k0:k_s - k0])[::-1])[::-1]
+    zone[np.abs(zone) < 1e-300] = 0.0
+    hi = min(k_s, k_max + 1)
+    out[lo_eff - k_min:hi - k_min] = zone[:hi - lo_eff]
+    return out
 
 
 def qtrig_exponent_families(params: QParams, k_min: int, k_max: int,

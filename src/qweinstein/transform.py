@@ -28,12 +28,15 @@ from .qcore import (
     QDomainError,
     QParams,
     TruncationPolicy,
+    qgamma_base,
+    qshifted,
 )
 from .qintegrate import edge_shell_mass, integrate_mu, log_mu_weights
 from .qops import EVEN, GridFunction, LatticeWindow, bessel_op, dq_ladder, weinstein_op
 from .qspecial import (
     bessel_j,
     bessel_j_exponent_family,
+    effective_floor_exponent,
     qexp,
     qtrig_exponent_families,
 )
@@ -67,8 +70,6 @@ def _families(params: QParams, k_min: int, k_max: int,
 
 def normalization_K(params: QParams, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """Transform normalization (1+q)^(1/2-alpha) / (2 G_{q^2}(1/2) G_{q^2}(alpha+1))."""
-    from .qcore import qgamma_base
-
     q = params.q
     q2 = q * q
     return (1.0 + q) ** (0.5 - params.alpha) / (
@@ -102,8 +103,6 @@ class Kernel:
 
     def sup_bound(self, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
         """4 / (q; q)_inf^2, valid for real spectral points on the lattice."""
-        from .qcore import qshifted
-
         qq = qshifted(self.params.q, math.inf, self.params, policy)
         return 4.0 / (qq.real * qq.real)
 
@@ -250,8 +249,6 @@ def _auto_window_transform(f: GridFunction, policy: TruncationPolicy, tol: float
     Conjugation only swaps the two signs of l1, so it leaves the window
     unchanged.
     """
-    from .qspecial import effective_floor_exponent
-
     q = f.params.q
     alpha = f.params.alpha
     w = f.window
@@ -276,23 +273,14 @@ def _auto_window_transform(f: GridFunction, policy: TruncationPolicy, tol: float
 
     budget = tol / 8.0 * total
 
-    def trim(mass_per_shell: np.ndarray, from_end: bool) -> int:
-        shells = mass_per_shell[::-1] if from_end else mass_per_shell
-        cum = 0.0
-        cut = 0
-        for m in shells[:-4]:
-            if cum + m > budget:
-                break
-            cum += m
-            cut += 1
-        return cut
-
+    # shells cut from each edge: the longest run whose cumulative mass stays
+    # within budget, always keeping the 4 innermost
     mass_m1 = l1.sum(axis=(0, 2))
     mass_m2 = l1.sum(axis=(0, 1))
-    c_lo1 = trim(mass_m1, False)
-    c_hi1 = trim(mass_m1, True)
-    c_lo2 = trim(mass_m2, False)
-    c_hi2 = trim(mass_m2, True)
+    c_lo1, c_hi1, c_lo2, c_hi2 = (
+        int(np.searchsorted(np.cumsum(m[:-4]), budget, side="right"))
+        for m in (mass_m1, mass_m1[::-1], mass_m2, mass_m2[::-1])
+    )
     trimmed = LatticeWindow(win.n1_min + c_lo1, win.n1_max - c_hi1,
                             win.n2_min + c_lo2, win.n2_max - c_hi2)
     # a copy, so the generous window's array is freed with this call
@@ -394,8 +382,6 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None,
     to rounding.  f (and g) must be compactly supported inside their
     windows.
     """
-    from .qspecial import effective_floor_exponent
-
     res: dict = {}
     skipped: list = []
     pad = 2 * max(n_max, 1) + 2 * max(p_max, 1) + 2
@@ -537,8 +523,6 @@ def orthogonality_check(x_pt: tuple[int, int, int], y_pt: tuple[int, int, int],
     converges only conditionally off the diagonal; the fluctuation of the
     last shells is reported, not asserted.
     """
-    from .qspecial import effective_floor_exponent
-
     q = params.q
     alpha = params.alpha
     s1x, n1x, n2x = x_pt

@@ -78,6 +78,13 @@ def main():
     print("K_05_05 =", mp.nstr(K, 20))
     for k in range(-8, 3):
         print(f"j_a05_q05_k{k} =", mp.nstr(mp.mpf(jalpha_deep("0.5", "0.5", k)), 17))
+    # larger alpha, where the recurrence must be matched to the series at
+    # the turning point; aligned_q(3) is given as its double-precision value
+    for qs, name, alphas, ks in (("0.5", "q05", ("2.5", "4", "6"), (-12, -8, -4, -1, 0, 3)),
+                                 ("0.6823278038280193", "aq3", ("1.5", "2.5"), (-5, -3, 0))):
+        for a in alphas:
+            for k in ks:
+                print(f"j_a{a}_{name}_k{k} =", mp.nstr(mp.mpf(jalpha_deep(a, qs, k)), 17))
 
 
 if __name__ == "__main__":

@@ -138,6 +138,14 @@ def test_verify_plancherel_ok(capsys):
     assert "[ok]" in out
 
 
+@pytest.mark.parametrize("alpha", ["2.5", "4"])
+def test_verify_plancherel_ok_at_larger_alpha(alpha, capsys):
+    # the kernel families at q = 1/2 hold for every alpha, not only small ones
+    rc = main(["--q", "0.5", "--alpha", alpha, "verify", "--suite", "plancherel"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+
+
 def test_verify_shrunken_window_fails(capsys):
     rc = main(["--q", "0.5", "--alpha", "0.0", "--seed", "2", "--tol", "1e-6",
                "--window=-1,3,-1,3", "verify", "--suite", "plancherel"])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qweinstein import (
     QParams,
@@ -14,6 +16,7 @@ from qweinstein import (
     qsin,
     sonine_weight,
 )
+from qweinstein.qcore import aligned_q
 from qweinstein.qspecial import effective_floor_exponent, qtrig_exponent_families
 
 # frozen extended-precision oracles (tests/oracles.py)
@@ -32,6 +35,20 @@ J_A05_Q05 = {
     2: 0.9940540178574410685265,
 }
 SONINE_W1_T05 = 2.119140625   # p=2, t=0.5, alpha=0.5, q=0.5 (exact rational)
+# larger alpha: {alpha: {k: j_alpha(q^k; q^2)}} at q = 1/2 and at aligned_q(3)
+J_DEEP_Q05 = {
+    2.5: {-12: -5.1514428225359032e-57, -8: -4.0813081950655694e-28, -4: -7.4884470881074614e-9,
+          -1: 0.68612804076760847, 0: 0.91740750010100058, 3: 0.9986880064437037},
+    4.0: {-12: -5.9424649372902689e-67, -8: -1.9284008931564959e-34, -4: -1.4494775751238657e-11,
+          -1: 0.68823840187630947, 0: 0.91797027983152502, 3: 0.99869698333543033},
+    6.0: {-12: -3.373777627923878e-80, -8: -7.1750860342028617e-43, -4: -3.5345123546914713e-15,
+          -1: 0.68851885820926417, 0: 0.91804506844980327, 3: 0.99869817627800317},
+}
+AQ3 = 0.6823278038280193   # aligned_q(3) as a double
+J_DEEP_AQ3 = {
+    1.5: {-5: 0.010480220141645546, -3: 0.24797963640241816, 0: 0.8998859756078238},
+    2.5: {-5: 0.0020073849344589638, -3: 0.30291179784967692, 0: 0.90827845811909813},
+}
 
 
 def qfact(n, q):
@@ -133,6 +150,26 @@ def test_family_matches_frozen_oracle_deep():
     for k, ref in J_A05_Q05.items():
         got = fam[k + 8]
         assert abs(got - ref) / abs(ref) < 5e-13, (k, got, ref)
+
+
+@pytest.mark.parametrize("q,table", [(0.5, J_DEEP_Q05), (AQ3, J_DEEP_AQ3)])
+def test_family_matches_frozen_oracle_at_larger_alpha(q, table):
+    # above the recurrence's turning point the family is its subdominant
+    # solution, and rounding there grows by ~q^(-2 alpha) per shell
+    assert aligned_q(3) == AQ3
+    for alpha, refs in table.items():
+        k_min = min(refs)
+        fam = bessel_j_exponent_family(alpha, QParams(q=q, alpha=alpha), k_min, max(refs))
+        for k, ref in refs.items():
+            assert abs(fam[k - k_min] - ref) <= 1e-12 * abs(ref), (alpha, k, fam[k - k_min], ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(j=st.integers(1, 8), alpha=st.floats(-0.5, 6.0), k_min=st.integers(-200, 0))
+def test_family_finite_at_aligned_roots(j, alpha, k_min):
+    fam = bessel_j_exponent_family(alpha, QParams(q=aligned_q(j), alpha=alpha), k_min, 8)
+    assert fam.shape == (9 - k_min,)
+    assert np.all(np.isfinite(fam))
 
 
 def test_family_matches_series_in_shallow_zone():
