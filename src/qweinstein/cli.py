@@ -373,6 +373,7 @@ def _cmd_bandwidth(args, cfg: JobConfig) -> int:
     print(f"oracle_radius={rep.oracle_radius:.8g}")
     print(f"n_used={rep.n_used}")
     print(f"route_max_rel_dev={rep.route_max_rel_dev:.3e}")
+    print(f"core_last_n={rep.core_last_n}")
     print(f"exponent_normalization={rep.exponent_normalization}")
     if args.out:
         if cfg.fmt == "json":

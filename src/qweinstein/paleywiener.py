@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import DEFAULT_POLICY, QDomainError, QParams, TruncationPolicy
+from .qcore import DEFAULT_POLICY, DivergenceError, QDomainError, QParams, TruncationPolicy
 from .qintegrate import log_l2_norm_sq, log_mu_weights, log_sum_exp
 from .qops import (_FLIP, EVEN, GridFunction, LatticeWindow, _weinstein_array, dq_ladder,
                    dq_mixed, weinstein_op)
@@ -58,6 +58,19 @@ def support_radius(f: GridFunction) -> float:
     return float(np.sqrt(np.max(rad2[mask])))
 
 
+def _nonzero_box(f: GridFunction) -> GridFunction:
+    """f sliced to the bounding box of its nonzero samples; f itself if all are zero."""
+    nz = f.samples != 0.0
+    if not np.any(nz):
+        return f
+    i1 = np.flatnonzero(nz.any(axis=(0, 2)))
+    i2 = np.flatnonzero(nz.any(axis=(0, 1)))
+    lo1, hi1, lo2, hi2 = int(i1[0]), int(i1[-1]), int(i2[0]), int(i2[-1])
+    w = f.window
+    box = LatticeWindow(w.n1_min + lo1, w.n1_min + hi1, w.n2_min + lo2, w.n2_min + hi2)
+    return f.with_samples(f.samples[:, lo1:hi1 + 1, lo2:hi2 + 1], window=box)
+
+
 def norm_growth_sequence(f: GridFunction, N: int) -> list[float]:
     """b_n = || ||x||^(2n) f ||_2^(1/2n) for n = 1..N, in log space."""
     if N < 1:
@@ -87,13 +100,16 @@ class TransformSideIterates:
     """Iterates of the Weinstein operator applied to F = forward(f_hat).
 
     Yields hybrid values (stencil core + direct complement) with shared
-    scaling, plus both routes' norms, for n = 1..N.
+    scaling, plus both routes' norms, for n = 1..N.  The preimage is kept
+    on the bounding box of its nonzero samples: the shells outside hold
+    exact zeros, which add nothing to a norm, nothing to a contraction but
+    a change of summation order, and do not move the automatic window.
     """
 
     def __init__(self, f_hat: GridFunction, N: int, policy: TruncationPolicy = DEFAULT_POLICY):
         if f_hat.parity_y != EVEN:
             raise QDomainError("iterates need an even preimage")
-        self.f_hat = f_hat
+        f_hat = self.f_hat = _nonzero_box(f_hat)
         self.N = N
         self.policy = policy
         self.params = f_hat.params
@@ -115,12 +131,6 @@ class TransformSideIterates:
         slack = (self._log_amp_budget / n - math.log(self._stencil_const)) / (2.0 * self._L)
         return self._m_r + slack
 
-    def _core_box(self, n: int) -> tuple[int, int]:
-        """Shells (n1, n2) of the core: the box m1, m2 <= cutoff at the window's low corner."""
-        c = self._core_cutoff(n)
-        return (int(np.searchsorted(self.window.n1_exponents(), c, side="right")),
-                int(np.searchsorted(self.window.n2_exponents(), c, side="right")))
-
     def run(self):
         params = self.params
         kernel = _kernel_matrices(self.f_hat.window, self.window, params, self.policy)
@@ -128,6 +138,7 @@ class TransformSideIterates:
         G_prev = _contract(kernel, eta, conj=False)
         log_scale = 0.0
         w_lin = np.exp(self._logw_lam)
+        m1, m2 = self.window.n1_exponents(), self.window.n2_exponents()
         for n in range(1, self.N + 1):
             eta_raw = eta * (-self._r2_x)
             s = float(np.max(np.abs(eta_raw)))
@@ -135,19 +146,23 @@ class TransformSideIterates:
                 s = 1.0
             eta = eta_raw / s
             log_scale += math.log(s)
-            GridFunction(params, self.window, EVEN, G_prev)   # G_prev must be finite
-            # direct values, with the stencil's on the core: the stencil reaches
+            if not np.all(np.isfinite(G_prev.view(np.float64))):
+                raise QDomainError("samples must be finite (no NaN/Inf)")
+            # direct values, with the stencil's on the core, the box of shells
+            # m1, m2 <= cutoff at the window's low corner: the stencil reaches
             # 2 shells past it in n1 and 1 in n2, and the low edges are the window's
             G_lit = _contract(kernel, eta, conj=False)
-            c1, c2 = self._core_box(n)
+            c = self._core_cutoff(n)
+            c1, c2 = (int(np.searchsorted(m, c, side="right")) for m in (m1, m2))
             if c1 and c2:
                 G_sten = _weinstein_array(G_prev[:, :c1 + 2, :c2 + 1], params,
                                           self._x1[:, :c1 + 2], self._x2[:c2 + 1])
                 G_lit[:, :c1, :c2] = G_sten[:, :c1, :c2] / s
-            # norms (true logs, including the scale)
-            log_lit = log_l2_norm_sq(G_lit, self._logw_lam) + 2.0 * log_scale
+            # norms (true logs, including the scale); |G_lit| is taken once
+            absv = np.abs(G_lit)
+            log_lit = log_l2_norm_sq(absv, self._logw_lam) + 2.0 * log_scale
             log_spec = log_l2_norm_sq(eta, self._logw_x) + 2.0 * log_scale
-            mass = np.abs(G_lit) ** 2 * w_lin
+            mass = absv ** 2 * w_lin
             tot = float(np.sum(mass))
             core = float(np.sum(mass[:, :c1, :c2].ravel())) if tot > 0 else 0.0   # one flat sum
             yield _IterateState(
@@ -177,6 +192,8 @@ class BandwidthReport:
     route_max_rel_dev: float
     core_fractions: list[float] = field(default_factory=list)
     exponent_normalization: str = ""
+    core_last_n: int = 0   # last n with stencil mass in the core; past it the
+                           # literal a_n are direct transforms
 
 
 def _fit_limit(a_seq: list[float]) -> float:
@@ -193,6 +210,10 @@ def _fit_limit(a_seq: list[float]) -> float:
     return math.exp(coef[0])
 
 
+def _bounds(w: LatticeWindow) -> str:
+    return f"n1=[{w.n1_min},{w.n1_max}] n2=[{w.n2_min},{w.n2_max}]"
+
+
 def _preimage(F: GridFunction, x_window: LatticeWindow | None,
               policy: TruncationPolicy) -> GridFunction:
     """The inverse transform of F, with samples below 1e-8 of the peak zeroed.
@@ -201,11 +222,25 @@ def _preimage(F: GridFunction, x_window: LatticeWindow | None,
     radius without bound, so the support must be thresholded before
     iterating.  The inverse leaves residue of up to ~2e-10 of the peak
     outside the support, while the in-support samples of random bumps stay
-    above ~1e-3 of it; the threshold sits between.
+    above ~1e-3 of it; the threshold sits between.  A given x_window must
+    contain the support found on the automatic window, or the radius would
+    be that of a truncated preimage: DivergenceError.
     """
-    raw = inverse(F, x_window=x_window, policy=policy).grid
-    absf = np.abs(raw.samples)
-    return raw.with_samples(np.where(absf > 1e-8 * float(np.max(absf)), raw.samples, 0.0))
+    def thresholded(raw: GridFunction) -> GridFunction:
+        absf = np.abs(raw.samples)
+        return raw.with_samples(np.where(absf > 1e-8 * float(np.max(absf)), raw.samples, 0.0))
+
+    f_hat = thresholded(inverse(F, x_window=x_window, policy=policy).grid)
+    if x_window is not None:
+        auto = thresholded(inverse(F, policy=policy).grid)
+        box, x = _nonzero_box(auto).window, x_window
+        inside = (x.n1_min <= box.n1_min <= box.n1_max <= x.n1_max
+                  and x.n2_min <= box.n2_min <= box.n2_max <= x.n2_max)
+        if np.any(auto.samples) and not inside:
+            raise DivergenceError(
+                f"x_window {_bounds(x)} cuts the preimage's support: on the automatic "
+                f"window {_bounds(auto.window)} it has nonzero samples on {_bounds(box)}")
+    return f_hat
 
 
 def bandwidth_estimate(F: GridFunction, N: int,
@@ -250,9 +285,11 @@ def bandwidth_estimate(F: GridFunction, N: int,
         norm_tag = "sup||x||" if dev_r <= dev_r2 else "sup||x||^2"
     else:
         norm_tag = "sup||x|| (empty support)"
+    core_last_n = max((n for n, c in enumerate(fracs, 1) if c > 0), default=0)
     return BandwidthReport(a_seq=a_spec, a_seq_literal=a_lit, estimate=est,
                            oracle_radius=oracle, n_used=N, route_max_rel_dev=worst,
-                           core_fractions=fracs, exponent_normalization=norm_tag)
+                           core_fractions=fracs, exponent_normalization=norm_tag,
+                           core_last_n=core_last_n)
 
 
 # ---------------------------------------------------------------------------

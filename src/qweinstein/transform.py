@@ -164,9 +164,9 @@ def _contract(kernel: tuple, data: np.ndarray, conj: bool) -> np.ndarray:
     d = data * x1w                                            # d_q x1 weight (per sign)
     a = C @ (d[0] + d[1]) @ Jw.T
     ib = S @ (d[0] - d[1]) @ Jw.T * (-1j if conj else 1j)
-    out = np.stack([a, a], dtype=np.complex128)     # in place: no output-sized temporaries
-    out[0] -= ib
-    out[1] += ib
+    out = np.empty((2,) + a.shape, dtype=np.complex128)   # no output-sized temporaries
+    np.subtract(a, ib, out=out[0])
+    np.add(a, ib, out=out[1])
     return out
 
 

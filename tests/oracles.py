@@ -7,7 +7,8 @@ summed directly from their definitions at high precision.  Run
     python -m tests.oracles
 
 to print all frozen values for comparison against the constants embedded
-in the tests.
+in the tests.  README_FLOW_BANDWIDTH is the exception: it holds package
+outputs, frozen to guard them bit for bit, and has no mpmath counterpart.
 """
 
 import mpmath as mp
@@ -66,6 +67,45 @@ def qexp_real(x, q):
     for n in range(0, 300):
         s += q ** (n * (n + 1)) * (x ** (2 * n) / qfact(2 * n) + x ** (2 * n + 1) / qfact(2 * n + 1))
     return s
+
+
+# `qweinstein --seed 7 gen --support=-2,4,-2,4`, `transform` (forward, CSV) and
+# `bandwidth --N 50 --format json` at q = 1/2, alpha = 0: the README's CLI flow.
+# Package outputs, not mpmath values; frozen so that any change to the
+# bandwidth engine that moves a digit of this flow is seen.
+README_FLOW_BANDWIDTH = {
+    "a_n_literal": [
+        19.195523845026262, 10.26963565658639, 8.38766626125699, 7.59330484069204,
+        7.156933088602749, 6.881132751424964, 6.69100497506643, 6.551975301123942,
+        6.445878378764716, 6.362251784040867, 6.294642023166747, 6.238851252571641,
+        6.192030627314749, 6.152178624910516, 6.1178478237932525, 6.087965586692002,
+        6.0617201502993066, 6.038485878097273, 6.017772817952499, 5.999191818493443,
+        5.982429879515378, 5.967232397241166, 5.953390154910411, 5.9407296423212275,
+        5.929105751294853, 5.9183961935626845, 5.908497185211537, 5.899320074670678,
+        5.890788682053912, 5.8828371807445565, 5.875408396544283, 5.868452431424858,
+        5.861925541842881, 5.855789218331133, 5.850009425456728, 5.844555970470145,
+        5.83940197592305, 5.834523436815091, 5.829898846875593, 5.8255088817086556,
+        5.821336128957797, 5.817364857546726, 5.813580819550277, 5.809971079436717,
+        5.8065238663693615, 5.803228446014733, 5.800075008916491, 5.797054572990417,
+        5.794158898099467, 5.79138041099824
+    ],
+    "a_n_spectral": [
+        19.19552384502594, 10.269635656589374, 8.387666261267588, 7.59330484063866,
+        7.156933088627553, 6.881132751486066, 6.691004975202824, 6.551975301175445,
+        6.445878378794435, 6.362251784058399, 6.294642023177255, 6.238851252578015,
+        6.192030627318655, 6.152178624912925, 6.117847823794749, 6.087965586692938,
+        6.061720150299893, 6.038485878097642, 6.0177728179527366, 5.999191818493593,
+        5.9824298795154744, 5.9672323972412284, 5.953390154910413, 5.940729642321229,
+        5.929105751294854, 5.918396193562685, 5.908497185211539, 5.899320074670679,
+        5.890788682053913, 5.882837180744558, 5.875408396544285, 5.86845243142486,
+        5.861925541842882, 5.855789218331135, 5.850009425456729, 5.844555970470147,
+        5.83940197592305, 5.834523436815091, 5.829898846875593, 5.8255088817086556,
+        5.821336128957797, 5.817364857546726, 5.813580819550277, 5.809971079436717,
+        5.8065238663693615, 5.803228446014733, 5.800075008916491, 5.797054572990417,
+        5.794158898099467, 5.79138041099824
+    ],
+    "estimate": 5.6568542494921115,
+}
 
 
 def main():

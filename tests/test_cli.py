@@ -14,6 +14,8 @@ from qweinstein.cli import (
     write_gridfunction,
 )
 
+from . import oracles
+
 
 def test_file_round_trip_csv(tmp_path):
     p = QParams(q=0.5, alpha=0.5)
@@ -492,10 +494,14 @@ def test_one_shell_window_transforms(tmp_path, argv):
 
 
 def test_one_shell_window_bandwidth_and_verify(tmp_path, capsys):
+    # bandwidth on a 1-shell window runs when the window holds the preimage's
+    # support, and exits 2 when it cuts it
     src, F = tmp_path / "f.csv", tmp_path / "F.json"
-    assert main(["gen", "--support=-2,4,-2,4", "--out", str(src)]) == 0
-    assert main(["transform", "--input", str(src), "--out", str(F), "--format", "json"]) == 0
-    assert main(["bandwidth", "--input", str(F), "--window=0,0,0,0"]) == 0
+    for support, code in (("0,0,0,0", 0), ("-2,4,-2,4", 2)):
+        assert main(["gen", f"--support={support}", "--out", str(src)]) == 0
+        assert main(["transform", "--input", str(src), "--out", str(F), "--format", "json"]) == 0
+        assert main(["bandwidth", "--input", str(F), "--window=0,0,0,0"]) == code
+    assert "numerical diagnostic:" in capsys.readouterr().err
     assert main(["verify", "--suite", "plancherel", "--window=0,0,0,0"]) == 3
     assert "[FAIL]" in capsys.readouterr().out
 
@@ -519,3 +525,60 @@ def test_bandwidth_N_below_one_in_config_exit_1(tmp_path, capsys):
     capsys.readouterr()
     assert main(["--config", str(tmp_path / "job.cfg"), "bandwidth", "--input", str(src)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _bandwidth_run(tmp_path, capsys, flags):
+    """gen (seed 1, support -2,4,-2,4) -> forward -> bandwidth FLAGS: the exit
+    code and bandwidth's captured output."""
+    src, fwd = tmp_path / "f.csv", tmp_path / "F.csv"
+    assert main(["--seed", "1", "gen", "--support=-2,4,-2,4", "--out", str(src)]) == 0
+    assert main(["transform", "--input", str(src), "--out", str(fwd)]) == 0
+    capsys.readouterr()
+    return main(["bandwidth", "--input", str(fwd)] + flags), capsys.readouterr()
+
+
+def _fields(out: str) -> dict:
+    return dict(line.split("=", 1) for line in out.splitlines())
+
+
+@pytest.mark.parametrize("window", ["-1,3,-1,3", "0,0,0,0", "-2,3,-2,4"])
+def test_bandwidth_window_cutting_the_support_exit_2(tmp_path, capsys, window):
+    # the truncated preimage's radius (2.83 and 1.41 for the first two) is
+    # not the answer, which is 5.657
+    rc, captured = _bandwidth_run(tmp_path, capsys, [f"--window={window}"])
+    assert rc == 2
+    assert "numerical diagnostic:" in captured.err and "cuts" in captured.err
+    assert "estimate=" not in captured.out
+
+
+@pytest.mark.parametrize("window", ["-2,4,-2,4", "-3,5,-3,5"], ids=["support", "padded"])
+def test_bandwidth_window_holding_the_support_matches_no_window(tmp_path, capsys, window):
+    rc, plain = _bandwidth_run(tmp_path, capsys, [])
+    assert rc == 0
+    rc, windowed = _bandwidth_run(tmp_path, capsys, [f"--window={window}"])
+    assert rc == 0
+    estimate = _fields(plain.out)["estimate"]
+    assert _fields(windowed.out)["estimate"] == estimate
+    assert abs(float(estimate) / (4.0 * math.sqrt(2.0)) - 1.0) < 1e-3
+
+
+def test_bandwidth_prints_core_last_n(tmp_path, capsys):
+    rc, captured = _bandwidth_run(tmp_path, capsys, ["--N", "20"])
+    assert rc == 0
+    assert _fields(captured.out)["core_last_n"] == "20"   # at q = 1/2 the core never empties
+
+
+def test_readme_cli_flow_bandwidth_is_frozen(tmp_path):
+    # gen -> forward -> bandwidth as in the README, bit for bit against the
+    # frozen outputs, so a change that moves any digit of this flow shows
+    src, fwd, rep = tmp_path / "f.csv", tmp_path / "F.csv", tmp_path / "a.json"
+    assert main(["--seed", "7", "gen", "--support=-2,4,-2,4", "--out", str(src)]) == 0
+    assert main(["transform", "--input", str(src), "--direction", "forward",
+                 "--out", str(fwd)]) == 0
+    assert main(["bandwidth", "--input", str(fwd), "--N", "50", "--format", "json",
+                 "--out", str(rep)]) == 0
+    got = json.loads(rep.read_text())
+    frozen = oracles.README_FLOW_BANDWIDTH
+    for key in ("a_n_literal", "a_n_spectral", "estimate"):
+        assert np.array_equal(np.array(got[key]).view(np.int64),
+                              np.array(frozen[key]).view(np.int64)), key

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,9 +22,9 @@ from qweinstein import (
     weinstein_sup_bound_check,
 )
 from qweinstein.paleywiener import TransformSideIterates
-from qweinstein.qintegrate import log_l2_norm_sq
+from qweinstein.qintegrate import log_l2_norm_sq, log_mu_weights
 from qweinstein.qops import EVEN, dq_partial, weinstein_op
-from qweinstein.transform import _transform_array, embed_zeros
+from qweinstein.transform import _transform_array, auto_lambda_window, embed_zeros, norm_sq_lambda
 from qweinstein.cli import random_even_bump
 
 from .conftest import make_bump
@@ -207,6 +208,61 @@ def test_run_gathers_kernel_families_once(monkeypatch):
     monkeypatch.setattr(transform, "_families", counted)
     assert len(list(eng.run())) == 10
     assert len(calls) == 1
+
+
+def _untrimmed(eng, f_hat):
+    """eng for _reference_run, but with the preimage f_hat on its own window."""
+    return SimpleNamespace(params=eng.params, window=eng.window, policy=eng.policy, N=eng.N,
+                           _logw_lam=eng._logw_lam, _core_cutoff=eng._core_cutoff, f_hat=f_hat,
+                           _r2_x=norm_sq_lambda(f_hat.window, f_hat.params),
+                           _logw_x=log_mu_weights(f_hat))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+@pytest.mark.parametrize("k", [0, 3])
+def test_run_on_the_nonzero_box_is_bit_identical_at_half(alpha, k):
+    # make_bump pads its (-2, 4) support box by one shell of zeros, so the
+    # engine drops 1 + k shells on every side and still gives the same bits
+    f = embed_zeros(make_bump(QParams(q=0.5, alpha=alpha), 83, -2, 4, -2, 4), k, k)
+    eng = TransformSideIterates(f, 30)
+    assert eng.f_hat.window == LatticeWindow(-2, 4, -2, 4)
+    w = auto_lambda_window(f, tol=1e-12)
+    assert eng.window == LatticeWindow(w.n1_min - 2, w.n1_max + 4, w.n2_min - 2, w.n2_max + 4)
+    for st, (values, scalars, _) in zip(eng.run(), _reference_run(_untrimmed(eng, f)),
+                                        strict=True):
+        assert np.array_equal(st.values.view(np.int64), values.view(np.int64))
+        got = [st.log_scale, st.core_fraction, st.log_norm_sq_literal, st.log_norm_sq_spectral]
+        assert np.array_equal(np.array(got).view(np.int64), np.array(scalars).view(np.int64))
+
+
+@pytest.mark.parametrize("q", [0.7, 0.8])
+def test_run_on_the_nonzero_box_moves_the_literal_route_by_rounding(q):
+    # the smaller contraction sums in another order, which at these q moves
+    # a_n by ~1e-11; the spectral route sums the same nonzero terms
+    f = embed_zeros(make_bump(QParams(q=q, alpha=0.0), 84, -1, 3, -1, 3), 3, 3)
+    eng = TransformSideIterates(f, 30)
+    assert eng.f_hat.window == LatticeWindow(-1, 3, -1, 3)
+    for st, (_, scalars, _) in zip(eng.run(), _reference_run(_untrimmed(eng, f)), strict=True):
+        n = st.n
+        a_lit, a_ref = (math.exp(v / (4.0 * n)) for v in (st.log_norm_sq_literal, scalars[2]))
+        assert abs(a_lit / a_ref - 1.0) <= 1e-9
+        assert st.log_norm_sq_spectral == scalars[3]
+
+
+def test_run_leaves_an_all_zero_preimage_as_it_is():
+    f = GridFunction.zeros(QParams(q=0.5, alpha=0.0), LatticeWindow(-2, 4, -2, 4))
+    eng = TransformSideIterates(f, 3)
+    assert eng.f_hat is f
+    assert [st.core_fraction for st in eng.run()] == [0.0] * 3
+
+
+def test_bandwidth_core_last_n_marks_where_the_core_empties():
+    # at q = 0.9 the core holds stencil mass up to n = 5 only; the larger
+    # route deviation after it compares direct transforms, not stencils
+    f = random_even_bump(QParams(q=0.9, alpha=0.0), LatticeWindow(-2, 4, -2, 4), 3, pad=1)
+    rep = bandwidth_estimate(forward(f).grid, 20, f_hat=f)
+    assert rep.core_last_n == 5
+    assert all(c > 0 for c in rep.core_fractions[:5]) and not any(rep.core_fractions[5:])
 
 
 # ---------------------------------------------------------------------------
