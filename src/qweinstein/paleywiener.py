@@ -25,7 +25,7 @@ import numpy as np
 from .qcore import DEFAULT_POLICY, DivergenceError, QDomainError, QParams, TruncationPolicy
 from .qintegrate import log_l2_norm_sq, log_mu_weights, log_sum_exp
 from .qops import (_FLIP, EVEN, GridFunction, LatticeWindow, _weinstein_array, dq_ladder,
-                   dq_mixed, weinstein_op)
+                   dq_mixed, require_finite, weinstein_op)
 from .qspecial import bessel_j, sonine_weight
 from .transform import (
     _contract,
@@ -146,8 +146,7 @@ class TransformSideIterates:
                 s = 1.0
             eta = eta_raw / s
             log_scale += math.log(s)
-            if not np.all(np.isfinite(G_prev.view(np.float64))):
-                raise QDomainError("samples must be finite (no NaN/Inf)")
+            require_finite(G_prev)
             # direct values, with the stencil's on the core, the box of shells
             # m1, m2 <= cutoff at the window's low corner: the stencil reaches
             # 2 shells past it in n1 and 1 in n2, and the low edges are the window's
@@ -216,30 +215,31 @@ def _bounds(w: LatticeWindow) -> str:
 
 def _preimage(F: GridFunction, x_window: LatticeWindow | None,
               policy: TruncationPolicy) -> GridFunction:
-    """The inverse transform of F, with samples below 1e-8 of the peak zeroed.
+    """The inverse transform of F on its automatic window, with samples below
+    1e-8 of the peak zeroed.
 
     The moments ||t||^(2n) amplify any reconstruction residue at large
     radius without bound, so the support must be thresholded before
     iterating.  The inverse leaves residue of up to ~2e-10 of the peak
     outside the support, while the in-support samples of random bumps stay
-    above ~1e-3 of it; the threshold sits between.  A given x_window must
-    contain the support found on the automatic window, or the radius would
-    be that of a truncated preimage: DivergenceError.
+    above ~1e-3 of it; the threshold sits between.  A given x_window does
+    not change the reconstruction: it must hold the thresholded samples, or
+    DivergenceError, since the radius of a preimage cut to it would not be
+    the preimage's.  At generic q the inverse is not exact and leaves
+    samples as large as the peak far outside the support, so no
+    support-sized x_window passes there.
     """
-    def thresholded(raw: GridFunction) -> GridFunction:
-        absf = np.abs(raw.samples)
-        return raw.with_samples(np.where(absf > 1e-8 * float(np.max(absf)), raw.samples, 0.0))
-
-    f_hat = thresholded(inverse(F, x_window=x_window, policy=policy).grid)
-    if x_window is not None:
-        auto = thresholded(inverse(F, policy=policy).grid)
-        box, x = _nonzero_box(auto).window, x_window
-        inside = (x.n1_min <= box.n1_min <= box.n1_max <= x.n1_max
-                  and x.n2_min <= box.n2_min <= box.n2_max <= x.n2_max)
-        if np.any(auto.samples) and not inside:
+    raw = inverse(F, policy=policy).grid
+    absf = np.abs(raw.samples)
+    f_hat = raw.with_samples(np.where(absf > 1e-8 * float(np.max(absf)), raw.samples, 0.0))
+    if x_window is not None and np.any(f_hat.samples):
+        box, x = _nonzero_box(f_hat).window, x_window
+        if not (x.n1_min <= box.n1_min and box.n1_max <= x.n1_max
+                and x.n2_min <= box.n2_min and box.n2_max <= x.n2_max):
             raise DivergenceError(
-                f"x_window {_bounds(x)} cuts the preimage's support: on the automatic "
-                f"window {_bounds(auto.window)} it has nonzero samples on {_bounds(box)}")
+                f"x_window {_bounds(x)} does not hold the preimage: its inverse on the "
+                f"automatic window {_bounds(f_hat.window)} has samples above 1e-8 of "
+                f"the peak on {_bounds(box)}")
     return f_hat
 
 
@@ -254,7 +254,7 @@ def bandwidth_estimate(F: GridFunction, N: int,
     and compares with the directly measured support radius of the inverse
     transform.  The numerics confirm the sup||x|| normalization of the
     limit (not sup||x||^2); both are reported.  Without f_hat the preimage
-    is reconstructed by _preimage on x_window.
+    is reconstructed by _preimage, which checks it against x_window.
     """
     if N < 1:
         raise QDomainError("bandwidth_estimate needs N >= 1")

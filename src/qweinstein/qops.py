@@ -77,6 +77,12 @@ class LatticeWindow:
         return np.arange(self.n2_min, self.n2_max + 1)
 
 
+def require_finite(samples: np.ndarray) -> None:
+    """QDomainError unless every real and imaginary part of the complex samples is finite."""
+    if not np.all(np.isfinite(samples.view(np.float64))):
+        raise QDomainError("samples must be finite (no NaN/Inf)")
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Complex samples on a lattice window; axis 0 is the sign of x1 (+, -)."""
@@ -92,8 +98,7 @@ class GridFunction:
         arr = np.ascontiguousarray(self.samples, dtype=np.complex128)
         if arr.shape != self.window.shape:
             raise QDomainError(f"samples shape {arr.shape} != window shape {self.window.shape}")
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise QDomainError("samples must be finite (no NaN/Inf)")
+        require_finite(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
