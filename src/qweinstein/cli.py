@@ -16,14 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .qcore import (
-    DEFAULT_POLICY,
-    DivergenceError,
-    QDomainError,
-    QParams,
-    TaintError,
-    TruncationPolicy,
-)
+from .qcore import DivergenceError, QDomainError, QParams, TaintError
 from .qops import EVEN, GridFunction, LatticeWindow
 from .qintegrate import lp_norm
 from .transform import (
@@ -66,19 +59,11 @@ class JobConfig:
     n1_max: int | None = None
     n2_min: int | None = None
     n2_max: int | None = None
-    product_tol: float = 1e-16
-    series_tol: float = 1e-17
-    sum_n_min: int = -40
-    sum_n_max: int = 120
     fmt: str = "csv"
     N: int = 20
 
     def params(self) -> QParams:
         return QParams(q=self.q, alpha=self.alpha)
-
-    def policy(self) -> TruncationPolicy:
-        return TruncationPolicy(n_min=self.sum_n_min, n_max=self.sum_n_max,
-                                product_tol=self.product_tol, series_tol=self.series_tol)
 
     def window(self) -> LatticeWindow | None:
         vals = (self.n1_min, self.n1_max, self.n2_min, self.n2_max)
@@ -115,7 +100,7 @@ class JobConfig:
                     if val not in FORMATS:
                         raise FileFormatError(f"{path}:{lineno}: unknown format {val!r}")
                     convert = str
-                elif key in ("seed", "N", "sum_n_min", "sum_n_max") or key.startswith(("n1_", "n2_")):
+                elif key in ("seed", "N") or key.startswith(("n1_", "n2_")):
                     convert = int
                 else:
                     convert = float
@@ -354,21 +339,21 @@ def _cmd_transform(args, cfg: JobConfig) -> int:
     # stored windows are supports: absent points are zeros, so the input is
     # embedded in a zero margin before transforming
     f = embed_zeros(read_gridfunction(args.input), 1, 1)
-    policy = cfg.policy()
     window = cfg.window()
     if args.direction == "forward":
-        res = forward(f, lambda_window=window, policy=policy, auto_tol=cfg.tol * 1e-4)
+        res = forward(f, lambda_window=window, auto_tol=cfg.tol * 1e-4)
     else:
-        res = inverse(f, x_window=window, policy=policy, auto_tol=cfg.tol * 1e-4,
-                      edge_tol=math.inf)
+        res = inverse(f, x_window=window, auto_tol=cfg.tol * 1e-4)
     print(f"tail_bound={res.tail_bound:.3e}", file=sys.stderr)
     write_gridfunction(res.grid, args.out, cfg.fmt)
     return 0
 
 
 def _cmd_bandwidth(args, cfg: JobConfig) -> int:
-    F = read_gridfunction(args.input)
-    rep = bandwidth_estimate(F, cfg.N, cfg.policy(), x_window=cfg.window())
+    if cfg.window() is not None:
+        raise QDomainError("bandwidth takes no --window (nor n1_/n2_ config keys): it "
+                           "reconstructs the preimage on its automatic window")
+    rep = bandwidth_estimate(read_gridfunction(args.input), cfg.N)
     print(f"estimate={rep.estimate:.8g}")
     print(f"oracle_radius={rep.oracle_radius:.8g}")
     print(f"n_used={rep.n_used}")
@@ -393,16 +378,15 @@ def _cmd_bandwidth(args, cfg: JobConfig) -> int:
 
 def _suite_plancherel(cfg: JobConfig) -> list[tuple[str, float, float]]:
     params = cfg.params()
-    policy = cfg.policy()
     lam_win = cfg.window()
     out = []
     for i in range(4):
         f = random_even_bump(params, LatticeWindow(-2, 4, -2, 4), cfg.seed + i, pad=1)
-        F = forward(f, lambda_window=lam_win, policy=policy)
+        F = forward(f, lambda_window=lam_win)
         ratio = lp_norm(F.grid, 2.0) / lp_norm(f, 2.0)
         out.append((f"plancherel[seed={cfg.seed + i},tail={F.tail_bound:.1e}]",
                     abs(ratio - 1.0), cfg.tol))
-        back = inverse(F.grid, x_window=f.window, policy=policy, edge_tol=math.inf)
+        back = inverse(F.grid, x_window=f.window, edge_tol=math.inf)
         diff = f.with_samples(back.grid.samples - f.samples)
         out.append((f"inversion[seed={cfg.seed + i}]",
                     lp_norm(diff, 2.0) / lp_norm(f, 2.0), cfg.tol))
@@ -411,23 +395,21 @@ def _suite_plancherel(cfg: JobConfig) -> list[tuple[str, float, float]]:
 
 def _suite_identities(cfg: JobConfig) -> list[tuple[str, float, float]]:
     params = cfg.params()
-    policy = cfg.policy()
     f = random_even_bump(params, LatticeWindow(-2, 3, -2, 3), cfg.seed)
     g = random_even_bump(params, LatticeWindow(-2, 3, -2, 3), cfg.seed + 1000)
-    rep = identity_suite(f, g, policy=policy)
+    rep = identity_suite(f, g)
     tol = max(cfg.tol, 1e-7)
     return [(k, v, tol) for k, v in rep.items()]
 
 
 def _suite_orthogonality(cfg: JobConfig) -> list[tuple[str, float, float]]:
     params = cfg.params()
-    policy = cfg.policy()
     x = (1, 1, 0)
-    res_d = orthogonality_check(x, x, params, policy)
+    res_d = orthogonality_check(x, x, params)
     rel = abs(res_d.value / res_d.predicted_diagonal - 1.0)
     out = [("orthogonality-diagonal", rel, max(cfg.tol, 1e-3))]
     y = (1, 3, 2)
-    res_o = orthogonality_check(x, y, params, policy)
+    res_o = orthogonality_check(x, y, params)
     out.append(("orthogonality-offdiag(rel to diagonal)",
                 abs(res_o.value) / res_d.predicted_diagonal, max(cfg.tol, 1e-3)))
     return out
@@ -435,10 +417,9 @@ def _suite_orthogonality(cfg: JobConfig) -> list[tuple[str, float, float]]:
 
 def _suite_sonine(cfg: JobConfig) -> list[tuple[str, float, float]]:
     params = cfg.params()
-    policy = cfg.policy()
     out = []
     for alpha, p in ((0.0, 1), (0.5, 2)):
-        err = sonine_identity_check(alpha, p, list(range(-2, 5)), params, policy)
+        err = sonine_identity_check(alpha, p, list(range(-2, 5)), params)
         out.append((f"sonine[alpha={alpha},p={p}]", err, max(cfg.tol, 1e-8)))
     return out
 
@@ -458,14 +439,13 @@ def _suite_bounds(cfg: JobConfig) -> list[tuple[str, float, float]]:
 
 def _suite_pw_m(cfg: JobConfig) -> list[tuple[str, float, float]]:
     params = cfg.params()
-    policy = cfg.policy()
     f = random_even_bump(params, LatticeWindow(-1, 3, -1, 3), cfg.seed, pad=1)
     R = support_radius(f)
     m = int(math.ceil(params.alpha + 1.5)) + 1
     a = R / params.q ** (4 * m)
-    F = forward(f, policy=policy)
+    F = forward(f)
     pw = PWmParams(m=m, a=a, N=2 * m + 10)
-    sup, per_n = pw_m_sup(F.grid, pw, policy, f_hat=f)
+    sup, per_n = pw_m_sup(F.grid, pw, f_hat=f)
     finite = 0.0 if (math.isfinite(sup) and sup < 1e12) else 1.0
     out = [("pw-m-finite", finite, 0.5)]
     run = np.maximum.accumulate(per_n)

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import DEFAULT_POLICY, DivergenceError, QDomainError, QParams, TruncationPolicy
+from .qcore import (DEFAULT_POLICY, DivergenceError, QDomainError, QParams, TruncationPolicy,
+                    lattice_alignment)
 from .qintegrate import log_l2_norm_sq, log_mu_weights, log_sum_exp
 from .qops import (_FLIP, EVEN, GridFunction, LatticeWindow, _weinstein_array, dq_ladder,
                    dq_mixed, require_finite, weinstein_op)
@@ -209,12 +210,7 @@ def _fit_limit(a_seq: list[float]) -> float:
     return math.exp(coef[0])
 
 
-def _bounds(w: LatticeWindow) -> str:
-    return f"n1=[{w.n1_min},{w.n1_max}] n2=[{w.n2_min},{w.n2_max}]"
-
-
-def _preimage(F: GridFunction, x_window: LatticeWindow | None,
-              policy: TruncationPolicy) -> GridFunction:
+def _preimage(F: GridFunction, policy: TruncationPolicy) -> GridFunction:
     """The inverse transform of F on its automatic window, with samples below
     1e-8 of the peak zeroed.
 
@@ -222,30 +218,25 @@ def _preimage(F: GridFunction, x_window: LatticeWindow | None,
     radius without bound, so the support must be thresholded before
     iterating.  The inverse leaves residue of up to ~2e-10 of the peak
     outside the support, while the in-support samples of random bumps stay
-    above ~1e-3 of it; the threshold sits between.  A given x_window does
-    not change the reconstruction: it must hold the thresholded samples, or
-    DivergenceError, since the radius of a preimage cut to it would not be
-    the preimage's.  At generic q the inverse is not exact and leaves
-    samples as large as the peak far outside the support, so no
-    support-sized x_window passes there.
+    above ~1e-3 of it; the threshold sits between.  That holds only where
+    q's lattice-alignment residual is exactly 0.  Elsewhere, even at a
+    double-rounded aligned root, thousands of residue samples stay above
+    the threshold (up to the peak's size at generic q), no threshold
+    separates them from the support, and DivergenceError is raised.
     """
+    eps, _ = lattice_alignment(F.params.q)
+    if eps != 0.0:
+        raise DivergenceError(
+            f"cannot reconstruct the preimage at q={F.params.q!r}: its lattice-alignment "
+            f"residual {eps:.2e} is not 0, so the inverse leaves residue outside the "
+            "support that no threshold separates from it; give the preimage (f_hat)")
     raw = inverse(F, policy=policy).grid
     absf = np.abs(raw.samples)
-    f_hat = raw.with_samples(np.where(absf > 1e-8 * float(np.max(absf)), raw.samples, 0.0))
-    if x_window is not None and np.any(f_hat.samples):
-        box, x = _nonzero_box(f_hat).window, x_window
-        if not (x.n1_min <= box.n1_min and box.n1_max <= x.n1_max
-                and x.n2_min <= box.n2_min and box.n2_max <= x.n2_max):
-            raise DivergenceError(
-                f"x_window {_bounds(x)} does not hold the preimage: its inverse on the "
-                f"automatic window {_bounds(f_hat.window)} has samples above 1e-8 of "
-                f"the peak on {_bounds(box)}")
-    return f_hat
+    return raw.with_samples(np.where(absf > 1e-8 * float(np.max(absf)), raw.samples, 0.0))
 
 
 def bandwidth_estimate(F: GridFunction, N: int,
                        policy: TruncationPolicy = DEFAULT_POLICY, *,
-                       x_window: LatticeWindow | None = None,
                        f_hat: GridFunction | None = None) -> BandwidthReport:
     """Estimate the support radius of the preimage from iterated-operator norms.
 
@@ -254,7 +245,7 @@ def bandwidth_estimate(F: GridFunction, N: int,
     and compares with the directly measured support radius of the inverse
     transform.  The numerics confirm the sup||x|| normalization of the
     limit (not sup||x||^2); both are reported.  Without f_hat the preimage
-    is reconstructed by _preimage, which checks it against x_window.
+    is reconstructed by _preimage, which needs q's alignment residual to be 0.
     """
     if N < 1:
         raise QDomainError("bandwidth_estimate needs N >= 1")
@@ -263,7 +254,7 @@ def bandwidth_estimate(F: GridFunction, N: int,
                                oracle_radius=0.0, n_used=N, route_max_rel_dev=0.0,
                                exponent_normalization="sup||x|| (trivial)")
     if f_hat is None:
-        f_hat = _preimage(F, x_window, policy)
+        f_hat = _preimage(F, policy)
     oracle = support_radius(f_hat)
 
     eng = TransformSideIterates(f_hat, N, policy=policy)
@@ -325,7 +316,8 @@ def pw_m_sup(F: GridFunction, p: PWmParams,
 
     Enforces m > alpha + 3/2.  Returns (running sup, per-n sup values); the
     per-n values are computed in log space so deep windows cannot overflow.
-    Without f_hat the preimage is reconstructed by _preimage.
+    Without f_hat the preimage is reconstructed by _preimage, which needs q's
+    alignment residual to be 0.
     """
     alpha = F.params.alpha
     if not (p.m > alpha + 1.5):
@@ -333,7 +325,7 @@ def pw_m_sup(F: GridFunction, p: PWmParams,
     if float(np.max(np.abs(F.samples))) == 0.0:
         return 0.0, [0.0] * (p.N - p.m + 1)
     if f_hat is None:
-        f_hat = _preimage(F, None, policy)
+        f_hat = _preimage(F, policy)
     eng = TransformSideIterates(f_hat, p.N, policy=policy)
     log_1px2 = np.log1p(norm_sq_lambda(eng.window, F.params))
     log_a = math.log(p.a)

@@ -33,7 +33,6 @@ class SeriesValue:
     """A truncated series evaluation with diagnostics."""
 
     value: complex
-    terms_used: int
     est_tail: float
 
     def __complex__(self):
@@ -73,7 +72,7 @@ def bessel_j(alpha: float, x: complex, params: QParams,
                 break
         if n > 100000:
             raise ArithmeticError("bessel_j series failed to terminate")
-    return SeriesValue(value=total, terms_used=n + 1, est_tail=est_tail)
+    return SeriesValue(value=total, est_tail=est_tail)
 
 
 def qcos(x: complex, params: QParams, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:

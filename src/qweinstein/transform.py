@@ -125,7 +125,6 @@ class TransformResult:
 
     grid: GridFunction
     tail_bound: float
-    policy_used: TruncationPolicy
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -219,7 +218,7 @@ def forward(f: GridFunction, lambda_window: LatticeWindow | None = None,
         out = _transform_array(f.samples, f.window, lambda_window, f.params, policy, conj=_conj)
         grid = GridFunction(f.params, lambda_window, EVEN, out)
     tail = _tail_report(grid)
-    return TransformResult(grid=grid, tail_bound=tail, policy_used=policy,
+    return TransformResult(grid=grid, tail_bound=tail,
                            diagnostics={"input_edge_mass_ratio": edge_ratio})
 
 

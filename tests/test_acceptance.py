@@ -183,7 +183,7 @@ def test_criterion_5_bandwidth():
         hi = 2 + (i % 4)
         f = random_even_bump(params, LatticeWindow(lo, hi, lo, hi), 300 + i, pad=1)
         F = forward(f)
-        rep = bandwidth_estimate(F.grid, 50, x_window=f.window, f_hat=f)
+        rep = bandwidth_estimate(F.grid, 50, f_hat=f)
         r = support_radius(f)
         worst_dev = max(worst_dev, abs(rep.estimate / r - 1.0))
         worst_route = max(worst_route, rep.route_max_rel_dev)

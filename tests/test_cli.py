@@ -4,7 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from qweinstein import LatticeWindow, QParams, lp_norm
+from qweinstein import (
+    DivergenceError,
+    LatticeWindow,
+    PWmParams,
+    QParams,
+    bandwidth_estimate,
+    forward,
+    inverse,
+    lp_norm,
+    pw_m_sup,
+    support_radius,
+)
 from qweinstein.cli import (
     FileFormatError,
     JobConfig,
@@ -13,6 +24,7 @@ from qweinstein.cli import (
     read_gridfunction,
     write_gridfunction,
 )
+from qweinstein.qcore import aligned_q
 
 from . import oracles
 
@@ -114,7 +126,7 @@ def test_bandwidth_cli(tmp_path, capsys):
                  "gen", "--support=0,2,0,2", "--out", str(src)]) == 0
     assert main(["transform", "--input", str(src), "--out", str(fwd)]) == 0
     capsys.readouterr()
-    rc = main(["--window=-2,4,-2,4", "bandwidth", "--input", str(fwd),
+    rc = main(["bandwidth", "--input", str(fwd),
                "--N", "20", "--out", str(csv_out)])
     assert rc == 0
     out = capsys.readouterr().out
@@ -205,7 +217,7 @@ def test_bandwidth_divergence_diagnostic_exit_2(tmp_path):
             for n2 in range(-3, 4):
                 lines.append(f"{sgn},{n1},{n2},1.0,0.0")
     path.write_text("\n".join(lines) + "\n")
-    rc = main(["--window=-2,4,-2,4", "bandwidth", "--input", str(path), "--N", "5"])
+    rc = main(["bandwidth", "--input", str(path), "--N", "5"])
     assert rc == 2
 
 
@@ -270,7 +282,8 @@ def test_bandwidth_ignores_inverse_residue(tmp_path, capsys):
     assert abs(float(out["estimate"]) / radius - 1.0) < 1e-3
 
 
-@pytest.mark.parametrize("line", ["seed=abc", "q=x", "n1_min=1.5"])
+@pytest.mark.parametrize("line", ["seed=abc", "q=x", "n1_min=1.5",
+                                  "series_tol=1e-3", "sum_n_max=60"])
 def test_config_unparsable_value_exit_1(tmp_path, capsys, line):
     path = tmp_path / "job.cfg"
     path.write_text(f"alpha=0.5\n{line}\n")
@@ -497,7 +510,7 @@ def test_one_shell_window_bandwidth_and_verify(tmp_path, capsys):
     src, F = tmp_path / "f.csv", tmp_path / "F.json"
     assert main(["gen", "--support=0,0,0,0", "--out", str(src)]) == 0
     assert main(["transform", "--input", str(src), "--out", str(F), "--format", "json"]) == 0
-    assert main(["bandwidth", "--input", str(F), "--window=0,0,0,0"]) == 0
+    assert main(["bandwidth", "--input", str(F)]) == 0
     assert main(["verify", "--suite", "plancherel", "--window=0,0,0,0"]) == 3
     assert "[FAIL]" in capsys.readouterr().out
 
@@ -537,28 +550,62 @@ def _fields(out: str) -> dict:
     return dict(line.split("=", 1) for line in out.splitlines())
 
 
-@pytest.mark.parametrize("window, q", [("-1,3,-1,3", "0.5"), ("0,0,0,0", "0.5"),
-                                       ("-2,3,-2,4", "0.5"), ("-2,4,-2,4", "0.7")])
-def test_bandwidth_window_cutting_the_support_exit_2(tmp_path, capsys, window, q):
-    # the truncated preimage's radius (2.83 and 1.41 for the first two) is
-    # not the answer, which is 5.657.  At q = 0.7 the inverse is not exact:
-    # its samples outside the support reach the peak's size, so even the
-    # true support does not hold them, and a radius read off it would only
-    # be the window's own
-    rc, captured = _bandwidth_run(tmp_path, capsys, [f"--window={window}"], q=q)
-    assert rc == 2
-    assert "numerical diagnostic:" in captured.err and "does not hold" in captured.err
+@pytest.mark.parametrize("window", ["-1,3,-1,3", "-2,3,-2,4", "0,0,0,0", "-3,5,-3,5",
+                                    "config"])
+def test_bandwidth_rejects_window_exit_1(tmp_path, capsys, window):
+    # bandwidth reconstructs the preimage on its automatic window, so a
+    # window would only be a silent no-op or a cut support (the first three
+    # cut the support -2,4,-2,4, the fourth holds it)
+    flags = [f"--window={window}"]
+    if window == "config":
+        cfg = tmp_path / "window.cfg"
+        cfg.write_text("n1_min=-2\nn1_max=4\nn2_min=-2\nn2_max=4\n")
+        flags = ["--config", str(cfg)]
+    rc, captured = _bandwidth_run(tmp_path, capsys, flags)
+    assert rc == 1
+    assert "error: bandwidth takes no --window" in captured.err
     assert "estimate=" not in captured.out
 
 
 @pytest.mark.parametrize("window", ["-2,4,-2,4", "-3,5,-3,5"], ids=["support", "padded"])
 def test_bandwidth_window_holding_the_support_matches_no_window(tmp_path, capsys, window):
+    # a preimage read on a window that holds the support, thresholded as
+    # bandwidth thresholds its own, gives the automatic window's numbers bit
+    # for bit: the reason bandwidth needs no window
     rc, plain = _bandwidth_run(tmp_path, capsys, [])
     assert rc == 0
-    rc, windowed = _bandwidth_run(tmp_path, capsys, [f"--window={window}"])
-    assert rc == 0
-    assert windowed.out == plain.out
+    F = read_gridfunction(str(tmp_path / "F.csv"))
+    raw = inverse(F, x_window=LatticeWindow(*[int(v) for v in window.split(",")])).grid
+    absf = np.abs(raw.samples)
+    f_hat = raw.with_samples(np.where(absf > 1e-8 * float(np.max(absf)), raw.samples, 0.0))
+    windowed, auto = bandwidth_estimate(F, 20, f_hat=f_hat), bandwidth_estimate(F, 20)
+    assert (windowed.a_seq, windowed.a_seq_literal) == (auto.a_seq, auto.a_seq_literal)
+    assert (windowed.estimate, windowed.oracle_radius) == (auto.estimate, auto.oracle_radius)
+    assert _fields(plain.out)["estimate"] == f"{windowed.estimate:.8g}"
     assert abs(float(_fields(plain.out)["estimate"]) / (4.0 * math.sqrt(2.0)) - 1.0) < 1e-3
+
+
+@pytest.mark.parametrize("q", [0.7, aligned_q(2)], ids=["generic", "aligned-2"])
+def test_bandwidth_needs_exact_alignment_exit_2(tmp_path, capsys, q):
+    # off exact alignment the inverse leaves residue above the threshold
+    # (about 13,400 samples at 0.7, 4,300 at aligned_q(2), against 98 at
+    # 1/2), and the radius read off it was 1.34e7 and 4.39e5 for a true
+    # 2.886 and 3.702; without a preimage, bandwidth now stops instead
+    rc, captured = _bandwidth_run(tmp_path, capsys, ["--N", "20"], q=repr(q))
+    assert rc == 2
+    assert "numerical diagnostic:" in captured.err and "lattice-alignment" in captured.err
+    assert "estimate=" not in captured.out
+    p = QParams(q=q, alpha=0.0)
+    f = random_even_bump(p, LatticeWindow(-2, 4, -2, 4), seed=1, pad=1)
+    F = forward(f).grid
+    m = 3
+    pw = PWmParams(m=m, a=support_radius(f) / q ** (4 * m), N=2 * m + 2)
+    with pytest.raises(DivergenceError, match="lattice-alignment"):
+        bandwidth_estimate(F, 5)
+    with pytest.raises(DivergenceError, match="lattice-alignment"):
+        pw_m_sup(F, pw)
+    assert bandwidth_estimate(F, 5, f_hat=f).n_used == 5
+    assert len(pw_m_sup(F, pw, f_hat=f)[1]) == pw.N - m + 1
 
 
 def test_bandwidth_prints_core_last_n(tmp_path, capsys):

@@ -108,7 +108,7 @@ def test_bandwidth_single_point_preimage():
     p = QParams(q=0.5, alpha=0.0)
     f = single_point(p, 0, 1)
     F = forward(f)
-    rep = bandwidth_estimate(F.grid, 30, x_window=f.window, f_hat=f)
+    rep = bandwidth_estimate(F.grid, 30, f_hat=f)
     r = support_radius(f)
     assert abs(rep.estimate / r - 1) < 1e-6
     assert rep.route_max_rel_dev < 1e-6
@@ -119,14 +119,14 @@ def test_bandwidth_random_bump():
     p = QParams(q=0.5, alpha=0.0)
     f = make_bump(p, seed=51, lo1=-2, hi1=4, lo2=-2, hi2=4, pad=1)
     F = forward(f)
-    rep = bandwidth_estimate(F.grid, 50, x_window=f.window, f_hat=f)
+    rep = bandwidth_estimate(F.grid, 50, f_hat=f)
     r = support_radius(f)
     assert abs(rep.estimate / r - 1) < 0.02
     assert rep.route_max_rel_dev < 1e-6
     # enlarging the support never decreases the estimate
     g = make_bump(p, seed=51, lo1=-3, hi1=4, lo2=-3, hi2=4, pad=1)
     G = forward(g)
-    rep2 = bandwidth_estimate(G.grid, 50, x_window=g.window, f_hat=g)
+    rep2 = bandwidth_estimate(G.grid, 50, f_hat=g)
     assert rep2.estimate >= rep.estimate * (1 - 1e-9)
 
 
@@ -135,7 +135,7 @@ def test_bandwidth_through_inverse_reconstruction():
     p = QParams(q=0.5, alpha=0.0)
     f = make_bump(p, seed=52, lo1=-1, hi1=3, lo2=-1, hi2=3, pad=1)
     F = forward(f)
-    rep = bandwidth_estimate(F.grid, 30, x_window=embed_zeros(f, 2, 2).window)
+    rep = bandwidth_estimate(F.grid, 30)
     assert abs(rep.estimate / support_radius(f) - 1) < 0.02
 
 
