@@ -350,9 +350,6 @@ def _cmd_transform(args, cfg: JobConfig) -> int:
 
 
 def _cmd_bandwidth(args, cfg: JobConfig) -> int:
-    if cfg.window() is not None:
-        raise QDomainError("bandwidth takes no --window (nor n1_/n2_ config keys): it "
-                           "reconstructs the preimage on its automatic window")
     rep = bandwidth_estimate(read_gridfunction(args.input), cfg.N)
     print(f"estimate={rep.estimate:.8g}")
     print(f"oracle_radius={rep.oracle_radius:.8g}")
@@ -545,6 +542,11 @@ def _merge_config(args) -> JobConfig:
     window = getattr(args, "window", None)
     if window:
         cfg.n1_min, cfg.n1_max, cfg.n2_min, cfg.n2_max = _parse_window(window, "--window")
+    # a window that the command would ignore is an error, not a silent no-op
+    what = args.command + (f" --suite {args.suite}" if args.command == "verify" else "")
+    if cfg.window() is not None and what not in ("transform", "verify --suite plancherel"):
+        raise QDomainError(f"{what} takes no --window (nor n1_/n2_ config keys); only "
+                           "transform and verify --suite plancherel read one")
     if cfg.seed < 0:
         raise QDomainError(f"seed must be >= 0, got {cfg.seed}")
     if not (math.isfinite(cfg.tol) and cfg.tol > 0):

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .qcore import DEFAULT_POLICY, DivergenceError, QDomainError, QParams, TruncationPolicy
-from .qops import EVEN, GridFunction
+from .qops import EVEN, GridFunction, LatticeWindow
 
 
 @dataclass(frozen=True)
@@ -87,22 +87,28 @@ def mu_weights(f: GridFunction) -> np.ndarray:
     """Weight array of the measure x2^(2a+1) d_q x1 d_q x2 on f's window.
 
     Entry (s, i1, i2) is (1-q)^2 q^n1 q^(n2 (2a+2)); kept in float64, with
-    log-space fallbacks in the norm helpers for deep windows.
+    log-space fallbacks in the norm helpers for deep windows; read-only.
     """
-    return np.exp(log_mu_weights(f))
+    return np.broadcast_to(mu_table(f.window, f.params), f.window.shape)
 
 
 def log_mu_weights(f: GridFunction) -> np.ndarray:
     """Log of the mu_weights entries, computed directly so deep windows cannot overflow."""
-    q = f.params.q
-    n1 = f.window.n1_exponents().astype(float)
-    n2 = f.window.n2_exponents().astype(float)
-    logw = (
-        2.0 * math.log1p(-q)
-        + n1[:, None] * math.log(q)
-        + n2[None, :] * (2.0 * f.params.alpha + 2.0) * math.log(q)
-    )
-    return np.broadcast_to(logw[None, :, :], f.window.shape)
+    return np.broadcast_to(log_mu_table(f.window, f.params), f.window.shape)
+
+
+def mu_table(window: LatticeWindow, params: QParams) -> np.ndarray:
+    """The (N1, N2) table of mu weights on a window, which both signs of x1 share."""
+    return np.exp(log_mu_table(window, params))
+
+
+def log_mu_table(window: LatticeWindow, params: QParams) -> np.ndarray:
+    """Log of the mu_table entries."""
+    q = params.q
+    n1 = window.n1_exponents().astype(float)
+    n2 = window.n2_exponents().astype(float)
+    return (2.0 * math.log1p(-q) + n1[:, None] * math.log(q)
+            + n2[None, :] * (2.0 * params.alpha + 2.0) * math.log(q))
 
 
 def edge_shell_mass(mass: np.ndarray, depth: int = 0) -> list[float]:

@@ -10,9 +10,11 @@ The kernel e(-i l1 x1; q^2) j_alpha(l2 x2; q^2) separates into 1-D kernel
 families indexed by the exponent sum of argument products.  Split by the
 sign of x1, the cosine family sees only the even part of the data and the
 sine family only the odd part, so a transform is two matrix products with
-real kernel matrices (_transform_array); the summation noise floor is the
-cosine product on the kernel moduli.  Families come from qspecial and stay accurate (or cleanly
-underflow to exact zero) arbitrarily deep into the lattice.
+real kernel matrices (_transform_array), the left ones real GEMMs on the
+interleaved data; the summation noise floor is the cosine product on the
+kernel moduli.  The automatic window weighs each cell once.  Families come from
+qspecial and stay accurate (or cleanly underflow to exact zero) arbitrarily
+deep into the lattice.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from .qcore import (
     qgamma_base,
     qshifted,
 )
-from .qintegrate import edge_shell_mass, integrate_mu, log_mu_weights
-from .qops import EVEN, GridFunction, LatticeWindow, bessel_op, dq_ladder, weinstein_op
+from .qintegrate import edge_shell_mass, integrate_mu, mu_table
+from .qops import (EVEN, GridFunction, LatticeWindow, bessel_op, dq_ladder, require_finite,
+                   weinstein_op)
 from .qspecial import (
     bessel_j,
     bessel_j_exponent_family,
@@ -161,17 +164,22 @@ def _contract(kernel: tuple, data: np.ndarray, conj: bool) -> np.ndarray:
     """The sign-split product of _transform_array with prebuilt kernel matrices."""
     C, S, Jw, x1w = kernel
     d = data * x1w                                            # d_q x1 weight (per sign)
-    a = C @ (d[0] + d[1]) @ Jw.T
-    ib = S @ (d[0] - d[1]) @ Jw.T * (-1j if conj else 1j)
+    a = _real_left(C, d[0] + d[1]) @ Jw.T
+    ib = _real_left(S, d[0] - d[1]) @ Jw.T * (-1j if conj else 1j)
     out = np.empty((2,) + a.shape, dtype=np.complex128)   # no output-sized temporaries
     np.subtract(a, ib, out=out[0])
     np.add(a, ib, out=out[1])
     return out
 
 
+def _real_left(M: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """M @ z for real M and C-contiguous complex128 z, as one real GEMM on z's (re, im) pairs."""
+    return (M @ z.view(np.float64)).view(np.complex128)
+
+
 def _input_edge_ratio(samples: np.ndarray, weights: np.ndarray, edge_tol: float = 0.02) -> float:
     """Share of the L2 mass |samples|^2 weights on the outermost shells, where weights
-    are the window's measure weights; DivergenceError above edge_tol."""
+    is the window's (N1, N2) table of measure weights; DivergenceError above edge_tol."""
     mass = np.abs(samples) ** 2 * weights
     total = float(mass.sum())
     edge_ratio = sum(edge_shell_mass(mass)) / total if total else 0.0
@@ -183,9 +191,10 @@ def _input_edge_ratio(samples: np.ndarray, weights: np.ndarray, edge_tol: float 
     return edge_ratio
 
 
-def _tail_report(grid: GridFunction) -> float:
-    """Estimated relative L2 mass beyond the window, from edge-shell decay."""
-    mass = np.abs(grid.samples) ** 2 * np.exp(log_mu_weights(grid))
+def _tail_report(abs_samples: np.ndarray, weights: np.ndarray) -> float:
+    """Estimated relative L2 mass beyond the window, from edge-shell decay of
+    |samples|^2 weights, where weights is the window's (N1, N2) weight table."""
+    mass = abs_samples ** 2 * weights
     total = float(mass.sum())
     if total == 0.0:
         return 0.0
@@ -211,13 +220,13 @@ def forward(f: GridFunction, lambda_window: LatticeWindow | None = None,
     """
     if f.parity_y != EVEN:
         raise QDomainError("forward requires even parity in the second variable")
-    edge_ratio = _input_edge_ratio(f.samples, np.exp(log_mu_weights(f)), edge_tol)
+    edge_ratio = _input_edge_ratio(f.samples, mu_table(f.window, f.params), edge_tol)
     if lambda_window is None:
-        grid = _auto_window_transform(f, policy, auto_tol, _conj)
+        grid, tail = _auto_window_transform(f, policy, auto_tol, _conj)
     else:
         out = _transform_array(f.samples, f.window, lambda_window, f.params, policy, conj=_conj)
         grid = GridFunction(f.params, lambda_window, EVEN, out)
-    tail = _tail_report(grid)
+        tail = _tail_report(np.abs(out), mu_table(lambda_window, f.params))
     return TransformResult(grid=grid, tail_bound=tail,
                            diagnostics={"input_edge_mass_ratio": edge_ratio})
 
@@ -233,20 +242,21 @@ def inverse(F: GridFunction, x_window: LatticeWindow | None = None,
 def auto_lambda_window(f: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY,
                        tol: float = 1e-12) -> LatticeWindow:
     """Select a spectral window with relative edge tails below tol (see _auto_window_transform)."""
-    return _auto_window_transform(f, policy, tol).window
+    return _auto_window_transform(f, policy, tol)[0].window
 
 
 def _auto_window_transform(f: GridFunction, policy: TruncationPolicy, tol: float,
-                           conj: bool = False) -> GridFunction:
-    """The transform of f on an automatically selected spectral window.
+                           conj: bool = False) -> tuple[GridFunction, float]:
+    """The transform of f on an automatically selected spectral window, and its tail report.
 
     The transform is evaluated once on a generous window (outer edges at
     the kernel truncation frontier, where deeper shells are exact zeros;
     inner edges where the measure weight has decayed past tol), then the
     window is trimmed from each edge while the cumulative trimmed mass
     stays below tol/8 of the total, and the trimmed slice is returned.
-    Conjugation only swaps the two signs of l1, so it leaves the window
-    unchanged.
+    One |out| and one weight table of the generous window serve both the
+    trim and the tail report.  Conjugation only swaps the two signs of l1,
+    so it leaves the window unchanged.
     """
     q = f.params.q
     alpha = f.params.alpha
@@ -262,13 +272,15 @@ def _auto_window_transform(f: GridFunction, policy: TruncationPolicy, tol: float
     win = LatticeWindow(m1_lo, m1_hi, m2_lo, m2_hi)
 
     out = _transform_array(f.samples, f.window, win, f.params, policy, conj=conj)
-    grid = GridFunction(f.params, win, EVEN, out)
+    require_finite(out)
     # reconstruction error is linear in the discarded |F| mass, so the
     # trim budget uses the L1 shell masses, not the squared ones
-    l1 = np.abs(out) * np.exp(log_mu_weights(grid))
+    abs_out = np.abs(out)
+    weights = mu_table(win, f.params)
+    l1 = abs_out * weights
     total = float(l1.sum())
     if total == 0.0:
-        return GridFunction.zeros(f.params, LatticeWindow(-8 - w.n1_max, 8, -8 - w.n2_max, 8))
+        return GridFunction.zeros(f.params, LatticeWindow(-8 - w.n1_max, 8, -8 - w.n2_max, 8)), 0.0
 
     budget = tol / 8.0 * total
 
@@ -282,9 +294,10 @@ def _auto_window_transform(f: GridFunction, policy: TruncationPolicy, tol: float
     )
     trimmed = LatticeWindow(win.n1_min + c_lo1, win.n1_max - c_hi1,
                             win.n2_min + c_lo2, win.n2_max - c_hi2)
-    # a copy, so the generous window's array is freed with this call
-    return GridFunction(f.params, trimmed, EVEN,
-                        out[:, c_lo1:len(mass_m1) - c_hi1, c_lo2:len(mass_m2) - c_hi2].copy())
+    s1, s2 = slice(c_lo1, len(mass_m1) - c_hi1), slice(c_lo2, len(mass_m2) - c_hi2)
+    tail = _tail_report(abs_out[:, s1, s2], weights[s1, s2])
+    # a copy, so the generous window's arrays are freed with this call
+    return GridFunction(f.params, trimmed, EVEN, out[:, s1, s2].copy()), tail
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +414,7 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None,
     kernel = _kernel_matrices(fpad.window, lam_pad, f.params, policy)
     C, S, Jw, x1w = kernel
     abs_C, abs_JwT = np.hypot(C, S), np.abs(Jw).T
-    weights = np.exp(log_mu_weights(fpad))
+    weights = mu_table(fpad.window, f.params)
 
     def transform(g: GridFunction) -> GridFunction:
         _input_edge_ratio(g.samples, weights)

@@ -567,6 +567,42 @@ def test_bandwidth_rejects_window_exit_1(tmp_path, capsys, window):
     assert "estimate=" not in captured.out
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["gen", "identities", "orthogonality", "sonine", "bounds",
+                                     "pw-m"])
+def test_window_that_the_command_ignores_exit_1(tmp_path, capsys, command, source):
+    # these commands and suites fix their own windows, so a window would be
+    # a silent no-op: gen would write the same file, the suite the same rows
+    out = tmp_path / "f.csv"
+    if command == "gen":
+        argv, what = ["gen", "--support=0,1,0,1", "--out", str(out)], "gen"
+    else:
+        argv, what = ["verify", "--suite", command], f"verify --suite {command}"
+    flags = ["--window=0,0,0,0"]
+    if source == "config":
+        cfg = tmp_path / "window.cfg"
+        cfg.write_text("n1_min=0\nn1_max=0\nn2_min=0\nn2_max=0\n")
+        flags = ["--config", str(cfg)]
+    assert main(flags + argv) == 1
+    captured = capsys.readouterr()
+    assert f"error: {what} takes no --window" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_verify_plancherel_reads_window_from_flag_and_config(tmp_path, capsys):
+    # the spectral window of test_verify_shrunken_window_fails, from either source
+    base = ["--q", "0.5", "--seed", "2", "--tol", "1e-6"]
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text("n1_min=-1\nn1_max=3\nn2_min=-1\nn2_max=3\n")
+    rows = []
+    for flags in ([], ["--window=-1,3,-1,3"], ["--config", str(cfg)]):
+        rc = main(base + flags + ["verify", "--suite", "plancherel"])
+        rows.append((rc, capsys.readouterr().out))
+    assert rows[0][0] == 0 and rows[1][0] == rows[2][0] == 3
+    assert rows[1][1] == rows[2][1] != rows[0][1]
+
+
 @pytest.mark.parametrize("window", ["-2,4,-2,4", "-3,5,-3,5"], ids=["support", "padded"])
 def test_bandwidth_window_holding_the_support_matches_no_window(tmp_path, capsys, window):
     # a preimage read on a window that holds the support, thresholded as

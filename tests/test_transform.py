@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from qweinstein import (
     GridFunction,
@@ -20,6 +21,7 @@ from qweinstein import (
     qshifted,
 )
 from qweinstein.qcore import aligned_q, qgamma_base
+from qweinstein.qintegrate import mu_weights
 from qweinstein.qops import EVEN, weinstein_op
 from qweinstein.transform import (
     apply_weinstein_spectrally,
@@ -302,6 +304,83 @@ def test_forward_matches_direct_kernel_sum():
     assert max_rel(F.samples, want) <= 1e-12
 
 
+def test_inverse_matches_direct_kernel_sum():
+    # the inverse sums against the conjugate kernel e(+i l1 x1) j(l2 x2):
+    # a sign slip in the conjugated (sine) part of the contraction shows here
+    p = QParams(q=0.5, alpha=0.5)
+    q = p.q
+    F = make_bump(p, seed=53, lo1=-1, hi1=2, lo2=-1, hi2=2)
+    assert np.all(F.samples[:, 1:-1, 1:-1] != 0)
+    x_win = LatticeWindow(-1, 2, -1, 2)
+    f = inverse(F, x_window=x_win).grid
+    K = normalization_K(p)
+    want = np.zeros(x_win.shape, dtype=complex)
+    for sx, i1, i2 in np.ndindex(*x_win.shape):
+        x_conj = (-(1 - 2 * sx) * q ** float(x_win.n1_min + i1), q ** float(x_win.n2_min + i2))
+        for sl, j1, j2 in zip(*np.nonzero(F.samples)):
+            m1, m2 = F.window.n1_min + j1, F.window.n2_min + j2
+            lam = ((1 - 2 * sl) * q ** float(m1), q ** float(m2))
+            dmu = (1 - q) ** 2 * q**m1 * q ** ((2 * p.alpha + 2) * m2)
+            want[sx, i1, i2] += K * F.samples[sl, j1, j2] * dmu * kernel_eval(x_conj, lam, p)
+    assert max_rel(f.samples, want) <= 1e-12
+
+
+def _edge_decay_tail(G: GridFunction) -> float:
+    """The tail rule restated: per window edge, the edge shell's L2 mass times
+    r / (1 - r), r the edge-to-next-shell mass ratio (0.9 when the mass does
+    not decay, at most 0.95), summed and divided by the total mass."""
+    mass = np.abs(G.samples) ** 2 * mu_weights(G)
+    shells = [(mass[:, 0, :], mass[:, 1, :]), (mass[:, -1, :], mass[:, -2, :]),
+              (mass[:, :, 0], mass[:, :, 1]), (mass[:, :, -1], mass[:, :, -2])]
+    tails = 0.0
+    for edge, nxt in ((float(e.sum()), float(n.sum())) for e, n in shells):
+        if edge != 0.0:
+            r = min(edge / nxt if nxt > edge else 0.9, 0.95)
+            tails += edge * r / (1.0 - r)
+    return tails / float(mass.sum())
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_tail_bound_is_the_edge_shell_decay_rule(alpha):
+    p = QParams(q=0.5, alpha=alpha)
+    f = make_bump(p, seed=54, lo1=-2, hi1=4, lo2=-2, hi2=4)
+    F = forward(f)
+    assert F.tail_bound == _edge_decay_tail(F.grid)
+    back = inverse(F.grid)
+    assert back.tail_bound == _edge_decay_tail(back.grid)
+    fixed = forward(f, lambda_window=LatticeWindow(-4, 6, -4, 6))
+    assert fixed.tail_bound == _edge_decay_tail(fixed.grid) > 0.0
+
+
+def test_auto_window_builds_one_weight_table_per_window(monkeypatch):
+    # one table for the input's edge check and one for the generous window,
+    # whose slice serves the tail report of the trimmed window
+    from qweinstein import transform
+
+    def extents(w):
+        return (w.n1_min, w.n1_max, w.n2_min, w.n2_max)
+
+    tables = []
+    build = transform.mu_table
+
+    def counted(window, params):
+        tables.append(extents(window))
+        return build(window, params)
+
+    monkeypatch.setattr(transform, "mu_table", counted)
+    p = QParams(q=0.5, alpha=0.5)
+    G = make_bump(p, seed=55)
+    for run in (forward, inverse):
+        tables.clear()
+        out = run(G).grid
+        w = out.window
+        assert len(tables) == 2 and tables[0] == extents(G.window)
+        lo1, hi1, lo2, hi2 = tables[1]
+        assert lo1 <= w.n1_min and hi1 >= w.n1_max and lo2 <= w.n2_min and hi2 >= w.n2_max
+        assert tables[1] != extents(w)        # the trimmed window has no table of its own
+        G = out
+
+
 def test_auto_window_transform_matches_fixed_window():
     p = QParams(q=0.5, alpha=0.0)
     f = make_bump(p, seed=51, lo1=-3, hi1=5, lo2=-3, hi2=5)
@@ -359,3 +438,41 @@ def test_identity_suite_builds_each_kernel_once(monkeypatch):
     fpad = (w.n1_min - pad, w.n1_max + pad, w.n2_min - pad, w.n2_max + pad)
     assert builds[fpad, extents(rep.lambda_window)] == 1
     assert max(builds.values()) == 1
+
+
+# ---------------------------------------------------------------------------
+# lattice dilation covariance
+# ---------------------------------------------------------------------------
+
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.just(0.5) | st.floats(0.1, 0.9),
+       alpha=st.integers(-1, 3).map(lambda k: k / 2) | st.floats(-0.5, 1.5),
+       lo1=st.integers(-3, 2), lo2=st.integers(-3, 2), w1=st.integers(0, 3), w2=st.integers(0, 3),
+       m1=st.integers(-6, 2), m2=st.integers(-6, 2), v1=st.integers(0, 6), v2=st.integers(0, 6),
+       seed=st.integers(0, 2**32 - 1))
+@example(q=0.5, alpha=0.0, lo1=-2, lo2=-2, w1=3, w2=3, m1=-4, m2=-4, v1=6, v2=6, seed=1)
+@example(q=0.5, alpha=1.5, lo1=-2, lo2=-2, w1=3, w2=3, m1=-4, m2=-4, v1=6, v2=6, seed=2)
+@example(q=0.7, alpha=0.5, lo1=-2, lo2=-2, w1=3, w2=3, m1=-4, m2=-4, v1=6, v2=6, seed=3)
+@example(q=0.9, alpha=-0.5, lo1=-2, lo2=-2, w1=3, w2=3, m1=-4, m2=-4, v1=6, v2=6, seed=4)
+def test_forward_is_covariant_under_lattice_dilation(q, alpha, lo1, lo2, w1, w2, m1, m2, v1, v2,
+                                                     seed):
+    # g(x) = f(x / q) holds f's samples on the window shifted by +1 in both
+    # exponents; the kernel families depend on k = m + n only and the weights
+    # are monomials, so forward(g) on the lambda-window shifted by -1 is
+    # q^(2a+3) forward(f).  At q = 1/2 with 2a an integer every weight
+    # ratio is a power of two and the identity holds bit for bit
+    p = QParams(q=q, alpha=alpha)
+    f = make_bump(p, seed, lo1, lo1 + w1, lo2, lo2 + w2, pad=2)
+    w = f.window
+    g = GridFunction(p, LatticeWindow(w.n1_min + 1, w.n1_max + 1, w.n2_min + 1, w.n2_max + 1),
+                     EVEN, f.samples)
+    lam = LatticeWindow(m1, m1 + v1, m2, m2 + v2)
+    lam_g = LatticeWindow(m1 - 1, m1 + v1 - 1, m2 - 1, m2 + v2 - 1)
+    lhs = forward(g, lambda_window=lam_g).grid.samples
+    rhs = q ** (2.0 * alpha + 3.0) * forward(f, lambda_window=lam).grid.samples
+    tol = 0.0 if q == 0.5 and (2.0 * alpha).is_integer() else 4e-15
+    assert np.max(np.abs(lhs - rhs)) <= tol * np.max(np.abs(rhs))
