@@ -2,7 +2,7 @@
 execution and theorem-level verification suites.
 
 Exit codes: 0 ok, 1 usage or parse error, 2 numerical diagnostics
-(divergence, taint exhaustion), 3 verification failure.
+(divergence, taint exhaustion, float64 overflow), 3 verification failure.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ import numpy as np
 
 from .qcore import (DEFAULT_POLICY, DivergenceError, QDomainError, QParams, TruncationPolicy,
                     lattice_alignment)
-from .qintegrate import log_l2_norm_sq, log_mu_weights, log_sum_exp
+from .qintegrate import log_l2_norm_sq, log_mu_table, log_mu_weights, log_sum_exp, mu_table
 from .qops import (_FLIP, EVEN, GridFunction, LatticeWindow, _weinstein_array, dq_ladder,
                    dq_mixed, require_finite, weinstein_op)
 from .qspecial import bessel_j, sonine_weight
@@ -122,9 +122,9 @@ class TransformSideIterates:
         self._log_amp_budget = math.log(1e-9 / 2.2e-16)   # junk budget over rounding
         w = auto_lambda_window(f_hat, policy, tol=1e-12)
         self.window = LatticeWindow(w.n1_min - 2, w.n1_max + 4, w.n2_min - 2, w.n2_max + 4)
-        grid = GridFunction.zeros(self.params, self.window, EVEN)
-        self._logw_lam = log_mu_weights(grid)
-        self._x1, self._x2 = grid.x1_values(), grid.x2_values()
+        self._logw_lam = np.broadcast_to(log_mu_table(self.window, self.params), self.window.shape)
+        x1 = q ** self.window.n1_exponents().astype(float)
+        self._x1, self._x2 = np.stack([x1, -x1]), q ** self.window.n2_exponents().astype(float)
         self._logw_x = log_mu_weights(f_hat)
         self._r2_x = norm_sq_lambda(f_hat.window, self.params)
 
@@ -138,7 +138,7 @@ class TransformSideIterates:
         eta = self.f_hat.samples.copy()
         G_prev = _contract(kernel, eta, conj=False)
         log_scale = 0.0
-        w_lin = np.exp(self._logw_lam)
+        w_lin = mu_table(self.window, params)
         m1, m2 = self.window.n1_exponents(), self.window.n2_exponents()
         for n in range(1, self.N + 1):
             eta_raw = eta * (-self._r2_x)

@@ -8,6 +8,7 @@ value instead of silently truncating.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -98,8 +99,18 @@ def log_mu_weights(f: GridFunction) -> np.ndarray:
 
 
 def mu_table(window: LatticeWindow, params: QParams) -> np.ndarray:
-    """The (N1, N2) table of mu weights on a window, which both signs of x1 share."""
-    return np.exp(log_mu_table(window, params))
+    """The (N1, N2) table of mu weights on a window, which both signs of x1 share.
+
+    Memoized, read-only, on the window's extents (not its taint) and params.
+    """
+    return _mu_table(window.n1_min, window.n1_max, window.n2_min, window.n2_max, params)
+
+
+@functools.lru_cache(maxsize=8)
+def _mu_table(n1_min: int, n1_max: int, n2_min: int, n2_max: int, params: QParams) -> np.ndarray:
+    table = np.exp(log_mu_table(LatticeWindow(n1_min, n1_max, n2_min, n2_max), params))
+    table.flags.writeable = False
+    return table
 
 
 def log_mu_table(window: LatticeWindow, params: QParams) -> np.ndarray:

@@ -15,6 +15,13 @@ interleaved data; the summation noise floor is the cosine product on the
 kernel moduli.  The automatic window weighs each cell once.  Families come from
 qspecial and stay accurate (or cleanly underflow to exact zero) arbitrarily
 deep into the lattice.
+
+The gathered kernel matrices (the 16 most recent window pairs) and the
+measure-weight tables (qintegrate.mu_table, the 8 most recent windows) are
+memoized and read-only, so transforms that revisit a window skip the gather
+and the exp.  An entry holds 3 (M, N) float arrays, or one (N1, N2) table;
+for a 61x61 support on its automatic window that is about 0.2 MB a kernel
+and 0.1 MB a table, 4 MB with both memos full.
 """
 
 from __future__ import annotations
@@ -34,8 +41,7 @@ from .qcore import (
     qshifted,
 )
 from .qintegrate import edge_shell_mass, integrate_mu, mu_table
-from .qops import (EVEN, GridFunction, LatticeWindow, bessel_op, dq_ladder, require_finite,
-                   weinstein_op)
+from .qops import EVEN, GridFunction, LatticeWindow, bessel_op, dq_ladder, weinstein_op
 from .qspecial import (
     bessel_j,
     bessel_j_exponent_family,
@@ -138,26 +144,48 @@ def _transform_array(data: np.ndarray, in_window: LatticeWindow, out_window: Lat
     The kernel e(-i l1 x1) = cos - i sign(l1 x1) sin splits the data by the
     sign of x1: the cosine part sees d+ + d-, the sine part d+ - d-, so the
     products a = C (d+ + d-) Jw^T and b = S (d+ - d-) Jw^T with real kernel
-    matrices give both signs of l1 as a -+ i kappa b.
+    matrices give both signs of l1 as a -+ i kappa b.  Values past the
+    float64 range come out as inf or nan, without a warning; _scaled_abs
+    raises OverflowError on them.
     """
-    return _contract(_kernel_matrices(in_window, out_window, params, policy), data, conj)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _contract(_kernel_matrices(in_window, out_window, params, policy), data, conj)
+
+
+_KERNEL_CACHE: dict = {}    # the 16 most recent _kernel_matrices, oldest first
 
 
 def _kernel_matrices(in_window: LatticeWindow, out_window: LatticeWindow, params: QParams,
                      policy: TruncationPolicy) -> tuple:
     """(C, S, Jw, x1w) of _transform_array: the gathered family matrices, with
-    K (1-q)^2 and the x2 measure weight folded into Jw, and the d_q x1 weight."""
+    K (1-q)^2 and the x2 measure weight folded into Jw, and the d_q x1 weight.
+
+    Memoized, read-only, on the two windows' extents (not their taint), params
+    and policy.  The families are looked up on every call; their values do
+    not depend on the cached exponent range, so a widened range gathers the
+    same kernel.
+    """
     q = params.q
-    n1 = in_window.n1_exponents()
-    n2 = in_window.n2_exponents()
-    k1 = np.add.outer(out_window.n1_exponents(), n1)
-    k2 = np.add.outer(out_window.n2_exponents(), n2)
-    cos_v, sin_v, j_v, lo = _families(params, int(min(k1.min(), k2.min())),
-                                      int(max(k1.max(), k2.max())), policy)
-    C, S, J = cos_v[k1 - lo], sin_v[k1 - lo], j_v[k2 - lo]    # (M1, N1), (M2, N2)
-    Jw = (normalization_K(params, policy) * (1.0 - q) ** 2
-          * J * q ** ((2.0 * params.alpha + 2.0) * n2.astype(float)))
-    return C, S, Jw, q ** n1.astype(float)[None, :, None]
+    w, v = in_window, out_window
+    cos_v, sin_v, j_v, lo = _families(params, min(v.n1_min + w.n1_min, v.n2_min + w.n2_min),
+                                      max(v.n1_max + w.n1_max, v.n2_max + w.n2_max), policy)
+    key = ((w.n1_min, w.n1_max, w.n2_min, w.n2_max), (v.n1_min, v.n1_max, v.n2_min, v.n2_max),
+           params, policy)
+    kernel = _KERNEL_CACHE.pop(key, None)
+    if kernel is None:
+        n1, n2 = w.n1_exponents(), w.n2_exponents()
+        k1 = np.add.outer(v.n1_exponents(), n1) - lo
+        k2 = np.add.outer(v.n2_exponents(), n2) - lo
+        C, S, J = cos_v[k1], sin_v[k1], j_v[k2]                  # (M1, N1), (M2, N2)
+        Jw = (normalization_K(params, policy) * (1.0 - q) ** 2
+              * J * q ** ((2.0 * params.alpha + 2.0) * n2.astype(float)))
+        kernel = C, S, Jw, q ** n1.astype(float)[None, :, None]
+        for a in kernel:
+            a.flags.writeable = False
+        if len(_KERNEL_CACHE) >= 16:
+            del _KERNEL_CACHE[next(iter(_KERNEL_CACHE))]
+    _KERNEL_CACHE[key] = kernel
+    return kernel
 
 
 def _contract(kernel: tuple, data: np.ndarray, conj: bool) -> np.ndarray:
@@ -177,10 +205,32 @@ def _real_left(M: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (M @ z.view(np.float64)).view(np.complex128)
 
 
+def _scaled_abs(z: np.ndarray) -> np.ndarray:
+    """|z| for complex z, scaled when its largest modulus lies outside
+    [2^-64, 2^64) by the power of two that brings it near 1; OverflowError
+    if z is not finite.
+
+    Masses built from it (|z|^2 times measure weights) and their sums then
+    stay far from overflow, and from underflowing as a whole; the scaling
+    is exact away from subnormals, so ratios of masses keep their bits.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.abs(z)
+    top = float(a.max()) if a.size else 0.0
+    if not top < math.inf:          # z is not finite, or only |z| overflowed
+        parts = z.view(np.float64)
+        if not np.all(np.isfinite(parts)):
+            raise OverflowError("the transform overflows float64; scale the input samples down")
+        e = math.frexp(max(float(parts.max()), -float(parts.min())))[1]
+        return np.abs(np.ldexp(parts, -e).view(np.complex128))
+    e = math.frexp(top)[1]
+    return a if -64 < e <= 64 else np.ldexp(a, -e, out=a)
+
+
 def _input_edge_ratio(samples: np.ndarray, weights: np.ndarray, edge_tol: float = 0.02) -> float:
     """Share of the L2 mass |samples|^2 weights on the outermost shells, where weights
     is the window's (N1, N2) table of measure weights; DivergenceError above edge_tol."""
-    mass = np.abs(samples) ** 2 * weights
+    mass = _scaled_abs(samples) ** 2 * weights
     total = float(mass.sum())
     edge_ratio = sum(edge_shell_mass(mass)) / total if total else 0.0
     if edge_ratio > edge_tol:
@@ -193,7 +243,8 @@ def _input_edge_ratio(samples: np.ndarray, weights: np.ndarray, edge_tol: float 
 
 def _tail_report(abs_samples: np.ndarray, weights: np.ndarray) -> float:
     """Estimated relative L2 mass beyond the window, from edge-shell decay of
-    |samples|^2 weights, where weights is the window's (N1, N2) weight table."""
+    |samples|^2 weights, where abs_samples is _scaled_abs(samples) or a slice of it
+    and weights is the window's (N1, N2) weight table."""
     mass = abs_samples ** 2 * weights
     total = float(mass.sum())
     if total == 0.0:
@@ -225,8 +276,8 @@ def forward(f: GridFunction, lambda_window: LatticeWindow | None = None,
         grid, tail = _auto_window_transform(f, policy, auto_tol, _conj)
     else:
         out = _transform_array(f.samples, f.window, lambda_window, f.params, policy, conj=_conj)
+        tail = _tail_report(_scaled_abs(out), mu_table(lambda_window, f.params))
         grid = GridFunction(f.params, lambda_window, EVEN, out)
-        tail = _tail_report(np.abs(out), mu_table(lambda_window, f.params))
     return TransformResult(grid=grid, tail_bound=tail,
                            diagnostics={"input_edge_mass_ratio": edge_ratio})
 
@@ -272,10 +323,9 @@ def _auto_window_transform(f: GridFunction, policy: TruncationPolicy, tol: float
     win = LatticeWindow(m1_lo, m1_hi, m2_lo, m2_hi)
 
     out = _transform_array(f.samples, f.window, win, f.params, policy, conj=conj)
-    require_finite(out)
     # reconstruction error is linear in the discarded |F| mass, so the
     # trim budget uses the L1 shell masses, not the squared ones
-    abs_out = np.abs(out)
+    abs_out = _scaled_abs(out)
     weights = mu_table(win, f.params)
     l1 = abs_out * weights
     total = float(l1.sum())

@@ -221,6 +221,26 @@ def test_bandwidth_divergence_diagnostic_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+@pytest.mark.parametrize("value,rc", [("1e300", 0), ("1e308", 2)])
+def test_transform_of_a_huge_sample(tmp_path, capsys, direction, value, rc):
+    # at (-2, -2) the d_q x1 weight 4 lifts 1e308 past the float64 range: the
+    # transform overflows and says so; 1e300 transforms, with a finite tail
+    path, out = tmp_path / "f.csv", tmp_path / "F.csv"
+    path.write_text("# qweinstein v1 q=0.5 alpha=0.0 parity=even n1=[-2,4] n2=[-2,4]\n"
+                    f"sign,n1,n2,re,im\n1,-2,-2,{value},0.0\n")
+    got = main(["transform", "--direction", direction, "--input", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "nan" not in err and "LatticeWindow" not in err
+    assert got == rc
+    if rc:
+        assert "numerical diagnostic: the transform overflows float64" in err
+        assert not out.exists()
+    else:
+        assert math.isfinite(float(err.split("tail_bound=")[1]))
+        assert np.all(np.isfinite(read_gridfunction(str(out)).samples))
+
+
 _CSV_HEADER = "# qweinstein v{v} q=0.5 alpha=0.0 parity=even n1=[0,2] n2=[0,2]\n"
 
 

@@ -441,6 +441,155 @@ def test_identity_suite_builds_each_kernel_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the kernel and weight-table memos
+# ---------------------------------------------------------------------------
+
+def _clear_memos():
+    from qweinstein import qintegrate, transform
+
+    transform._KERNEL_CACHE.clear()
+    qintegrate._mu_table.cache_clear()
+
+
+def _bits(arrays) -> list:
+    return [np.ascontiguousarray(a).view(np.int64) for a in arrays]
+
+
+def test_memoized_kernels_and_tables_are_read_only():
+    from qweinstein import DEFAULT_POLICY, transform
+    from qweinstein.qintegrate import mu_table
+
+    p = QParams(q=0.5, alpha=0.5)
+    win, lam = LatticeWindow(-2, 3, -2, 3), LatticeWindow(-6, 4, -5, 4)
+    for a in transform._kernel_matrices(win, lam, p, DEFAULT_POLICY) + (mu_table(lam, p),):
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+
+
+def test_kernel_memo_keyed_on_policy():
+    # as the family cache: a kernel gathered under another TruncationPolicy
+    # is its own entry, and a warm one is the cold one bit for bit
+    from qweinstein import DEFAULT_POLICY, TruncationPolicy, transform
+
+    p = QParams(q=0.5, alpha=0.5)
+    win, lam = LatticeWindow(-2, 3, -2, 3), LatticeWindow(-30, 6, -30, 6)
+    loose = TruncationPolicy(series_tol=1e-3)
+    _clear_memos()
+    transform._FAMILY_CACHE.clear()
+    cold = transform._kernel_matrices(win, lam, p, loose)
+    _clear_memos()
+    default = transform._kernel_matrices(win, lam, p, DEFAULT_POLICY)
+    warm = transform._kernel_matrices(win, lam, p, loose)
+    assert len(transform._KERNEL_CACHE) == 2 and warm is not default
+    assert not all(np.array_equal(a, b) for a, b in zip(default, warm))
+    assert all(np.array_equal(a, b) for a, b in zip(_bits(cold), _bits(warm)))
+
+
+def test_memos_stay_bounded_and_keep_the_recent_entries():
+    from qweinstein import DEFAULT_POLICY, qintegrate, transform
+    from qweinstein.qintegrate import mu_table
+
+    p = QParams(q=0.5, alpha=0.0)
+    win = LatticeWindow(-1, 2, -1, 2)
+    lams = [LatticeWindow(-8 - k, 4, -8, 4) for k in range(40)]
+    _clear_memos()
+    first = transform._kernel_matrices(win, lams[0], p, DEFAULT_POLICY)
+    for lam in lams:
+        kernel = transform._kernel_matrices(win, lam, p, DEFAULT_POLICY)
+        table = mu_table(lam, p)
+        # a hit returns the cached arrays themselves, and refreshes the first entry
+        assert transform._kernel_matrices(win, lam, p, DEFAULT_POLICY) is kernel
+        assert mu_table(lam, p) is table
+        assert transform._kernel_matrices(win, lams[0], p, DEFAULT_POLICY) is first
+    # the least recently used go first: lams[0], used in every round, stays
+    extents = [(w.n1_min, w.n1_max, w.n2_min, w.n2_max) for w in lams[25:] + lams[:1]]
+    assert [key[1] for key in transform._KERNEL_CACHE] == extents
+    assert qintegrate._mu_table.cache_info().currsize == 8
+
+
+def _memo_outputs(f: GridFunction) -> list:
+    """Every array and number that forward, inverse, identity_suite and
+    bandwidth_estimate give for f, in a fixed order."""
+    from qweinstein import bandwidth_estimate
+
+    out = []
+    for res in (forward(f), forward(f, lambda_window=LatticeWindow(-6, 5, -6, 5))):
+        back = inverse(res.grid)
+        fixed = inverse(res.grid, x_window=f.window)
+        for r in (res, back, fixed):
+            w = r.grid.window
+            out += [r.grid.samples, np.array([r.tail_bound, w.n1_min, w.n1_max, w.n2_min,
+                                              w.n2_max], dtype=float)]
+    rep = identity_suite(f)
+    out.append(np.array(list(rep.values())))
+    bw = bandwidth_estimate(forward(f).grid, 12)
+    out += [np.array(bw.a_seq), np.array(bw.a_seq_literal), np.array(bw.core_fractions),
+            np.array([bw.estimate, bw.oracle_radius, bw.route_max_rel_dev])]
+    return out
+
+
+def test_cold_and_warm_memos_give_the_same_bits():
+    p = QParams(q=0.5, alpha=0.5)
+    f = make_bump(p, seed=62, lo1=-2, hi1=4, lo2=-2, hi2=4)
+    _clear_memos()
+    cold = _memo_outputs(f)
+    warm = _memo_outputs(f)
+    assert len(cold) == len(warm)
+    assert all(np.array_equal(a, b) for a, b in zip(_bits(cold), _bits(warm)))
+
+
+@pytest.mark.parametrize("q", [0.5, aligned_q(2), 0.7, 0.9])
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+def test_widened_family_range_gathers_the_same_kernel(q, alpha):
+    from qweinstein import DEFAULT_POLICY, transform
+
+    p = QParams(q=q, alpha=alpha)
+    win, lam = LatticeWindow(-3, 4, -3, 4), LatticeWindow(-12, 6, -12, 6)
+    _clear_memos()
+    transform._FAMILY_CACHE.clear()
+    narrow = transform._kernel_matrices(win, lam, p, DEFAULT_POLICY)
+    lo = transform._FAMILY_CACHE[(p, DEFAULT_POLICY)][0]
+    transform._families(p, lo - 100, 10, DEFAULT_POLICY)
+    assert transform._FAMILY_CACHE[(p, DEFAULT_POLICY)][0] <= lo - 100
+    _clear_memos()
+    wide = transform._kernel_matrices(win, lam, p, DEFAULT_POLICY)
+    assert wide is not narrow
+    assert all(np.array_equal(a, b) for a, b in zip(_bits(narrow), _bits(wide)))
+
+
+# ---------------------------------------------------------------------------
+# samples near the float64 range
+# ---------------------------------------------------------------------------
+
+def test_edge_guard_holds_for_huge_samples():
+    # |f|^2 of 1e200 overflows, and |f| itself of 1.5e308 (1 + i); the edge
+    # share must still come out as 1.26
+    from qweinstein import DivergenceError
+
+    p = QParams(q=0.5, alpha=0.0)
+    w = LatticeWindow(-2, 4, -2, 4)
+    f = GridFunction(p, w, EVEN, np.ones(w.shape, dtype=complex))
+    for scale in (1.0, 1e200, 1e-200, 1.5e308 * (1 + 1j)):
+        with pytest.raises(DivergenceError, match=r"edge share 1\.26e\+00"):
+            forward(f.with_samples(f.samples * scale))
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+def test_power_of_two_scaled_input_keeps_window_and_tail(k):
+    # forward is linear and 2^k is exact, so the trim and the tail report,
+    # both ratios of masses, see the same bits as for the unscaled input
+    p = QParams(q=0.5, alpha=0.0)
+    f = make_bump(p, seed=63, lo1=-2, hi1=4, lo2=-2, hi2=4)
+    scaled = f.with_samples(f.samples * 2.0 ** k)
+    for run in (forward, inverse):
+        want, got = run(f), run(scaled)
+        assert got.grid.window == want.grid.window
+        assert got.tail_bound == want.tail_bound > 0.0
+        assert got.diagnostics == want.diagnostics
+        assert np.array_equal(got.grid.samples, want.grid.samples * 2.0 ** k)
+
+
+# ---------------------------------------------------------------------------
 # lattice dilation covariance
 # ---------------------------------------------------------------------------
 
