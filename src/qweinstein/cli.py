@@ -139,8 +139,10 @@ def write_gridfunction(f: GridFunction, path: str, fmt: str = "csv"):
             "n2": [w.n2_min, w.n2_max],
             "points": list(map(list, zip(*cols))),
         }
-        with open(path, "w") as fh:
-            fh.write(json.dumps(doc))   # no indent: json's C encoder
+        import orjson   # here and in _read_json only: runs without JSON grid files skip its import
+        with open(path, "wb") as fh:   # compact, and floats in shortest round-trip form
+            # np.float64 params too, which json.dumps wrote as floats
+            fh.write(orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY))
     else:
         raise FileFormatError(f"unknown format {fmt!r}")
 
@@ -206,52 +208,57 @@ def _column(values, convert, dtype, types) -> np.ndarray:
         return np.array(out, dtype)
 
 
-def _grid_from_rows(version, params: QParams, window: LatticeWindow, parity: str,
-                    rows, where, path: str, fields) -> GridFunction:
-    """Build a grid function from field rows, checking every row.
+def _grid_from_rows(hdr: dict, rows, where, path: str, fields) -> GridFunction:
+    """Build a grid function from a parsed header and field rows, checking every row.
 
-    Each row is sign, n1, n2, re, im; the values must be finite, the sign
-    +-1, the exponents integers inside the window, and no point may repeat.
-    ``where(i)`` names row i's place in the file, and ``fields`` says how
-    each field converts (_CSV_FIELDS or _JSON_FIELDS).  The checks run a column
-    at a time, and the error names the first bad row in file order with the
-    first check it fails.
+    ``hdr`` holds version, q, alpha, parity, n1 and n2; a value out of range is
+    an error on line 1.  Each row is sign, n1, n2, re, im; the values must be
+    finite, the sign +-1, the exponents integers inside the window, and no
+    point may repeat.  ``where(i)`` names row i's place in the file, and
+    ``fields`` says how each field converts (_CSV_FIELDS or _JSON_FIELDS).  The
+    checks run a column at a time, and the error names the first bad row in
+    file order with the first check it fails.
     """
-    if version != FORMAT_VERSION:
-        raise FileFormatError(f"{path}:1: unsupported format version {version!r}, "
-                              f"expected {FORMAT_VERSION}")
-    n = next((i for i, r in enumerate(rows) if not isinstance(r, list) or len(r) != 5),
-             len(rows))
-    error = f"expected 5 fields, got {rows[n]!r}" if n < len(rows) else None
-    cols = list(zip(*rows[:n])) or [()] * 5
-    for k, field_spec in enumerate(fields):
-        cols[k] = _column(cols[k][:n], *field_spec)
-        if len(cols[k]) < n:
-            n = len(cols[k])
-            error = f"unparsable row: {rows[n]!r}"
-    sgn, n1, n2, re, im = (c[:n] for c in cols)
-    # a bad sign or exponent is clipped to some lattice index; a repeat that
-    # fakes falls on that row or a later one, where the row's own check wins
-    flat = np.ravel_multi_index(((sgn == -1).astype(np.intp), n1 - window.n1_min,
-                                 n2 - window.n2_min), window.shape, mode="clip")
-    repeat = np.ones(n, dtype=bool)
-    repeat[np.unique(flat, return_index=True)[1]] = False
-    checks = np.array([~(np.isfinite(re) & np.isfinite(im)), (sgn != 1) & (sgn != -1),
-                       (n1 < window.n1_min) | (n1 > window.n1_max)
-                       | (n2 < window.n2_min) | (n2 > window.n2_max), repeat])
-    bad = np.flatnonzero(checks.any(axis=0))
-    if bad.size:
-        n = int(bad[0])
-        point = (int(sgn[n]), int(n1[n]), int(n2[n]))
-        messages = ("non-finite value: {row!r}", "sign must be 1 or -1",
-                    "point ({0},{1},{2}) outside window", "duplicate point {point}")
-        error = messages[checks[:, n].argmax()].format(*point, point=point, row=rows[n])
-    if error is not None:
-        raise FileFormatError(f"{where(n)}: {error}")
-    arr = np.zeros(window.shape, dtype=np.complex128)
-    arr.reshape(-1).real[flat] = re
-    arr.reshape(-1).imag[flat] = im
-    return GridFunction(params, window, parity, arr)
+    try:
+        params = QParams(q=hdr["q"], alpha=hdr["alpha"])
+        window = LatticeWindow(*hdr["n1"], *hdr["n2"])
+        if type(hdr["version"]) is not int or hdr["version"] != FORMAT_VERSION:   # True == 1
+            raise FileFormatError(f"{path}:1: unsupported format version {hdr['version']!r}, "
+                                  f"expected {FORMAT_VERSION}")
+        n = next((i for i, r in enumerate(rows) if not isinstance(r, list) or len(r) != 5),
+                 len(rows))
+        error = f"expected 5 fields, got {rows[n]!r}" if n < len(rows) else None
+        cols = list(zip(*rows[:n])) or [()] * 5
+        for k, field_spec in enumerate(fields):
+            cols[k] = _column(cols[k][:n], *field_spec)
+            if len(cols[k]) < n:
+                n = len(cols[k])
+                error = f"unparsable row: {rows[n]!r}"
+        sgn, n1, n2, re, im = (c[:n] for c in cols)
+        # a bad sign or exponent is clipped to some lattice index; a repeat that
+        # fakes falls on that row or a later one, where the row's own check wins
+        flat = np.ravel_multi_index(((sgn == -1).astype(np.intp), n1 - window.n1_min,
+                                     n2 - window.n2_min), window.shape, mode="clip")
+        repeat = np.ones(n, dtype=bool)
+        repeat[np.unique(flat, return_index=True)[1]] = False
+        checks = np.array([~(np.isfinite(re) & np.isfinite(im)), (sgn != 1) & (sgn != -1),
+                           (n1 < window.n1_min) | (n1 > window.n1_max)
+                           | (n2 < window.n2_min) | (n2 > window.n2_max), repeat])
+        bad = np.flatnonzero(checks.any(axis=0))
+        if bad.size:
+            n = int(bad[0])
+            point = (int(sgn[n]), int(n1[n]), int(n2[n]))
+            messages = ("non-finite value: {row!r}", "sign must be 1 or -1",
+                        "point ({0},{1},{2}) outside window", "duplicate point {point}")
+            error = messages[checks[:, n].argmax()].format(*point, point=point, row=rows[n])
+        if error is not None:
+            raise FileFormatError(f"{where(n)}: {error}")
+        arr = np.zeros(window.shape, dtype=np.complex128)
+        arr.reshape(-1).real[flat] = re
+        arr.reshape(-1).imag[flat] = im
+        return GridFunction(params, window, hdr["parity"], arr)
+    except QDomainError as exc:   # q, alpha, window or parity out of range
+        raise FileFormatError(f"{path}:1: {exc}") from exc
 
 
 def read_gridfunction(path: str) -> GridFunction:
@@ -268,20 +275,32 @@ def read_gridfunction(path: str) -> GridFunction:
     numbered = [(lineno, line.split(",")) for lineno, line in enumerate(lines[start:], start + 1)
                 if line.strip() and not line.startswith("#")]
     linenos, rows = zip(*numbered) if numbered else ((), ())
-    return _grid_from_rows(hdr["version"], QParams(q=hdr["q"], alpha=hdr["alpha"]),
-                           LatticeWindow(*hdr["n1"], *hdr["n2"]), hdr["parity"], rows,
-                           lambda i: f"{path}:{linenos[i]}", path, _CSV_FIELDS)
+    return _grid_from_rows(hdr, rows, lambda i: f"{path}:{linenos[i]}", path, _CSV_FIELDS)
 
 
 def _read_json(path: str) -> GridFunction:
+    import orjson   # see write_gridfunction
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return _grid_from_json(orjson.loads(raw), path)
+    except (orjson.JSONDecodeError, FileFormatError):
+        # orjson rejects NaN, Infinity, 1e400, lone surrogates and a BOM, which the
+        # stdlib parser takes or names, and reads integers past 64 bits as floats:
+        # such a file is parsed again as before, so every rejection keeps its message
+        pass
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    return _grid_from_json(doc, path)
+
+
+def _grid_from_json(doc, path: str) -> GridFunction:
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}:1: expected a JSON object")
-    for need in ("version", "q", "alpha", "parity", "n1", "n2", "points"):
+    for need in ("format", "version", "q", "alpha", "parity", "n1", "n2", "points"):
         if need not in doc:
             raise FileFormatError(f"{path}:1: JSON missing field {need!r}")
 
@@ -289,6 +308,7 @@ def _read_json(path: str) -> GridFunction:
         if not ok:
             raise FileFormatError(f"{path}:1: JSON field {key!r} must be {kind}, got {doc[key]!r}")
 
+    check("format", doc["format"] == "qweinstein", "'qweinstein'")
     for key in ("q", "alpha"):
         check(key, type(doc[key]) in (int, float), "a number")
     for key in ("n1", "n2"):
@@ -296,10 +316,7 @@ def _read_json(path: str) -> GridFunction:
         check(key, isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v),
               "two integers")
     check("points", isinstance(doc["points"], list), "a list")
-    return _grid_from_rows(doc["version"], QParams(q=doc["q"], alpha=doc["alpha"]),
-                           LatticeWindow(doc["n1"][0], doc["n1"][1], doc["n2"][0], doc["n2"][1]),
-                           doc["parity"], doc["points"], lambda i: f"{path}: point {i}", path,
-                           _JSON_FIELDS)
+    return _grid_from_rows(doc, doc["points"], lambda i: f"{path}: point {i}", path, _JSON_FIELDS)
 
 
 # ---------------------------------------------------------------------------

@@ -321,10 +321,18 @@ def test_config_unparsable_value_exit_1(tmp_path, capsys, line):
     ("json", None, "5"),
     ("csv", "q=0.5", "q=x"),
     ("csv", "n1=[0,2]", "n1=5"),
+    ("json", '"version": 1', '"version": true'),
+    ("json", '"format": "qweinstein"', '"format": "other"'),
+    ("json", '"q": 0.5', '"q": 1.5'),
+    ("json", '"n1": [0, 2]', '"n1": [2, 0]'),
+    ("json", '"parity": "even"', '"parity": "x"'),
+    ("csv", "q=0.5", "q=1.5"),
 ], ids=["json-n1-int", "json-n2-str-bound", "json-q-str", "json-alpha-null", "json-points-int",
-        "json-not-object", "csv-q-str", "csv-n1-int"])
+        "json-not-object", "csv-q-str", "csv-n1-int", "json-version-bool", "json-format-other",
+        "json-q-range", "json-n1-reversed", "json-parity-range", "csv-q-range"])
 def test_reader_rejects_bad_header_types(tmp_path, capsys, fmt, old, new):
-    # a header field of the wrong type is a format error (exit 1), not a traceback
+    # a header field of the wrong type, or out of range, is a format error on
+    # line 1 (exit 1), not a traceback or a message that names no file
     path = _write_grid_file(tmp_path, fmt, [[1, 0, 0, 1.0, 0.0]])
     text = open(path).read()
     assert old is None or old in text
@@ -479,6 +487,137 @@ def test_indented_json_still_reads(tmp_path):
     doc = json.loads(path.read_text())
     path.write_text(json.dumps(doc, indent=1))
     assert np.array_equal(read_gridfunction(str(path)).samples, f.samples)
+
+
+# ---------------------------------------------------------------------------
+# the two JSON parse paths: orjson, and the stdlib parser for what orjson rejects
+# ---------------------------------------------------------------------------
+
+def _outcome(path: str):
+    """What reading the file gives: the grid, bit for bit, or the error's type and message."""
+    try:
+        g = read_gridfunction(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return g.params, g.window, g.parity_y, g.samples.tobytes()
+
+
+def _reject_all(data):
+    import orjson
+
+    raise orjson.JSONDecodeError("forced", "", 0)
+
+
+_EDITS = st.lists(st.tuples(st.sampled_from(["delete", "insert", "replace"]),
+                            st.floats(0, 1, exclude_max=True), st.binary(min_size=1, max_size=1)),
+                  max_size=3)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(f=_grid_functions(), spaced=st.booleans(), edits=_EDITS)
+def test_json_parse_paths_agree(tmp_path, monkeypatch, f, spaced, edits):
+    # a valid file, written the current or the older spaced way, with up to
+    # three byte edits: both parse paths read the same grid or raise the same error
+    import orjson
+
+    path = tmp_path / "f.json"
+    write_gridfunction(f, str(path), "json")
+    data = bytearray(path.read_bytes())
+    if spaced:
+        data = bytearray(json.dumps(json.loads(data)).encode())
+    for op, at, byte in edits:
+        i = int(at * len(data))
+        if op == "delete":
+            del data[i]
+        else:
+            data[i:i + (op == "replace")] = byte
+    path.write_bytes(bytes(data))
+    fast = _outcome(str(path))
+    with monkeypatch.context() as m:
+        m.setattr(orjson, "loads", _reject_all)
+        assert _outcome(str(path)) == fast
+
+
+_DOC = ('{"format": "qweinstein", "version": 1, "q": 0.5, "alpha": 0.0, "parity": "even", '
+        '"n1": [0, 2], "n2": [0, 2], "points": [[1, 0, 0, 1.0, 0.0]]}')
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("1.0, 0.0", "NaN, 0.0", ": point 0: non-finite value: [1, 0, 0, nan, 0.0]"),
+    ("1.0, 0.0", "1.0, -Infinity", ": point 0: non-finite value: [1, 0, 0, 1.0, -inf]"),
+    ("1.0, 0.0", "1e400, 0.0", ": point 0: non-finite value: [1, 0, 0, inf, 0.0]"),
+    ('"even"', '"\\ud800"', ":1: parity_y must be 'even' or 'odd', got \ud800"),
+    ('{"format"', '﻿{"format"', ":1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ("[1, 0, 0,", "[1, 18446744073709551616, 0,",
+     ": point 0: unparsable row: [1, 18446744073709551616, 0, 1.0, 0.0]"),
+], ids=["nan", "infinity", "1e400", "lone-surrogate", "bom", "int-past-64-bits"])
+def test_json_reader_keeps_messages_for_stdlib_only_inputs(tmp_path, old, new, message):
+    # orjson rejects these documents, or reads an integer past 64 bits as a
+    # float; the stdlib parser reads them as written, and the reader then
+    # rejects them as it always has
+    path = tmp_path / "f.json"
+    path.write_text(_DOC.replace(old, new, 1), encoding="utf-8")
+    with pytest.raises(FileFormatError) as info:
+        read_gridfunction(str(path))
+    assert str(info.value) == str(path) + message
+
+
+def test_json_written_the_older_way_reads_back_exactly(tmp_path):
+    # json.dumps spacing and notation: 1e-05, 1e+300, 5e-324, -0.0
+    rows = [[1, 0, 0, 1e-05, -0.0], [1, 1, 2, 1e+300, 5e-324], [-1, 2, 1, -0.1, 123456789.5]]
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"format": "qweinstein", "version": 1, "q": 0.5, "alpha": 0.0,
+                                "parity": "even", "n1": [0, 2], "n2": [0, 2], "points": rows}))
+    got = read_gridfunction(str(path)).samples
+    for s, n1, n2, re, im in rows:
+        v = got[(1 - s) // 2, n1, n2]
+        assert np.array([v.real, v.imag]).tobytes() == np.array([re, im]).tobytes()
+
+
+def test_json_writer_output_loads_with_stdlib_json(tmp_path):
+    f = _small_grid()
+    path = tmp_path / "f.json"
+    write_gridfunction(f, str(path), "json")
+    text = path.read_text()
+    assert ", " not in text and ": " not in text
+    expected = {"format": "qweinstein", "version": 1, "q": 0.5, "alpha": 0.0, "parity": "even",
+                "n1": [0, 1], "n2": [-1, 0],
+                "points": [[1, 0, -1, 0.1, -0.0], [1, 1, 0, 5e-324, 1e300], [-1, 0, 0, -2.5, 0.0]]}
+    # compared through repr, so -0.0 and every float's bits count
+    assert json.dumps(json.loads(text)) == json.dumps(expected)
+    # numpy scalars as params write the same file
+    g = GridFunction(QParams(q=np.float64(0.5), alpha=np.float64(0.0)), f.window, "even", f.samples)
+    write_gridfunction(g, str(path), "json")
+    assert path.read_text() == text
+
+
+def test_runs_without_json_files_do_not_import_orjson(tmp_path):
+    # orjson is imported where a JSON grid file is written or read, and nowhere else
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    import qweinstein
+
+    f, F, J = (str(tmp_path / name) for name in ("f.csv", "F.csv", "F.json"))
+    code = textwrap.dedent(f"""
+        import sys
+        from qweinstein import LatticeWindow, QParams, forward, inverse
+        from qweinstein.cli import main, random_even_bump
+        f = random_even_bump(QParams(q=0.5, alpha=0.0), LatticeWindow(0, 2, 0, 2), 1, pad=1)
+        inverse(forward(f).grid, x_window=f.window)
+        assert main(["verify", "--suite", "sonine"]) == 0
+        assert main(["gen", "--support=0,2,0,2", "--out", {f!r}]) == 0
+        assert main(["transform", "--input", {f!r}, "--out", {F!r}]) == 0
+        assert "orjson" not in sys.modules
+        assert main(["--format", "json", "transform", "--input", {f!r}, "--out", {J!r}]) == 0
+        assert "orjson" in sys.modules
+    """)
+    src = os.path.dirname(os.path.dirname(qweinstein.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 @pytest.mark.parametrize("row", [("nan-error", math.nan, 1.0), ("nan-tol", 0.5, math.nan)])
