@@ -39,10 +39,30 @@ from .paleywiener import (
 
 FORMAT_VERSION = 1
 FORMATS = ("csv", "json")
+# the most cells (both signs of x1) a grid file's window may span; the reader
+# allocates 16 bytes a cell, so 2 GiB.  An automatic window of forward or
+# inverse runs from effective_floor_exponent(q) minus the input's largest
+# exponent up to at most 500, so on inputs with exponents <= 500 (every
+# automatic window's) it spans at most 2 (1001 - effective_floor_exponent(q))^2
+# cells: below the limit for q <= 0.99998
+MAX_WINDOW_CELLS = 2**27
 
 
 class FileFormatError(ValueError):
     """Malformed grid-function file; message carries the line number."""
+
+
+def _read_text(path: str) -> str:
+    """The file's contents as UTF-8 text; FileFormatError naming the line of a
+    byte sequence that is not UTF-8."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise FileFormatError(f"{path}:{lineno}: not UTF-8 text ({exc.reason} at byte "
+                              f"{exc.start})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -84,30 +104,29 @@ class JobConfig:
     def from_file(path: str) -> "JobConfig":
         cfg = JobConfig()
         types = {f.name: f.type for f in fields(cfg)}
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise FileFormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, val = line.split("=", 1)
-                key = key.strip()
-                val = val.strip()
-                if key not in types:
-                    raise FileFormatError(f"{path}:{lineno}: unknown key {key!r}")
-                if key == "fmt":
-                    if val not in FORMATS:
-                        raise FileFormatError(f"{path}:{lineno}: unknown format {val!r}")
-                    convert = str
-                elif key in ("seed", "N") or key.startswith(("n1_", "n2_")):
-                    convert = int
-                else:
-                    convert = float
-                try:
-                    setattr(cfg, key, convert(val))
-                except ValueError as exc:
-                    raise FileFormatError(f"{path}:{lineno}: bad {key} value {val!r}") from exc
+        for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise FileFormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            key, val = line.split("=", 1)
+            key = key.strip()
+            val = val.strip()
+            if key not in types:
+                raise FileFormatError(f"{path}:{lineno}: unknown key {key!r}")
+            if key == "fmt":
+                if val not in FORMATS:
+                    raise FileFormatError(f"{path}:{lineno}: unknown format {val!r}")
+                convert = str
+            elif key in ("seed", "N") or key.startswith(("n1_", "n2_")):
+                convert = int
+            else:
+                convert = float
+            try:
+                setattr(cfg, key, convert(val))
+            except ValueError as exc:
+                raise FileFormatError(f"{path}:{lineno}: bad {key} value {val!r}") from exc
         return cfg
 
 
@@ -222,6 +241,10 @@ def _grid_from_rows(hdr: dict, rows, where, path: str, fields) -> GridFunction:
     try:
         params = QParams(q=hdr["q"], alpha=hdr["alpha"])
         window = LatticeWindow(*hdr["n1"], *hdr["n2"])
+        cells = math.prod(window.shape)
+        if cells > MAX_WINDOW_CELLS:
+            raise FileFormatError(f"{path}:1: window n1={list(hdr['n1'])} n2={list(hdr['n2'])} "
+                                  f"spans {cells} cells, more than {MAX_WINDOW_CELLS}")
         if type(hdr["version"]) is not int or hdr["version"] != FORMAT_VERSION:   # True == 1
             raise FileFormatError(f"{path}:1: unsupported format version {hdr['version']!r}, "
                                   f"expected {FORMAT_VERSION}")
@@ -264,8 +287,7 @@ def _grid_from_rows(hdr: dict, rows, where, path: str, fields) -> GridFunction:
 def read_gridfunction(path: str) -> GridFunction:
     if path.endswith(".json"):
         return _read_json(path)
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise FileFormatError(f"{path}:1: empty file")
     hdr = _parse_header(lines[0], path)
@@ -282,19 +304,22 @@ def _read_json(path: str) -> GridFunction:
     import orjson   # see write_gridfunction
     with open(path, "rb") as fh:
         raw = fh.read()
+    # the stdlib parser, and repr in the messages, recurse once per nesting level
     try:
-        return _grid_from_json(orjson.loads(raw), path)
-    except (orjson.JSONDecodeError, FileFormatError):
-        # orjson rejects NaN, Infinity, 1e400, lone surrogates and a BOM, which the
-        # stdlib parser takes or names, and reads integers past 64 bits as floats:
-        # such a file is parsed again as before, so every rejection keeps its message
-        pass
-    with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return _grid_from_json(orjson.loads(raw), path)
+        except (orjson.JSONDecodeError, FileFormatError):
+            # orjson rejects NaN, Infinity, 1e400, lone surrogates and a BOM, which the
+            # stdlib parser takes or names, and reads integers past 64 bits as floats:
+            # such a file is parsed again as before, so every rejection keeps its message
+            pass
+        try:
+            doc = json.loads(_read_text(path))
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-    return _grid_from_json(doc, path)
+        return _grid_from_json(doc, path)
+    except RecursionError as exc:
+        raise FileFormatError(f"{path}:1: JSON nested too deeply") from exc
 
 
 def _grid_from_json(doc, path: str) -> GridFunction:

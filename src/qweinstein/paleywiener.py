@@ -107,12 +107,11 @@ class TransformSideIterates:
     a change of summation order, and do not move the automatic window.
     """
 
-    def __init__(self, f_hat: GridFunction, N: int, policy: TruncationPolicy = DEFAULT_POLICY):
+    def __init__(self, f_hat: GridFunction, N: int):
         if f_hat.parity_y != EVEN:
             raise QDomainError("iterates need an even preimage")
         f_hat = self.f_hat = _nonzero_box(f_hat)
         self.N = N
-        self.policy = policy
         self.params = f_hat.params
         q = self.params.q
         self._L = math.log(1.0 / q)
@@ -120,7 +119,7 @@ class TransformSideIterates:
         self._m_r = math.log(r) / self._L if r > 0 else 0.0
         self._stencil_const = 16.0 / (1.0 - q) ** 2
         self._log_amp_budget = math.log(1e-9 / 2.2e-16)   # junk budget over rounding
-        w = auto_lambda_window(f_hat, policy, tol=1e-12)
+        w = auto_lambda_window(f_hat, tol=1e-12)
         self.window = LatticeWindow(w.n1_min - 2, w.n1_max + 4, w.n2_min - 2, w.n2_max + 4)
         self._logw_lam = np.broadcast_to(log_mu_table(self.window, self.params), self.window.shape)
         x1 = q ** self.window.n1_exponents().astype(float)
@@ -134,7 +133,7 @@ class TransformSideIterates:
 
     def run(self):
         params = self.params
-        kernel = _kernel_matrices(self.f_hat.window, self.window, params, self.policy)
+        kernel = _kernel_matrices(self.f_hat.window, self.window, params)
         eta = self.f_hat.samples.copy()
         G_prev = _contract(kernel, eta, conj=False)
         log_scale = 0.0
@@ -210,7 +209,7 @@ def _fit_limit(a_seq: list[float]) -> float:
     return math.exp(coef[0])
 
 
-def _preimage(F: GridFunction, policy: TruncationPolicy) -> GridFunction:
+def _preimage(F: GridFunction) -> GridFunction:
     """The inverse transform of F on its automatic window, with samples below
     1e-8 of the peak zeroed.
 
@@ -230,13 +229,12 @@ def _preimage(F: GridFunction, policy: TruncationPolicy) -> GridFunction:
             f"cannot reconstruct the preimage at q={F.params.q!r}: its lattice-alignment "
             f"residual {eps:.2e} is not 0, so the inverse leaves residue outside the "
             "support that no threshold separates from it; give the preimage (f_hat)")
-    raw = inverse(F, policy=policy).grid
+    raw = inverse(F).grid
     absf = np.abs(raw.samples)
     return raw.with_samples(np.where(absf > 1e-8 * float(np.max(absf)), raw.samples, 0.0))
 
 
-def bandwidth_estimate(F: GridFunction, N: int,
-                       policy: TruncationPolicy = DEFAULT_POLICY, *,
+def bandwidth_estimate(F: GridFunction, N: int, *,
                        f_hat: GridFunction | None = None) -> BandwidthReport:
     """Estimate the support radius of the preimage from iterated-operator norms.
 
@@ -254,10 +252,10 @@ def bandwidth_estimate(F: GridFunction, N: int,
                                oracle_radius=0.0, n_used=N, route_max_rel_dev=0.0,
                                exponent_normalization="sup||x|| (trivial)")
     if f_hat is None:
-        f_hat = _preimage(F, policy)
+        f_hat = _preimage(F)
     oracle = support_radius(f_hat)
 
-    eng = TransformSideIterates(f_hat, N, policy=policy)
+    eng = TransformSideIterates(f_hat, N)
     a_spec, a_lit, fracs = [], [], []
     worst = 0.0
     for st in eng.run():
@@ -309,8 +307,7 @@ def log_B_nm(n: int, m: int, params: QParams) -> float:
     return 2.0 * acc
 
 
-def pw_m_sup(F: GridFunction, p: PWmParams,
-             policy: TruncationPolicy = DEFAULT_POLICY, *,
+def pw_m_sup(F: GridFunction, p: PWmParams, *,
              f_hat: GridFunction | None = None) -> tuple[float, list[float]]:
     """sup over stored x and m <= n <= N of a^(-2n) B_{n,m,q} (1+||x||^2)^m |W^n F(x)|.
 
@@ -325,8 +322,8 @@ def pw_m_sup(F: GridFunction, p: PWmParams,
     if float(np.max(np.abs(F.samples))) == 0.0:
         return 0.0, [0.0] * (p.N - p.m + 1)
     if f_hat is None:
-        f_hat = _preimage(F, policy)
-    eng = TransformSideIterates(f_hat, p.N, policy=policy)
+        f_hat = _preimage(F)
+    eng = TransformSideIterates(f_hat, p.N)
     log_1px2 = np.log1p(norm_sq_lambda(eng.window, F.params))
     log_a = math.log(p.a)
     per_n = []

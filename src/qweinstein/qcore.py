@@ -39,8 +39,8 @@ class QParams:
     def __post_init__(self):
         if not (0.0 < self.q < 1.0):
             raise QDomainError(f"q must satisfy 0 < q < 1, got {self.q}")
-        if self.alpha < -0.5:
-            raise QDomainError(f"alpha must be >= -1/2, got {self.alpha}")
+        if not -0.5 <= self.alpha < math.inf:
+            raise QDomainError(f"alpha must be finite and >= -1/2, got {self.alpha}")
 
 
 @dataclass(frozen=True)

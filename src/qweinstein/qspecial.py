@@ -138,8 +138,8 @@ def _floor_exponent(q: float, eps: float) -> int:
     return max(floor_rep, -int(math.floor(k_grow)))
 
 
-def bessel_j_exponent_family(alpha: float, params: QParams, k_min: int, k_max: int,
-                             policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
+def bessel_j_exponent_family(alpha: float, params: QParams, k_min: int,
+                             k_max: int) -> np.ndarray:
     """j_alpha(q^k; q^2) for every integer k in [k_min, k_max], float64.
 
     The series serves every k down to the matching point k_s, the deepest
@@ -172,7 +172,7 @@ def bessel_j_exponent_family(alpha: float, params: QParams, k_min: int, k_max: i
     lo_series = k_s if miller else lo_eff
     out = np.zeros(k_max - k_min + 1)
     for k in range(lo_series, k_max + 1):
-        out[k - k_min] = bessel_j(alpha, q ** float(k), params, policy).value.real
+        out[k - k_min] = bessel_j(alpha, q ** float(k), params).value.real
     if not miller:
         return out
 
@@ -193,8 +193,6 @@ def bessel_j_exponent_family(alpha: float, params: QParams, k_min: int, k_max: i
         r = (c - inv) / q2a
         ratios.append(r)
         inv = 1.0 / r
-    # the series at the default tolerance: a looser policy's values are
-    # too coarse to check the match against
     ref, ref2 = (bessel_j(alpha, q ** float(k), params).value.real for k in (k_s, k_s + 1))
     if not abs(ratios[-1] * ref - ref2) < 1e-11 * abs(ref2):
         raise ArithmeticError("bessel_j_exponent_family: Miller normalization failed to converge")
@@ -208,14 +206,14 @@ def bessel_j_exponent_family(alpha: float, params: QParams, k_min: int, k_max: i
     return out
 
 
-def qtrig_exponent_families(params: QParams, k_min: int, k_max: int,
-                            policy: TruncationPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, np.ndarray]:
+def qtrig_exponent_families(params: QParams, k_min: int,
+                            k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """cos(q^k; q^2) and sin(q^k; q^2) over k in [k_min, k_max].
 
     Both reduce to Bessel families: cos = j_{-1/2}, sin(x) = x j_{1/2}(x).
     """
-    cos_vals = bessel_j_exponent_family(-0.5, params, k_min, k_max, policy)
-    j_half = bessel_j_exponent_family(0.5, params, k_min, k_max, policy)
+    cos_vals = bessel_j_exponent_family(-0.5, params, k_min, k_max)
+    j_half = bessel_j_exponent_family(0.5, params, k_min, k_max)
     ks = np.arange(k_min, k_max + 1, dtype=float)
     with np.errstate(over="ignore", under="ignore"):
         sin_vals = np.power(params.q, ks) * j_half

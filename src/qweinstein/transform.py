@@ -31,15 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import (
-    DEFAULT_POLICY,
-    DivergenceError,
-    QDomainError,
-    QParams,
-    TruncationPolicy,
-    qgamma_base,
-    qshifted,
-)
+from .qcore import DivergenceError, QDomainError, QParams, qgamma_base, qshifted
 from .qintegrate import edge_shell_mass, integrate_mu, mu_table
 from .qops import EVEN, GridFunction, LatticeWindow, bessel_op, dq_ladder, weinstein_op
 from .qspecial import (
@@ -57,37 +49,35 @@ from .qspecial import (
 _FAMILY_CACHE: dict = {}
 
 
-def _families(params: QParams, k_min: int, k_max: int,
-              policy: TruncationPolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _families(params: QParams, k_min: int,
+              k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """(cos, sin, j_alpha) families over a cached exponent range covering [k_min, k_max].
 
-    The cache is keyed on the policy as well, since the families depend on
-    its tolerances; a miss widens the cached range to cover both requests.
+    A cache miss widens the cached range to cover both requests.
     """
-    key = (params, policy)
     lo, hi = min(k_min, -8), max(k_max, 8)
-    hit = _FAMILY_CACHE.get(key)
+    hit = _FAMILY_CACHE.get(params)
     if hit is not None:
         if hit[0] <= k_min and hit[1] >= k_max:
             return hit[2], hit[3], hit[4], hit[0]
         lo, hi = min(lo, hit[0]), max(hi, hit[1])
-    cos_v, sin_v = qtrig_exponent_families(params, lo, hi, policy)
-    j_v = bessel_j_exponent_family(params.alpha, params, lo, hi, policy)
-    _FAMILY_CACHE[key] = (lo, hi, cos_v, sin_v, j_v)
+    cos_v, sin_v = qtrig_exponent_families(params, lo, hi)
+    j_v = bessel_j_exponent_family(params.alpha, params, lo, hi)
+    _FAMILY_CACHE[params] = (lo, hi, cos_v, sin_v, j_v)
     return cos_v, sin_v, j_v, lo
 
 
-def normalization_K(params: QParams, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+def normalization_K(params: QParams) -> float:
     """Transform normalization (1+q)^(1/2-alpha) / (2 G_{q^2}(1/2) G_{q^2}(alpha+1))."""
     q = params.q
     q2 = q * q
     return (1.0 + q) ** (0.5 - params.alpha) / (
-        2.0 * qgamma_base(0.5, q2, policy) * qgamma_base(params.alpha + 1.0, q2, policy)
+        2.0 * qgamma_base(0.5, q2) * qgamma_base(params.alpha + 1.0, q2)
     )
 
 
-def kernel_eval(lam: tuple[complex, complex], x: tuple[float, float], params: QParams,
-                policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def kernel_eval(lam: tuple[complex, complex], x: tuple[float, float],
+                params: QParams) -> complex:
     """Kernel value e(-i l1 x1; q^2) * j_alpha(l2 x2; q^2) for general arguments.
 
     Series-based; intended for moderate |l * x|.  Lattice-deep products are
@@ -95,8 +85,8 @@ def kernel_eval(lam: tuple[complex, complex], x: tuple[float, float], params: QP
     """
     l1, l2 = lam
     x1, x2 = x
-    e_part = qexp(-1j * complex(l1) * x1, params, policy)
-    j_part = bessel_j(params.alpha, complex(l2) * x2, params, policy).value
+    e_part = qexp(-1j * complex(l1) * x1, params)
+    j_part = bessel_j(params.alpha, complex(l2) * x2, params).value
     return e_part * j_part
 
 
@@ -107,12 +97,12 @@ class Kernel:
     params: QParams
     lam: tuple[complex, complex]
 
-    def eval(self, x1: float, x2: float, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-        return kernel_eval(self.lam, (x1, x2), self.params, policy)
+    def eval(self, x1: float, x2: float) -> complex:
+        return kernel_eval(self.lam, (x1, x2), self.params)
 
-    def sup_bound(self, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+    def sup_bound(self) -> float:
         """4 / (q; q)_inf^2, valid for real spectral points on the lattice."""
-        qq = qshifted(self.params.q, math.inf, self.params, policy)
+        qq = qshifted(self.params.q, math.inf, self.params)
         return 4.0 / (qq.real * qq.real)
 
 
@@ -138,7 +128,7 @@ class TransformResult:
 
 
 def _transform_array(data: np.ndarray, in_window: LatticeWindow, out_window: LatticeWindow,
-                     params: QParams, policy: TruncationPolicy, conj: bool) -> np.ndarray:
+                     params: QParams, conj: bool) -> np.ndarray:
     """Core contraction: out(l) = K * sum_x data(x) e(∓i l1 x1) j(l2 x2) dmu(x).
 
     The kernel e(-i l1 x1) = cos - i sign(l1 x1) sin splits the data by the
@@ -149,35 +139,35 @@ def _transform_array(data: np.ndarray, in_window: LatticeWindow, out_window: Lat
     raises OverflowError on them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _contract(_kernel_matrices(in_window, out_window, params, policy), data, conj)
+        return _contract(_kernel_matrices(in_window, out_window, params), data, conj)
 
 
 _KERNEL_CACHE: dict = {}    # the 16 most recent _kernel_matrices, oldest first
 
 
-def _kernel_matrices(in_window: LatticeWindow, out_window: LatticeWindow, params: QParams,
-                     policy: TruncationPolicy) -> tuple:
+def _kernel_matrices(in_window: LatticeWindow, out_window: LatticeWindow,
+                     params: QParams) -> tuple:
     """(C, S, Jw, x1w) of _transform_array: the gathered family matrices, with
     K (1-q)^2 and the x2 measure weight folded into Jw, and the d_q x1 weight.
 
-    Memoized, read-only, on the two windows' extents (not their taint), params
-    and policy.  The families are looked up on every call; their values do
-    not depend on the cached exponent range, so a widened range gathers the
+    Memoized, read-only, on the two windows' extents (not their taint) and
+    params.  The families are looked up on every call; their values do not
+    depend on the cached exponent range, so a widened range gathers the
     same kernel.
     """
     q = params.q
     w, v = in_window, out_window
     cos_v, sin_v, j_v, lo = _families(params, min(v.n1_min + w.n1_min, v.n2_min + w.n2_min),
-                                      max(v.n1_max + w.n1_max, v.n2_max + w.n2_max), policy)
+                                      max(v.n1_max + w.n1_max, v.n2_max + w.n2_max))
     key = ((w.n1_min, w.n1_max, w.n2_min, w.n2_max), (v.n1_min, v.n1_max, v.n2_min, v.n2_max),
-           params, policy)
+           params)
     kernel = _KERNEL_CACHE.pop(key, None)
     if kernel is None:
         n1, n2 = w.n1_exponents(), w.n2_exponents()
         k1 = np.add.outer(v.n1_exponents(), n1) - lo
         k2 = np.add.outer(v.n2_exponents(), n2) - lo
         C, S, J = cos_v[k1], sin_v[k1], j_v[k2]                  # (M1, N1), (M2, N2)
-        Jw = (normalization_K(params, policy) * (1.0 - q) ** 2
+        Jw = (normalization_K(params) * (1.0 - q) ** 2
               * J * q ** ((2.0 * params.alpha + 2.0) * n2.astype(float)))
         kernel = C, S, Jw, q ** n1.astype(float)[None, :, None]
         for a in kernel:
@@ -260,8 +250,7 @@ def _tail_report(abs_samples: np.ndarray, weights: np.ndarray) -> float:
     return tails / total
 
 
-def forward(f: GridFunction, lambda_window: LatticeWindow | None = None,
-            policy: TruncationPolicy = DEFAULT_POLICY, *,
+def forward(f: GridFunction, lambda_window: LatticeWindow | None = None, *,
             auto_tol: float = 1e-12, edge_tol: float = 0.02, _conj: bool = False) -> TransformResult:
     """q-Weinstein transform of an even grid function.
 
@@ -273,30 +262,27 @@ def forward(f: GridFunction, lambda_window: LatticeWindow | None = None,
         raise QDomainError("forward requires even parity in the second variable")
     edge_ratio = _input_edge_ratio(f.samples, mu_table(f.window, f.params), edge_tol)
     if lambda_window is None:
-        grid, tail = _auto_window_transform(f, policy, auto_tol, _conj)
+        grid, tail = _auto_window_transform(f, auto_tol, _conj)
     else:
-        out = _transform_array(f.samples, f.window, lambda_window, f.params, policy, conj=_conj)
+        out = _transform_array(f.samples, f.window, lambda_window, f.params, conj=_conj)
         tail = _tail_report(_scaled_abs(out), mu_table(lambda_window, f.params))
         grid = GridFunction(f.params, lambda_window, EVEN, out)
     return TransformResult(grid=grid, tail_bound=tail,
                            diagnostics={"input_edge_mass_ratio": edge_ratio})
 
 
-def inverse(F: GridFunction, x_window: LatticeWindow | None = None,
-            policy: TruncationPolicy = DEFAULT_POLICY, *, auto_tol: float = 1e-12,
-            edge_tol: float = 0.02) -> TransformResult:
+def inverse(F: GridFunction, x_window: LatticeWindow | None = None, *,
+            auto_tol: float = 1e-12, edge_tol: float = 0.02) -> TransformResult:
     """Inverse transform: forward with the sign-flipped first kernel argument."""
-    return forward(F, lambda_window=x_window, policy=policy, auto_tol=auto_tol,
-                   edge_tol=edge_tol, _conj=True)
+    return forward(F, lambda_window=x_window, auto_tol=auto_tol, edge_tol=edge_tol, _conj=True)
 
 
-def auto_lambda_window(f: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY,
-                       tol: float = 1e-12) -> LatticeWindow:
+def auto_lambda_window(f: GridFunction, tol: float = 1e-12) -> LatticeWindow:
     """Select a spectral window with relative edge tails below tol (see _auto_window_transform)."""
-    return _auto_window_transform(f, policy, tol)[0].window
+    return _auto_window_transform(f, tol)[0].window
 
 
-def _auto_window_transform(f: GridFunction, policy: TruncationPolicy, tol: float,
+def _auto_window_transform(f: GridFunction, tol: float,
                            conj: bool = False) -> tuple[GridFunction, float]:
     """The transform of f on an automatically selected spectral window, and its tail report.
 
@@ -322,7 +308,7 @@ def _auto_window_transform(f: GridFunction, policy: TruncationPolicy, tol: float
     m2_hi = min(m2_hi, 500)
     win = LatticeWindow(m1_lo, m1_hi, m2_lo, m2_hi)
 
-    out = _transform_array(f.samples, f.window, win, f.params, policy, conj=conj)
+    out = _transform_array(f.samples, f.window, win, f.params, conj=conj)
     # reconstruction error is linear in the discarded |F| mass, so the
     # trim budget uses the L1 shell masses, not the squared ones
     abs_out = _scaled_abs(out)
@@ -384,13 +370,12 @@ def norm_sq_lambda(window: LatticeWindow, params: QParams) -> np.ndarray:
     return l1[None, :, None] + l2[None, None, :]
 
 
-def apply_weinstein_spectrally(f: GridFunction,
-                               policy: TruncationPolicy = DEFAULT_POLICY) -> GridFunction:
+def apply_weinstein_spectrally(f: GridFunction) -> GridFunction:
     """Multiply the transform by -||l||^2 and invert; spectral route for the operator."""
-    F = forward(f, policy=policy)
+    F = forward(f)
     mult = -norm_sq_lambda(F.grid.window, f.params)
     G = F.grid.with_samples(F.grid.samples * mult)
-    return inverse(G, x_window=f.window, policy=policy).grid
+    return inverse(G, x_window=f.window).grid
 
 
 def _masked_rel_err(lhs: np.ndarray, rhs: np.ndarray, mask: np.ndarray,
@@ -430,8 +415,7 @@ class IdentityReport:
 
 
 def identity_suite(f: GridFunction, g: GridFunction | None = None,
-                   n_max: int = 2, p_max: int = 2,
-                   policy: TruncationPolicy = DEFAULT_POLICY) -> IdentityReport:
+                   n_max: int = 2, p_max: int = 2) -> IdentityReport:
     """Check the four transform-operator identities on a compact function.
 
     (a) transform of d^n B^p f  vs (i l1)^n (i l2)^(2p) transform of f
@@ -448,7 +432,7 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None,
     skipped: list = []
     pad = 2 * max(n_max, 1) + 2 * max(p_max, 1) + 2
     fpad = embed_zeros(f, pad, pad)
-    lam_win = auto_lambda_window(f, policy)
+    lam_win = auto_lambda_window(f)
     floor_k = effective_floor_exponent(f.params.q)
     # pad the spectral window for (b)'s derivatives, then keep every kernel
     # product above the truncation frontier
@@ -461,7 +445,7 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None,
     # one kernel (and one set of measure weights) for every transform from
     # fpad's window onto lam_pad; each input still passes forward's edge
     # check, and only the tail reports are skipped
-    kernel = _kernel_matrices(fpad.window, lam_pad, f.params, policy)
+    kernel = _kernel_matrices(fpad.window, lam_pad, f.params)
     C, S, Jw, x1w = kernel
     abs_C, abs_JwT = np.hypot(C, S), np.abs(Jw).T
     weights = mu_table(fpad.window, f.params)
@@ -553,8 +537,8 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None,
         g.samples[:, glo1 - g.window.n1_min:, glo2 - g.window.n2_min:],
     )
     g_used = embed_zeros(g_used, 1, 1)
-    Ff_at_g = forward(fpad, lambda_window=g_used.window, policy=policy).grid
-    Fg_at_f = forward(g_used, lambda_window=fpad.window, policy=policy).grid
+    Ff_at_g = forward(fpad, lambda_window=g_used.window).grid
+    Fg_at_f = forward(g_used, lambda_window=fpad.window).grid
     lhs_d = complex(integrate_mu(g_used.with_samples(Ff_at_g.samples * g_used.samples)).value)
     rhs_d = complex(integrate_mu(fpad.with_samples(fpad.samples * Fg_at_f.samples)).value)
     den = max(abs(lhs_d), abs(rhs_d), 1e-300)
@@ -575,8 +559,7 @@ class OrthogonalityResult:
 
 
 def orthogonality_check(x_pt: tuple[int, int, int], y_pt: tuple[int, int, int],
-                        params: QParams,
-                        policy: TruncationPolicy = DEFAULT_POLICY) -> OrthogonalityResult:
+                        params: QParams) -> OrthogonalityResult:
     """Truncated kernel-orthogonality sum by symmetric square shells.
 
     x_pt, y_pt are (sign1, n1, n2) lattice points.  The spectral sum over
@@ -593,7 +576,7 @@ def orthogonality_check(x_pt: tuple[int, int, int], y_pt: tuple[int, int, int],
     m_lo = effective_floor_exponent(q) - max(n1x, n1y, n2x, n2y)
     k_lo = m_lo + min(n1x, n1y, n2x, n2y)
     k_hi = m_inner + max(n1x, n1y, n2x, n2y)
-    cos_v, sin_v, j_v, lo = _families(params, k_lo, k_hi, policy)
+    cos_v, sin_v, j_v, lo = _families(params, k_lo, k_hi)
 
     ms = np.arange(m_lo, m_inner + 1)
     # 1-D spectral sums;  lambda1 runs over both signs
@@ -615,7 +598,7 @@ def orthogonality_check(x_pt: tuple[int, int, int], y_pt: tuple[int, int, int],
     tail_win = min(8, len(partials) - 1)
     fluct = float(np.max(np.abs(partials[:tail_win + 1] - value))) if tail_win > 0 else 0.0
 
-    K = normalization_K(params, policy)
+    K = normalization_K(params)
     pred = 0.0
     if (s1x, n1x, n2x) == (s1y, n1y, n2y):
         pred = dirac_weight(n1x, n2x, s1x, params) / (K * K)
@@ -623,15 +606,14 @@ def orthogonality_check(x_pt: tuple[int, int, int], y_pt: tuple[int, int, int],
                                fluctuation=fluct, shells_used=len(ms))
 
 
-def riemann_lebesgue_trend(f: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY,
-                           n_shells: int = 4) -> list[float]:
+def riemann_lebesgue_trend(f: GridFunction, n_shells: int = 4) -> list[float]:
     """Sup of |transform| on the outermost spectral shell for growing windows."""
     sups = []
     w = f.window
     for t in range(n_shells):
         outer = 6 + 2 * t
         win = LatticeWindow(-(outer + w.n1_max), 8, -(outer + w.n2_max), 8)
-        F = forward(f, lambda_window=win, policy=policy).grid
+        F = forward(f, lambda_window=win).grid
         shell = np.concatenate([
             np.abs(F.samples[:, 0, :]).ravel(),
             np.abs(F.samples[:, :, 0]).ravel(),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qweinstein import QParams, TruncationPolicy
+from qweinstein import QParams
 from qweinstein.qops import LatticeWindow
 from qweinstein.cli import random_even_bump
 
@@ -14,11 +14,6 @@ def p05():
 @pytest.fixture
 def p05a0():
     return QParams(q=0.5, alpha=0.0)
-
-
-@pytest.fixture
-def policy():
-    return TruncationPolicy()
 
 
 def make_bump(params, seed=1, lo1=-1, hi1=3, lo2=-1, hi2=3, pad=1):

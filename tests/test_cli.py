@@ -10,6 +10,7 @@ from qweinstein import (
     PWmParams,
     QParams,
     bandwidth_estimate,
+    embed_zeros,
     forward,
     inverse,
     lp_norm,
@@ -244,6 +245,12 @@ def test_transform_of_a_huge_sample(tmp_path, capsys, direction, value, rc):
 _CSV_HEADER = "# qweinstein v{v} q=0.5 alpha=0.0 parity=even n1=[0,2] n2=[0,2]\n"
 
 
+def _json_with_points(points: str) -> str:
+    """A JSON grid file, valid but for its points, given as JSON text."""
+    return ('{"format": "qweinstein", "version": 1, "q": 0.5, "alpha": 0.0, "parity": "even", '
+            f'"n1": [0, 2], "n2": [0, 2], "points": [{points}]}}')
+
+
 def _write_grid_file(tmp_path, fmt, rows, version=1):
     if fmt == "csv":
         path = tmp_path / "f.csv"
@@ -327,9 +334,14 @@ def test_config_unparsable_value_exit_1(tmp_path, capsys, line):
     ("json", '"n1": [0, 2]', '"n1": [2, 0]'),
     ("json", '"parity": "even"', '"parity": "x"'),
     ("csv", "q=0.5", "q=1.5"),
+    ("csv", "alpha=0.0", "alpha=nan"),
+    ("json", '"alpha": 0.0', '"alpha": NaN'),
+    ("json", '"n1": [0, 2]', '"n1": [-1, 1099511627776]'),
+    ("csv", "n1=[0,2]", "n1=[-1,9223372036854775808]"),
 ], ids=["json-n1-int", "json-n2-str-bound", "json-q-str", "json-alpha-null", "json-points-int",
         "json-not-object", "csv-q-str", "csv-n1-int", "json-version-bool", "json-format-other",
-        "json-q-range", "json-n1-reversed", "json-parity-range", "csv-q-range"])
+        "json-q-range", "json-n1-reversed", "json-parity-range", "csv-q-range", "csv-alpha-nan",
+        "json-alpha-nan", "json-window-2^40", "csv-window-past-2^62"])
 def test_reader_rejects_bad_header_types(tmp_path, capsys, fmt, old, new):
     # a header field of the wrong type, or out of range, is a format error on
     # line 1 (exit 1), not a traceback or a message that names no file
@@ -341,6 +353,52 @@ def test_reader_rejects_bad_header_types(tmp_path, capsys, fmt, old, new):
         read_gridfunction(path)
     assert main(["transform", "--input", path, "--out", str(tmp_path / "o.csv")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_window_limit_admits_every_automatic_window(tmp_path):
+    # the deepest floor any lattice alignment allows, at the largest q the limit covers
+    from qweinstein.cli import MAX_WINDOW_CELLS
+    from qweinstein.qspecial import decay_floor_exponent
+
+    assert 2 * (1001 - decay_floor_exponent(0.99998)) ** 2 <= MAX_WINDOW_CELLS
+    src, out = str(tmp_path / "f.csv"), str(tmp_path / "F.json")
+    assert main(["--q", "0.9", "gen", "--support=-2,4,-2,4", "--out", src]) == 0
+    assert main(["transform", "--input", src, "--out", out, "--format", "json"]) == 0
+    want = forward(embed_zeros(read_gridfunction(src), 1, 1), auto_tol=1e-10).grid   # tol 1e-6
+    got = read_gridfunction(out)
+    assert got.window == want.window and np.array_equal(got.samples, want.samples)
+
+
+@pytest.mark.parametrize("name,data,where", [
+    ("f.json", json.dumps({"format": "qweinstein"}).encode("utf-16"), ":1: not UTF-8"),
+    ("f.csv", _CSV_HEADER.format(v=1).encode() + b"1,0,0,1.0,0.\xff\n", ":2: not UTF-8"),
+    ("f.json", b"[" * 5000, ":1: JSON nested too deeply"),
+    ("f.json", _json_with_points("[" * 1000 + "]" * 1000).encode(), ":1: JSON nested too deeply"),
+], ids=["json-utf16-bom", "csv-bad-byte", "json-deep", "json-deep-points"])
+def test_undecodable_or_deeply_nested_file_exit_1(tmp_path, capsys, name, data, where):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(FileFormatError, match=where):
+        read_gridfunction(str(path))
+    assert main(["transform", "--input", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+    assert f"error: {path}{where}" in capsys.readouterr().err
+
+
+def test_config_with_a_non_utf8_byte_exit_1(tmp_path, capsys):
+    path = tmp_path / "job.cfg"
+    path.write_bytes(b"q=0.5\nalpha=0.\xe9\n")
+    assert main(["--config", str(path), "gen", "--support=0,1,0,1",
+                 "--out", str(tmp_path / "f.csv")]) == 1
+    assert f"error: {path}:2: not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--alpha", "nan", "verify", "--suite", "sonine"],
+                                  ["--alpha", "inf", "verify", "--suite", "plancherel"]],
+                         ids=["nan-sonine", "inf-plancherel"])
+def test_non_finite_alpha_exit_1(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha must be finite") and "Warning" not in err
 
 
 @pytest.mark.parametrize("fmt,rows,match", [
@@ -513,6 +571,18 @@ _EDITS = st.lists(st.tuples(st.sampled_from(["delete", "insert", "replace"]),
                   max_size=3)
 
 
+def _edited(data: bytes, edits) -> bytes:
+    """data with the _EDITS byte edits applied in order."""
+    data = bytearray(data)
+    for op, at, byte in edits:
+        i = int(at * len(data))
+        if op == "delete":
+            del data[i]
+        else:
+            data[i:i + (op == "replace")] = byte
+    return bytes(data)
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(f=_grid_functions(), spaced=st.booleans(), edits=_EDITS)
@@ -523,20 +593,35 @@ def test_json_parse_paths_agree(tmp_path, monkeypatch, f, spaced, edits):
 
     path = tmp_path / "f.json"
     write_gridfunction(f, str(path), "json")
-    data = bytearray(path.read_bytes())
+    data = path.read_bytes()
     if spaced:
-        data = bytearray(json.dumps(json.loads(data)).encode())
-    for op, at, byte in edits:
-        i = int(at * len(data))
-        if op == "delete":
-            del data[i]
-        else:
-            data[i:i + (op == "replace")] = byte
-    path.write_bytes(bytes(data))
+        data = json.dumps(json.loads(data)).encode()
+    path.write_bytes(_edited(data, edits))
     fast = _outcome(str(path))
     with monkeypatch.context() as m:
         m.setattr(orjson, "loads", _reject_all)
         assert _outcome(str(path)) == fast
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(f=_grid_functions(), kind=st.sampled_from(["csv", "json", "config"]), edits=_EDITS)
+def test_mutated_files_never_escape_main(tmp_path, f, kind, edits):
+    # a valid grid or config file with up to three byte edits: main exits with
+    # a documented code and raises nothing.  The transform runs on a fixed
+    # spectral window, so its cost stays that of reading the file
+    path = tmp_path / f"in.{'cfg' if kind == 'config' else kind}"
+    if kind == "config":
+        JobConfig(q=f.params.q, alpha=f.params.alpha, seed=3, N=5).to_file(str(path))
+    else:
+        write_gridfunction(f, str(path), kind)
+    path.write_bytes(_edited(path.read_bytes(), edits))
+    out = str(tmp_path / "out.csv")
+    if kind == "config":
+        argv = ["--config", str(path), "gen", "--support=0,1,0,1", "--out", out]
+    else:
+        argv = ["transform", "--input", str(path), "--out", out, "--window=-2,2,-2,2"]
+    assert main(argv) in (0, 1, 2, 3)
 
 
 _DOC = ('{"format": "qweinstein", "version": 1, "q": 0.5, "alpha": 0.0, "parity": "even", '

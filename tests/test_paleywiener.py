@@ -152,14 +152,14 @@ def _reference_run(eng):
     m2 = win.n2_exponents()[None, None, :]
     w_lin = np.exp(eng._logw_lam)
     eta = eng.f_hat.samples.copy()
-    G_prev = _transform_array(eta, x_win, win, params, eng.policy, conj=False)
+    G_prev = _transform_array(eta, x_win, win, params, conj=False)
     log_scale = 0.0
     for n in range(1, eng.N + 1):
         eta_raw = eta * (-eng._r2_x)
         s = float(np.max(np.abs(eta_raw))) or 1.0
         eta = eta_raw / s
         log_scale += math.log(s)
-        G_dir = _transform_array(eta, x_win, win, params, eng.policy, conj=False)
+        G_dir = _transform_array(eta, x_win, win, params, conj=False)
         G_sten = weinstein_op(GridFunction(params, clean, EVEN, G_prev), 1).samples / s
         c = eng._core_cutoff(n)
         mask = np.broadcast_to((m1 <= c) & (m2 <= c), G_dir.shape)
@@ -212,7 +212,7 @@ def test_run_gathers_kernel_families_once(monkeypatch):
 
 def _untrimmed(eng, f_hat):
     """eng for _reference_run, but with the preimage f_hat on its own window."""
-    return SimpleNamespace(params=eng.params, window=eng.window, policy=eng.policy, N=eng.N,
+    return SimpleNamespace(params=eng.params, window=eng.window, N=eng.N,
                            _logw_lam=eng._logw_lam, _core_cutoff=eng._core_cutoff, f_hat=f_hat,
                            _r2_x=norm_sq_lambda(f_hat.window, f_hat.params),
                            _logw_x=log_mu_weights(f_hat))

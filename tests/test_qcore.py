@@ -25,8 +25,9 @@ def test_params_validation():
         QParams(q=1.0, alpha=0.0)
     with pytest.raises(QDomainError):
         QParams(q=0.0, alpha=0.0)
-    with pytest.raises(QDomainError):
-        QParams(q=0.5, alpha=-0.6)
+    for alpha in (-0.6, math.nan, math.inf):
+        with pytest.raises(QDomainError, match="alpha"):
+            QParams(q=0.5, alpha=alpha)
     QParams(q=0.5, alpha=-0.5)
 
 

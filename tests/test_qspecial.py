@@ -175,7 +175,7 @@ def test_family_finite_at_aligned_roots(j, alpha, k_min):
 def test_family_matches_series_in_shallow_zone():
     for q, alpha in ((0.5, 0.0), (0.9, 0.5)):
         p = QParams(q=q, alpha=alpha)
-        fam = bessel_j_exponent_family(alpha, p, 0, 8, TruncationPolicy())
+        fam = bessel_j_exponent_family(alpha, p, 0, 8)
         for k in range(0, 9):
             ref = bessel_j(alpha, q**k, p).value.real
             assert abs(fam[k] - ref) < 1e-13

@@ -266,22 +266,6 @@ def test_orthogonality_sign_separated_points():
     assert abs(res_o.value) <= 1e-3 * res_d.predicted_diagonal
 
 
-def test_family_cache_keyed_on_policy():
-    # a call under another TruncationPolicy must not reuse the kernel
-    # families cached under the default one
-    from qweinstein import TruncationPolicy, transform
-
-    p = QParams(q=0.5, alpha=0.5)
-    f = make_bump(p, seed=30)
-    loose = TruncationPolicy(series_tol=1e-3)
-    transform._FAMILY_CACHE.clear()
-    forward(f)
-    warm = forward(f, policy=loose).grid.samples
-    transform._FAMILY_CACHE.clear()
-    cold = forward(f, policy=loose).grid.samples
-    assert np.array_equal(warm, cold)
-
-
 def test_forward_matches_direct_kernel_sum():
     # every lattice point of a bump filled on both signs of x1, summed
     # against the series kernel: a swapped sign in the odd (sine) part of
@@ -456,51 +440,32 @@ def _bits(arrays) -> list:
 
 
 def test_memoized_kernels_and_tables_are_read_only():
-    from qweinstein import DEFAULT_POLICY, transform
+    from qweinstein import transform
     from qweinstein.qintegrate import mu_table
 
     p = QParams(q=0.5, alpha=0.5)
     win, lam = LatticeWindow(-2, 3, -2, 3), LatticeWindow(-6, 4, -5, 4)
-    for a in transform._kernel_matrices(win, lam, p, DEFAULT_POLICY) + (mu_table(lam, p),):
+    for a in transform._kernel_matrices(win, lam, p) + (mu_table(lam, p),):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1.0
 
 
-def test_kernel_memo_keyed_on_policy():
-    # as the family cache: a kernel gathered under another TruncationPolicy
-    # is its own entry, and a warm one is the cold one bit for bit
-    from qweinstein import DEFAULT_POLICY, TruncationPolicy, transform
-
-    p = QParams(q=0.5, alpha=0.5)
-    win, lam = LatticeWindow(-2, 3, -2, 3), LatticeWindow(-30, 6, -30, 6)
-    loose = TruncationPolicy(series_tol=1e-3)
-    _clear_memos()
-    transform._FAMILY_CACHE.clear()
-    cold = transform._kernel_matrices(win, lam, p, loose)
-    _clear_memos()
-    default = transform._kernel_matrices(win, lam, p, DEFAULT_POLICY)
-    warm = transform._kernel_matrices(win, lam, p, loose)
-    assert len(transform._KERNEL_CACHE) == 2 and warm is not default
-    assert not all(np.array_equal(a, b) for a, b in zip(default, warm))
-    assert all(np.array_equal(a, b) for a, b in zip(_bits(cold), _bits(warm)))
-
-
 def test_memos_stay_bounded_and_keep_the_recent_entries():
-    from qweinstein import DEFAULT_POLICY, qintegrate, transform
+    from qweinstein import qintegrate, transform
     from qweinstein.qintegrate import mu_table
 
     p = QParams(q=0.5, alpha=0.0)
     win = LatticeWindow(-1, 2, -1, 2)
     lams = [LatticeWindow(-8 - k, 4, -8, 4) for k in range(40)]
     _clear_memos()
-    first = transform._kernel_matrices(win, lams[0], p, DEFAULT_POLICY)
+    first = transform._kernel_matrices(win, lams[0], p)
     for lam in lams:
-        kernel = transform._kernel_matrices(win, lam, p, DEFAULT_POLICY)
+        kernel = transform._kernel_matrices(win, lam, p)
         table = mu_table(lam, p)
         # a hit returns the cached arrays themselves, and refreshes the first entry
-        assert transform._kernel_matrices(win, lam, p, DEFAULT_POLICY) is kernel
+        assert transform._kernel_matrices(win, lam, p) is kernel
         assert mu_table(lam, p) is table
-        assert transform._kernel_matrices(win, lams[0], p, DEFAULT_POLICY) is first
+        assert transform._kernel_matrices(win, lams[0], p) is first
     # the least recently used go first: lams[0], used in every round, stays
     extents = [(w.n1_min, w.n1_max, w.n2_min, w.n2_max) for w in lams[25:] + lams[:1]]
     assert [key[1] for key in transform._KERNEL_CACHE] == extents
@@ -541,18 +506,18 @@ def test_cold_and_warm_memos_give_the_same_bits():
 @pytest.mark.parametrize("q", [0.5, aligned_q(2), 0.7, 0.9])
 @pytest.mark.parametrize("alpha", [0.0, 1.5])
 def test_widened_family_range_gathers_the_same_kernel(q, alpha):
-    from qweinstein import DEFAULT_POLICY, transform
+    from qweinstein import transform
 
     p = QParams(q=q, alpha=alpha)
     win, lam = LatticeWindow(-3, 4, -3, 4), LatticeWindow(-12, 6, -12, 6)
     _clear_memos()
     transform._FAMILY_CACHE.clear()
-    narrow = transform._kernel_matrices(win, lam, p, DEFAULT_POLICY)
-    lo = transform._FAMILY_CACHE[(p, DEFAULT_POLICY)][0]
-    transform._families(p, lo - 100, 10, DEFAULT_POLICY)
-    assert transform._FAMILY_CACHE[(p, DEFAULT_POLICY)][0] <= lo - 100
+    narrow = transform._kernel_matrices(win, lam, p)
+    lo = transform._FAMILY_CACHE[(p)][0]
+    transform._families(p, lo - 100, 10)
+    assert transform._FAMILY_CACHE[(p)][0] <= lo - 100
     _clear_memos()
-    wide = transform._kernel_matrices(win, lam, p, DEFAULT_POLICY)
+    wide = transform._kernel_matrices(win, lam, p)
     assert wide is not narrow
     assert all(np.array_equal(a, b) for a, b in zip(_bits(narrow), _bits(wide)))
 

@@ -10,9 +10,11 @@ random bumps on supports from one point to 61x61 (pad 1), saves under a
 stable name: forward and inverse samples, windows, tail bounds and edge
 ratios on automatic and fixed windows, and, on the small supports, the
 ``identity_suite`` report, the ``bandwidth_estimate`` sequences (with the
-reconstructed and with the given preimage) and ``pw_m_sup``.  A call that
-raises is saved as its exception's type and message.  Only the public API
-is used.
+reconstructed and with the given preimage) and ``pw_m_sup``; and, for each
+(q, alpha), ``normalization_K``, ``Kernel(...).sup_bound()`` and
+``orthogonality_check`` at a diagonal and an off-diagonal pair of lattice
+points.  A call that raises is saved as its exception's type and message.
+Only the public API is used.
 
 ``compare`` lists the entries present in one dump only, the entries whose
 values differ and those that differ only in the sign of a zero (or a NaN
@@ -30,8 +32,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qweinstein import (LatticeWindow, PWmParams, QParams, auto_lambda_window,  # noqa: E402
-                        bandwidth_estimate, forward, identity_suite, inverse, pw_m_sup)
+from qweinstein import (Kernel, LatticeWindow, PWmParams, QParams,  # noqa: E402
+                        auto_lambda_window, bandwidth_estimate, forward, identity_suite,
+                        inverse, normalization_K, orthogonality_check, pw_m_sup)
 from qweinstein.cli import random_even_bump  # noqa: E402
 from qweinstein.qcore import aligned_q  # noqa: E402
 
@@ -43,6 +46,9 @@ SUPPORTS = {"1x1": (0, 0, 0, 0), "4x4": (-1, 2, -1, 2), "7x7": (-2, 4, -2, 4),
             "61x61": (-20, 40, -20, 40)}
 SMALL = ("1x1", "4x4", "7x7")
 BANDWIDTH_N = 12
+# (sign1, n1, n2) pairs for orthogonality_check: one diagonal, two off it
+ORTHO_PAIRS = {"diag": ((1, 1, 0), (1, 1, 0)), "offdiag": ((1, 1, 0), (1, 3, 2)),
+               "sign": ((1, 1, 0), (-1, 1, 0))}
 
 
 def _window(w: LatticeWindow) -> np.ndarray:
@@ -69,6 +75,16 @@ def _bandwidth(rep) -> dict:
             "core_last_n": np.array(rep.core_last_n)}
 
 
+def _orthogonality(res) -> dict:
+    return {"value": np.complex128(res.value),
+            "scalars": np.array([res.predicted_diagonal, res.fluctuation]),
+            "shells_used": np.array(res.shells_used)}
+
+
+def _scalar(value) -> dict:
+    return {"value": np.float64(value)}
+
+
 def _pw_m(result) -> dict:
     sup, per_n = result
     return {"sup": np.float64(sup), "per_n": np.array(per_n)}
@@ -92,6 +108,13 @@ def write(out: str) -> None:
     for qname, q in QS.items():
         for ai, alpha in enumerate(ALPHAS):
             p = QParams(q=q, alpha=alpha)
+            name = f"q={qname}:alpha={alpha}"
+            record(f"{name}:normalization_K", lambda: normalization_K(p), _scalar)
+            record(f"{name}:kernel_sup_bound", lambda: Kernel(p, (1.0, 1.0)).sup_bound(),
+                   _scalar)
+            for pname, (x, y) in ORTHO_PAIRS.items():
+                record(f"{name}:orthogonality_{pname}", lambda: orthogonality_check(x, y, p),
+                       _orthogonality)
             for si, (sname, sup) in enumerate(SUPPORTS.items()):
                 if sname == "61x61" and alpha == 0.5:
                     continue    # the two other alphas cover the large contraction
