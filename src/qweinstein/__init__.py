@@ -34,7 +34,6 @@ from .qops import (
     GridFunction,
     LatticeWindow,
     bessel_op,
-    bessel_op_expanded,
     dq_1d,
     dq_mixed,
     dq_partial,

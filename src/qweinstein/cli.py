@@ -19,6 +19,7 @@ import numpy as np
 from .qcore import DivergenceError, QDomainError, QParams, TaintError
 from .qops import EVEN, GridFunction, LatticeWindow
 from .qintegrate import lp_norm
+from .qspecial import decay_floor_exponent
 from .transform import (
     embed_zeros,
     forward,
@@ -39,13 +40,29 @@ from .paleywiener import (
 
 FORMAT_VERSION = 1
 FORMATS = ("csv", "json")
-# the most cells (both signs of x1) a grid file's window may span; the reader
-# allocates 16 bytes a cell, so 2 GiB.  An automatic window of forward or
-# inverse runs from effective_floor_exponent(q) minus the input's largest
-# exponent up to at most 500, so on inputs with exponents <= 500 (every
-# automatic window's) it spans at most 2 (1001 - effective_floor_exponent(q))^2
-# cells: below the limit for q <= 0.99998
+# a window from outside the program (a grid file's header, --support, --window,
+# the n1_/n2_ config keys) has exponents in [decay_floor_exponent(q) - 501, 500]
+# and at most MAX_WINDOW_CELLS cells (both signs of x1); the reader allocates 16
+# bytes a cell, so 2 GiB.  An automatic window of forward or inverse runs from
+# effective_floor_exponent(q) minus the input's largest exponent (at most 501
+# after transform's one-shell pad) up to at most 500, so it stays in the range,
+# whose 2 (1002 - decay_floor_exponent(q))^2 cells are within the limit for
+# q <= 0.99998
 MAX_WINDOW_CELLS = 2**27
+
+
+def _checked_window(bounds, q: float, what: str) -> LatticeWindow:
+    """The window with bounds n1_min, n1_max, n2_min, n2_max from outside the
+    program; QDomainError, naming it as what, unless it keeps the limits above."""
+    what = f"{what} n1=[{bounds[0]},{bounds[1]}] n2=[{bounds[2]},{bounds[3]}]"
+    lo, hi = decay_floor_exponent(q) - 501, 500
+    if not all(lo <= n <= hi for n in bounds):
+        raise QDomainError(f"{what}: exponents must lie in [{lo}, {hi}] at q={q}")
+    window = LatticeWindow(*bounds)
+    cells = math.prod(window.shape)
+    if cells > MAX_WINDOW_CELLS:
+        raise QDomainError(f"{what} spans {cells} cells, more than {MAX_WINDOW_CELLS}")
+    return window
 
 
 class FileFormatError(ValueError):
@@ -91,14 +108,7 @@ class JobConfig:
             return None
         if any(v is None for v in vals):
             raise QDomainError("window needs all four bounds")
-        return LatticeWindow(*vals)
-
-    def to_file(self, path: str):
-        with open(path, "w") as fh:
-            for f in fields(self):
-                v = getattr(self, f.name)
-                if v is not None:
-                    fh.write(f"{f.name}={v}\n")
+        return _checked_window(vals, self.params().q, "window")
 
     @staticmethod
     def from_file(path: str) -> "JobConfig":
@@ -240,11 +250,7 @@ def _grid_from_rows(hdr: dict, rows, where, path: str, fields) -> GridFunction:
     """
     try:
         params = QParams(q=hdr["q"], alpha=hdr["alpha"])
-        window = LatticeWindow(*hdr["n1"], *hdr["n2"])
-        cells = math.prod(window.shape)
-        if cells > MAX_WINDOW_CELLS:
-            raise FileFormatError(f"{path}:1: window n1={list(hdr['n1'])} n2={list(hdr['n2'])} "
-                                  f"spans {cells} cells, more than {MAX_WINDOW_CELLS}")
+        window = _checked_window((*hdr["n1"], *hdr["n2"]), params.q, "window")
         if type(hdr["version"]) is not int or hdr["version"] != FORMAT_VERSION:   # True == 1
             raise FileFormatError(f"{path}:1: unsupported format version {hdr['version']!r}, "
                                   f"expected {FORMAT_VERSION}")
@@ -369,7 +375,7 @@ def random_even_bump(params: QParams, support: LatticeWindow, seed: int,
 
 def _cmd_gen(args, cfg: JobConfig) -> int:
     params = cfg.params()
-    sup = LatticeWindow(*_parse_window(args.support, "--support"))
+    sup = _checked_window(_parse_window(args.support, "--support"), params.q, "--support")
     f = random_even_bump(params, sup, cfg.seed)
     write_gridfunction(f, args.out, cfg.fmt)
     print(f"wrote {args.out} (support {sup.n1_min}..{sup.n1_max} x {sup.n2_min}..{sup.n2_max}, "
@@ -399,7 +405,7 @@ def _cmd_bandwidth(args, cfg: JobConfig) -> int:
     print(f"route_max_rel_dev={rep.route_max_rel_dev:.3e}")
     print(f"core_last_n={rep.core_last_n}")
     print(f"exponent_normalization={rep.exponent_normalization}")
-    if args.out:
+    if args.out is not None:
         if cfg.fmt == "json":
             with open(args.out, "w") as fh:
                 json.dump({"n": list(range(1, rep.n_used + 1)),
@@ -438,7 +444,7 @@ def _suite_identities(cfg: JobConfig) -> list[tuple[str, float, float]]:
     g = random_even_bump(params, LatticeWindow(-2, 3, -2, 3), cfg.seed + 1000)
     rep = identity_suite(f, g)
     tol = max(cfg.tol, 1e-7)
-    return [(k, v, tol) for k, v in rep.items()]
+    return [(k, v, tol) for k, v in rep.discrepancies.items()]
 
 
 def _suite_orthogonality(cfg: JobConfig) -> list[tuple[str, float, float]]:
@@ -576,13 +582,13 @@ def _parse_window(text: str, flag: str) -> list[int]:
 
 def _merge_config(args) -> JobConfig:
     config_path = getattr(args, "config", None)
-    cfg = JobConfig.from_file(config_path) if config_path else JobConfig()
+    cfg = JobConfig.from_file(config_path) if config_path is not None else JobConfig()
     for key in ("q", "alpha", "seed", "tol", "fmt", "N"):
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
     window = getattr(args, "window", None)
-    if window:
+    if window is not None:
         cfg.n1_min, cfg.n1_max, cfg.n2_min, cfg.n2_max = _parse_window(window, "--window")
     # a window that the command would ignore is an error, not a silent no-op
     what = args.command + (f" --suite {args.suite}" if args.command == "verify" else "")
@@ -615,7 +621,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args, cfg)
         raise FileFormatError(f"unknown command {args.command!r}")
-    except (FileFormatError, QDomainError, FileNotFoundError) as exc:
+    except (FileFormatError, QDomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DivergenceError, TaintError, ArithmeticError) as exc:

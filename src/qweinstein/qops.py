@@ -48,10 +48,6 @@ class LatticeWindow:
     def shape(self) -> tuple[int, int, int]:
         return (2, self.n1_max - self.n1_min + 1, self.n2_max - self.n2_min + 1)
 
-    @property
-    def taint_depth(self) -> int:
-        return max(self.taint_x_lo, self.taint_x_hi, self.taint_y_lo, self.taint_y_hi)
-
     def tainted_more(self, dx: int = 0, dy: int = 0) -> "LatticeWindow":
         return replace(
             self,
@@ -113,14 +109,6 @@ class GridFunction:
         q = self.params.q
         return q ** self.window.n2_exponents().astype(float)
 
-    def value_at(self, sign: int, n1: int, n2: int) -> complex:
-        """Sample at (sign*q^n1, q^n2); zero outside the stored window."""
-        w = self.window
-        if not (w.n1_min <= n1 <= w.n1_max and w.n2_min <= n2 <= w.n2_max):
-            return 0.0 + 0.0j
-        s = 0 if sign == 1 else 1
-        return complex(self.samples[s, n1 - w.n1_min, n2 - w.n2_min])
-
     def with_samples(self, samples: np.ndarray, window: LatticeWindow | None = None,
                      parity_y: str | None = None) -> "GridFunction":
         return GridFunction(
@@ -133,19 +121,6 @@ class GridFunction:
     @staticmethod
     def zeros(params: QParams, window: LatticeWindow, parity_y: str = EVEN) -> "GridFunction":
         return GridFunction(params, window, parity_y, np.zeros(window.shape, dtype=np.complex128))
-
-    @staticmethod
-    def from_callable(params: QParams, window: LatticeWindow, fn: Callable[[float, float], complex],
-                      parity_y: str = EVEN) -> "GridFunction":
-        q = params.q
-        x1m = q ** window.n1_exponents().astype(float)
-        x2 = q ** window.n2_exponents().astype(float)
-        arr = np.empty(window.shape, dtype=np.complex128)
-        for s, sgn in ((0, 1.0), (1, -1.0)):
-            for i, v1 in enumerate(x1m):
-                for j, v2 in enumerate(x2):
-                    arr[s, i, j] = fn(sgn * v1, v2)
-        return GridFunction(params, window, parity_y, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -278,25 +253,6 @@ def bessel_op(f: GridFunction) -> GridFunction:
         raise QDomainError("bessel_op requires even parity in the second variable")
     out = _bessel_array(f.samples, f.params, f.x2_values())
     return f.with_samples(out, window=f.window.tainted_more(dy=2))
-
-
-def bessel_op_expanded(f: GridFunction) -> GridFunction:
-    """Expanded form q^(2a+1) d2f/dy2 + [2a+1]_q (1/y) df/dy of the q-Bessel operator.
-
-    Algebraically identical to the conjugated form on even functions;
-    kept as an independent floating-point path for cross-checking.
-    """
-    if f.parity_y != EVEN:
-        raise QDomainError("bessel_op_expanded requires even parity")
-    q = f.params.q
-    alpha = f.params.alpha
-    d1 = dq_partial(f, 2)
-    d2 = dq_partial(d1, 2)
-    bracket = (1.0 - q ** (2.0 * alpha + 1.0)) / (1.0 - q)
-    y = f.x2_values()[None, None, :]
-    # d1 lives on a window tainted once; align shapes (same index grid)
-    samples = q ** (2.0 * alpha + 1.0) * d2.samples + bracket * d1.samples / y
-    return f.with_samples(samples, window=d2.window)
 
 
 def weinstein_op(f: GridFunction, n: int = 1) -> GridFunction:

@@ -97,9 +97,6 @@ class Kernel:
     params: QParams
     lam: tuple[complex, complex]
 
-    def eval(self, x1: float, x2: float) -> complex:
-        return kernel_eval(self.lam, (x1, x2), self.params)
-
     def sup_bound(self) -> float:
         """4 / (q; q)_inf^2, valid for real spectral points on the lattice."""
         qq = qshifted(self.params.q, math.inf, self.params)
@@ -295,6 +292,8 @@ def _auto_window_transform(f: GridFunction, tol: float,
     trim and the tail report.  Conjugation only swaps the two signs of l1,
     so it leaves the window unchanged.
     """
+    if not 0.0 < tol < 1.0:
+        raise QDomainError(f"the automatic window's tolerance must lie in (0, 1), got {tol!r}")
     q = f.params.q
     alpha = f.params.alpha
     w = f.window
@@ -370,14 +369,6 @@ def norm_sq_lambda(window: LatticeWindow, params: QParams) -> np.ndarray:
     return l1[None, :, None] + l2[None, None, :]
 
 
-def apply_weinstein_spectrally(f: GridFunction) -> GridFunction:
-    """Multiply the transform by -||l||^2 and invert; spectral route for the operator."""
-    F = forward(f)
-    mult = -norm_sq_lambda(F.grid.window, f.params)
-    G = F.grid.with_samples(F.grid.samples * mult)
-    return inverse(G, x_window=f.window).grid
-
-
 def _masked_rel_err(lhs: np.ndarray, rhs: np.ndarray, mask: np.ndarray,
                     den: float) -> float | None:
     """Max |lhs - rhs| / den over the masked entries; None if the mask keeps none."""
@@ -400,22 +391,8 @@ class IdentityReport:
     skipped_orders: list
     lambda_window: LatticeWindow
 
-    def values(self):
-        return self.discrepancies.values()
 
-    def items(self):
-        return self.discrepancies.items()
-
-    def __getitem__(self, key):
-        return self.discrepancies[key]
-
-    @property
-    def complete(self) -> bool:
-        return not self.skipped_orders
-
-
-def identity_suite(f: GridFunction, g: GridFunction | None = None,
-                   n_max: int = 2, p_max: int = 2) -> IdentityReport:
+def identity_suite(f: GridFunction, g: GridFunction | None = None) -> IdentityReport:
     """Check the four transform-operator identities on a compact function.
 
     (a) transform of d^n B^p f  vs (i l1)^n (i l2)^(2p) transform of f
@@ -423,6 +400,7 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None,
     (c) transform of the Weinstein operator  vs -||l||^2 multiplication
     (d) the L2 pairing symmetry of the transform
 
+    (a) and (b) are checked at every order n, p <= 2 but (0, 0).
     The spectral window is clipped so every kernel product stays above the
     family truncation frontier; there the lattice identities are exact up
     to rounding.  f (and g) must be compactly supported inside their
@@ -430,7 +408,8 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None,
     """
     res: dict = {}
     skipped: list = []
-    pad = 2 * max(n_max, 1) + 2 * max(p_max, 1) + 2
+    n_max = p_max = 2
+    pad = 2 * n_max + 2 * p_max + 2
     fpad = embed_zeros(f, pad, pad)
     lam_win = auto_lambda_window(f)
     floor_k = effective_floor_exponent(f.params.q)
@@ -604,19 +583,3 @@ def orthogonality_check(x_pt: tuple[int, int, int], y_pt: tuple[int, int, int],
         pred = dirac_weight(n1x, n2x, s1x, params) / (K * K)
     return OrthogonalityResult(value=value, predicted_diagonal=pred,
                                fluctuation=fluct, shells_used=len(ms))
-
-
-def riemann_lebesgue_trend(f: GridFunction, n_shells: int = 4) -> list[float]:
-    """Sup of |transform| on the outermost spectral shell for growing windows."""
-    sups = []
-    w = f.window
-    for t in range(n_shells):
-        outer = 6 + 2 * t
-        win = LatticeWindow(-(outer + w.n1_max), 8, -(outer + w.n2_max), 8)
-        F = forward(f, lambda_window=win).grid
-        shell = np.concatenate([
-            np.abs(F.samples[:, 0, :]).ravel(),
-            np.abs(F.samples[:, :, 0]).ravel(),
-        ])
-        sups.append(float(shell.max()))
-    return sups

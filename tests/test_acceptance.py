@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from qweinstein import (
-    GridFunction,
     LatticeWindow,
     PWmParams,
     QParams,
@@ -43,6 +42,8 @@ from qweinstein import (
 )
 from qweinstein.qspecial import bessel_j_exponent_family, qtrig_exponent_families
 from qweinstein.cli import random_even_bump
+
+from .conftest import from_callable
 
 PAIRS = [(0.5, 0.0), (0.7, 0.5), (0.9, -0.5)]
 ALIGNED = {0.5: True, 0.7: False, 0.9: False}
@@ -128,7 +129,7 @@ def test_criterion_3_eigenfunction(q, alpha):
         m1, m2 = int(rng.integers(-2, 3)), int(rng.integers(-2, 3))
         sl = 1 if rng.random() < 0.5 else -1
         lam = (sl * q**m1, q**m2)
-        kern = GridFunction.from_callable(
+        kern = from_callable(
             params, w,
             lambda x1, x2: qexp(-1j * lam[0] * x1, params) * bessel_j(alpha, lam[1] * x2, params).value,
         )
@@ -153,9 +154,9 @@ def test_criterion_4_identities(q, alpha):
     for seed in (200, 201, 202):
         f = random_even_bump(params, LatticeWindow(-2, 4, -2, 4), seed, pad=1)
         g = random_even_bump(params, LatticeWindow(-2, 4, -2, 4), seed + 50, pad=1)
-        rep = identity_suite(f, g, n_max=2, p_max=2)
-        worst = max(worst, max(rep.values()))
-        complete = complete and rep.complete
+        rep = identity_suite(f, g)
+        worst = max(worst, max(rep.discrepancies.values()))
+        complete = complete and not rep.skipped_orders
         if rep.skipped_orders:
             print(f"       skipped multiplier orders at q={q}: {rep.skipped_orders}")
     ok = _report(f"criterion 4 identities (q={q}, alpha={alpha})", worst, 1e-7)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -28,6 +29,15 @@ from qweinstein.cli import (
 from qweinstein.qcore import aligned_q
 
 from . import oracles
+
+
+def _write_config(cfg: JobConfig, path) -> None:
+    """cfg as the key=value text JobConfig.from_file reads, one line a set field."""
+    with open(path, "w") as fh:
+        for f in fields(cfg):
+            v = getattr(cfg, f.name)
+            if v is not None:
+                fh.write(f"{f.name}={v}\n")
 
 
 def test_file_round_trip_csv(tmp_path):
@@ -191,14 +201,14 @@ def test_config_round_trip(tmp_path):
     cfg = JobConfig(q=0.7, alpha=0.25, seed=13, tol=1e-5, n1_min=-2, n1_max=4,
                     n2_min=-1, n2_max=3, fmt="json", N=33)
     path = tmp_path / "job.cfg"
-    cfg.to_file(str(path))
+    _write_config(cfg, path)
     back = JobConfig.from_file(str(path))
     assert back == cfg
 
 
 def test_config_cli_override(tmp_path):
     path = tmp_path / "job.cfg"
-    JobConfig(q=0.7, seed=1).to_file(str(path))
+    _write_config(JobConfig(q=0.7, seed=1), path)
     src = tmp_path / "f.csv"
     rc = main(["--config", str(path), "--q", "0.5", "--seed", "8",
                "gen", "--support=0,1,0,1", "--out", str(src)])
@@ -245,6 +255,11 @@ def test_transform_of_a_huge_sample(tmp_path, capsys, direction, value, rc):
 _CSV_HEADER = "# qweinstein v{v} q=0.5 alpha=0.0 parity=even n1=[0,2] n2=[0,2]\n"
 
 
+def _one_cell_at(n: int) -> tuple:
+    """A header-test case: the CSV window and its one point moved to n1 = n."""
+    return "csv", "n1=[0,2] n2=[0,2]\n1,0,", f"n1=[{n},{n}] n2=[0,2]\n1,{n},"
+
+
 def _json_with_points(points: str) -> str:
     """A JSON grid file, valid but for its points, given as JSON text."""
     return ('{"format": "qweinstein", "version": 1, "q": 0.5, "alpha": 0.0, "parity": "even", '
@@ -286,8 +301,15 @@ def test_reader_rejects_bad_rows(tmp_path, fmt, rows, version, match):
     ["gen", "--support=a,b,c,d"],
     ["gen", "--support=1,2,3"],
     ["--window=a,2,3,4", "gen", "--support=0,1,0,1"],
-], ids=["support-not-integers", "support-three-fields", "window-not-integers"])
-def test_malformed_window_flag_exit_1(tmp_path, capsys, argv):
+    ["gen", "--support=0,1000000,0,1000000"],
+    ["gen", f"--support=0,{2**63},0,0"],
+    [f"--window=0,{2**63},0,0", "transform", "--input", "in.csv"],
+    ["--window=0,4000000000000,0,0", "transform", "--input", "in.csv"],
+], ids=["support-not-integers", "support-three-fields", "window-not-integers",
+        "support-10^12-cells", "support-past-int64", "window-past-int64", "window-4e12"])
+def test_malformed_window_flag_exit_1(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--support=0,1,0,1", "--out", "in.csv"]) == 0
     rc = main(argv + ["--out", str(tmp_path / "f.csv")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
@@ -338,10 +360,16 @@ def test_config_unparsable_value_exit_1(tmp_path, capsys, line):
     ("json", '"alpha": 0.0', '"alpha": NaN'),
     ("json", '"n1": [0, 2]', '"n1": [-1, 1099511627776]'),
     ("csv", "n1=[0,2]", "n1=[-1,9223372036854775808]"),
+    ("csv", "n1=[0,2]", f"n1=[{2**63},{2**63}]"),
+    ("json", '"n1": [0, 2]', f'"n1": [{2**63}, {2**63}]'),
+    _one_cell_at(3000),
+    _one_cell_at(10**6),
+    _one_cell_at(10**12),
 ], ids=["json-n1-int", "json-n2-str-bound", "json-q-str", "json-alpha-null", "json-points-int",
         "json-not-object", "csv-q-str", "csv-n1-int", "json-version-bool", "json-format-other",
         "json-q-range", "json-n1-reversed", "json-parity-range", "csv-q-range", "csv-alpha-nan",
-        "json-alpha-nan", "json-window-2^40", "csv-window-past-2^62"])
+        "json-alpha-nan", "json-window-2^40", "csv-window-past-2^62", "csv-window-at-2^63",
+        "json-window-at-2^63", "csv-cell-at-3000", "csv-cell-at-10^6", "csv-cell-at-10^12"])
 def test_reader_rejects_bad_header_types(tmp_path, capsys, fmt, old, new):
     # a header field of the wrong type, or out of range, is a format error on
     # line 1 (exit 1), not a traceback or a message that names no file
@@ -399,6 +427,66 @@ def test_non_finite_alpha_exit_1(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: alpha must be finite") and "Warning" not in err
+
+
+@pytest.mark.parametrize("tol", ["1e-320", "1e300"])
+def test_auto_window_tolerance_outside_unit_interval_exit_1(tmp_path, capsys, tol):
+    # transform's automatic window runs at tol * 1e-4, which underflows to 0 for the
+    # first and exceeds 1 for the second
+    src = str(tmp_path / "f.csv")
+    assert main(["gen", "--support=0,1,0,1", "--out", src]) == 0
+    assert main(["--tol", tol, "transform", "--input", src, "--out", str(tmp_path / "o.csv")]) == 1
+    assert "error: the automatic window's tolerance must lie in (0, 1)" in capsys.readouterr().err
+
+
+# values no flag takes: not numbers, non-finite, subnormal, huge, negative, zero,
+# past int64, empty, a directory
+_HOSTILE = ["nan", "inf", "-inf", "1e-320", "1e300", "-1", "0", str(2**63), "", "abc", "."]
+_BAD_WINDOWS = _HOSTILE + [f"0,{2**63},0,0", "0,4000000000000,0,0", "0,1000000,0,1000000",
+                           "4,0,0,0", "0,0,3,2", "0,1,2", "-600,0,0,0"]
+_GEN = ["gen", "--support=0,1,0,1", "--out", "o.csv"]
+_TRANSFORM = ["transform", "--input", "in.csv", "--out", "o.csv"]
+_BANDWIDTH = ["bandwidth", "--input", "F.csv", "--N", "2"]
+# (argv with {} for the value, the values to try, those of them that are valid there).
+# Valid values stay out of scope even where they are extreme: in-domain q and alpha
+# such as q = 1e-320 or alpha = 1e300, and valid but expensive ones (a large --N, q
+# near 1)
+_FLAG_CASES = [
+    (["--config", "{}", *_GEN], _HOSTILE, ()),
+    (["--q", "{}", *_GEN], _HOSTILE, ("1e-320",)),
+    (["--alpha", "{}", *_GEN], _HOSTILE, ("1e-320", "1e300", "0", str(2**63))),
+    (["--seed", "{}", *_GEN], _HOSTILE, ("0", str(2**63))),
+    (["--tol", "{}", *_TRANSFORM], _HOSTILE, ()),
+    (["--format", "{}", *_GEN], _HOSTILE, ()),
+    (["--window={}", *_TRANSFORM], _BAD_WINDOWS, ()),
+    (["--window={}", "verify", "--suite", "plancherel"], _BAD_WINDOWS, ()),
+    (["gen", "--support={}", "--out", "o.csv"], _BAD_WINDOWS, ()),
+    (["gen", "--support=0,1,0,1", "--out", "{}"], ["", ".", "no/such/dir/o.csv"], ()),
+    (["transform", "--input", "{}", "--out", "o.csv"], _HOSTILE, ()),
+    (["transform", "--input", "in.csv", "--out", "{}"], ["", ".", "no/such/dir/o.csv"], ()),
+    ([*_TRANSFORM, "--direction", "{}"], _HOSTILE, ()),
+    (["bandwidth", "--input", "{}", "--N", "2"], _HOSTILE, ()),
+    (["bandwidth", "--input", "F.csv", "--N", "{}"], _HOSTILE, (str(2**63),)),
+    ([*_BANDWIDTH, "--out", "{}"], ["", ".", "no/such/dir/o.csv"], ()),
+    (["verify", "--suite", "{}"], _HOSTILE, ()),
+]
+
+
+@pytest.fixture(scope="module")
+def hostile_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("hostile")
+    assert main(["gen", "--support=-1,2,-1,2", "--out", str(path / "in.csv")]) == 0
+    assert main(["transform", "--input", str(path / "in.csv"), "--out", str(path / "F.csv")]) == 0
+    assert main(["bandwidth", "--input", str(path / "F.csv"), "--N", "2"]) == 0
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    [a.replace("{}", v) for a in template]
+    for template, values, valid in _FLAG_CASES for v in values if v not in valid], ids=" ".join)
+def test_hostile_flag_values_exit_nonzero_without_raising(hostile_dir, monkeypatch, argv):
+    monkeypatch.chdir(hostile_dir)
+    assert main(argv) in (1, 2, 3)
 
 
 @pytest.mark.parametrize("fmt,rows,match", [
@@ -612,7 +700,7 @@ def test_mutated_files_never_escape_main(tmp_path, f, kind, edits):
     # spectral window, so its cost stays that of reading the file
     path = tmp_path / f"in.{'cfg' if kind == 'config' else kind}"
     if kind == "config":
-        JobConfig(q=f.params.q, alpha=f.params.alpha, seed=3, N=5).to_file(str(path))
+        _write_config(JobConfig(q=f.params.q, alpha=f.params.alpha, seed=3, N=5), path)
     else:
         write_gridfunction(f, str(path), kind)
     path.write_bytes(_edited(path.read_bytes(), edits))

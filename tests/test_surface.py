@@ -1,0 +1,55 @@
+"""The package's public surface is what the package and the benchmark use.
+
+A public function, class or method of ``src/qweinstein`` that nothing in the
+package (outside its own definition and ``__init__.py``) and nothing in
+``perfbench/`` refers to is code that only tests call; it belongs in the tests,
+unless it is a paper object listed in ``PAPER_OBJECTS``.  Names are matched,
+not resolved: a method counts as used wherever an attribute of its name is read.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# paper objects the tests pin although no code path of the package calls them
+PAPER_OBJECTS = {
+    "qfactorial": "the q-factorial [n]_q!",
+    "dq_1d": "the Rubin symmetric q-derivative, on callables at a lattice point",
+    "even_odd_split": "the split f = f_e + f_o into even and odd parts",
+    "kernel_eval": "the kernel e(-i l1 x1; q^2) j_alpha(l2 x2; q^2) at general arguments",
+    "Kernel": "the product kernel at a fixed spectral point",
+    "sup_bound": "the kernel bound 4 / (q; q)_inf^2 of criterion 9",
+    "norm_growth_sequence": "the preimage-side norm growth b_n of the Paley-Wiener theorem",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (m for m in node.body
+                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    trees = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "qweinstein").glob("*.py"))
+             if p.name != "__init__.py"]
+    bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    uses: dict = {}   # name -> ids of the Name and Attribute nodes that read it
+    for n in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(n, (ast.Name, ast.Attribute)):
+            uses.setdefault(n.id if isinstance(n, ast.Name) else n.attr, []).append(id(n))
+    defined, unused = set(), []
+    for tree in trees:
+        for node in _public_definitions(tree):
+            defined.add(node.name)
+            own = {id(n) for n in ast.walk(node)}
+            if (node.name not in PAPER_OBJECTS
+                    and all(i in own for i in uses.get(node.name, ()))
+                    and not re.search(rf"\b{node.name}\b", bench)):
+                unused.append(node.name)
+    assert not unused, f"public but used only by tests: {unused}"
+    assert set(PAPER_OBJECTS) <= defined, "a paper object named here is gone from src/"

@@ -23,11 +23,7 @@ from qweinstein import (
 from qweinstein.qcore import aligned_q, qgamma_base
 from qweinstein.qintegrate import mu_weights
 from qweinstein.qops import EVEN, weinstein_op
-from qweinstein.transform import (
-    apply_weinstein_spectrally,
-    embed_zeros,
-    riemann_lebesgue_trend,
-)
+from qweinstein.transform import embed_zeros, norm_sq_lambda
 from .conftest import make_bump, max_rel
 
 K_05_05 = 0.3710633704920698050136   # frozen oracle
@@ -117,7 +113,7 @@ def test_forward_single_point_closed_form():
     for sl, m1, m2 in ((1, 0, 0), (-1, 2, 1), (1, -2, 3), (-1, 4, -1), (1, 1, -3)):
         lam = (sl * q**m1, q**m2)
         want = K * w0 * kernel_eval(lam, (q**a_exp, q**b_exp), p)
-        got = F.value_at(sl, m1, m2)
+        got = F.samples[(1 - sl) // 2, m1 - F.window.n1_min, m2 - F.window.n2_min]
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -192,9 +188,20 @@ def test_plancherel_fails_at_misaligned_q():
 
 
 def test_riemann_lebesgue_trend():
+    # sup of |transform| on the outermost spectral shell for growing windows
     p = QParams(q=0.5, alpha=0.5)
     f = make_bump(p, seed=44)
-    sups = riemann_lebesgue_trend(f, n_shells=4)
+    w = f.window
+    sups = []
+    for t in range(4):
+        outer = 6 + 2 * t
+        win = LatticeWindow(-(outer + w.n1_max), 8, -(outer + w.n2_max), 8)
+        F = forward(f, lambda_window=win).grid
+        shell = np.concatenate([
+            np.abs(F.samples[:, 0, :]).ravel(),
+            np.abs(F.samples[:, :, 0]).ravel(),
+        ])
+        sups.append(float(shell.max()))
     assert all(sups[i + 1] <= sups[i] * (1 + 1e-9) for i in range(len(sups) - 1))
 
 
@@ -202,7 +209,10 @@ def test_spectral_vs_literal_weinstein():
     p = QParams(q=0.5, alpha=0.5)
     f = make_bump(p, seed=45, pad=3)
     direct = weinstein_op(f, 1)
-    spectral = apply_weinstein_spectrally(f)
+    # multiply the transform by -||l||^2 and invert
+    F = forward(f).grid
+    G = F.with_samples(F.samples * -norm_sq_lambda(F.window, p))
+    spectral = inverse(G, x_window=f.window).grid
     s1, s2 = direct.window.untainted_slices()
     num = np.max(np.abs(direct.samples[:, s1, s2] - spectral.samples[:, s1, s2]))
     den = np.max(np.abs(direct.samples[:, s1, s2]))
@@ -233,7 +243,7 @@ def test_identity_suite_zero_function():
     p = QParams(q=0.5, alpha=0.5)
     z = GridFunction.zeros(p, LatticeWindow(-1, 2, -1, 2))
     rep = identity_suite(z)
-    assert all(v == 0.0 for v in rep.values())
+    assert all(v == 0.0 for v in rep.discrepancies.values())
 
 
 def test_identity_suite_tolerances():
@@ -241,10 +251,10 @@ def test_identity_suite_tolerances():
     f = make_bump(p, seed=48)
     g = make_bump(p, seed=49)
     rep = identity_suite(f, g)
-    assert rep["weinstein_eigen"] <= 1e-7
-    assert rep["derivative_to_multiplier"] <= 1e-7
-    assert rep["multiplier_to_derivative"] <= 1e-7
-    assert rep["pairing_symmetry"] <= 1e-8
+    assert rep.discrepancies["weinstein_eigen"] <= 1e-7
+    assert rep.discrepancies["derivative_to_multiplier"] <= 1e-7
+    assert rep.discrepancies["multiplier_to_derivative"] <= 1e-7
+    assert rep.discrepancies["pairing_symmetry"] <= 1e-8
 
 
 def test_orthogonality_diagonal_and_offdiagonal():
@@ -417,7 +427,7 @@ def test_identity_suite_builds_each_kernel_once(monkeypatch):
     p = QParams(q=0.5, alpha=0.5)
     f = make_bump(p, seed=61, lo1=-2, hi1=3, lo2=-2, hi2=3, pad=0)
     rep = identity_suite(f)
-    pad = 2 * 2 + 2 * 2 + 2     # the suite's x-side padding for n_max = p_max = 2
+    pad = 2 * 2 + 2 * 2 + 2     # the suite's x-side padding for its orders n, p <= 2
     w = f.window
     fpad = (w.n1_min - pad, w.n1_max + pad, w.n2_min - pad, w.n2_max + pad)
     assert builds[fpad, extents(rep.lambda_window)] == 1
@@ -486,7 +496,7 @@ def _memo_outputs(f: GridFunction) -> list:
             out += [r.grid.samples, np.array([r.tail_bound, w.n1_min, w.n1_max, w.n2_min,
                                               w.n2_max], dtype=float)]
     rep = identity_suite(f)
-    out.append(np.array(list(rep.values())))
+    out.append(np.array(list(rep.discrepancies.values())))
     bw = bandwidth_estimate(forward(f).grid, 12)
     out += [np.array(bw.a_seq), np.array(bw.a_seq_literal), np.array(bw.core_fractions),
             np.array([bw.estimate, bw.oracle_radius, bw.route_max_rel_dev])]

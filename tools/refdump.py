@@ -63,7 +63,7 @@ def _transform(res) -> dict:
 
 def _identities(rep) -> dict:
     keys = sorted(rep.discrepancies)
-    return {"keys": np.array(keys), "values": np.array([rep[k] for k in keys]),
+    return {"keys": np.array(keys), "values": np.array([rep.discrepancies[k] for k in keys]),
             "skipped": np.array([str(s) for s in rep.skipped_orders], dtype=str),
             "window": _window(rep.lambda_window)}
 
