@@ -113,7 +113,6 @@ class JobConfig:
     @staticmethod
     def from_file(path: str) -> "JobConfig":
         cfg = JobConfig()
-        types = {f.name: f.type for f in fields(cfg)}
         for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -123,7 +122,7 @@ class JobConfig:
             key, val = line.split("=", 1)
             key = key.strip()
             val = val.strip()
-            if key not in types:
+            if key not in {f.name for f in fields(cfg)}:
                 raise FileFormatError(f"{path}:{lineno}: unknown key {key!r}")
             if key == "fmt":
                 if val not in FORMATS:
@@ -146,6 +145,9 @@ class JobConfig:
 
 def write_gridfunction(f: GridFunction, path: str, fmt: str = "csv"):
     """Sparse on-disk form: only nonzero points, absent points are zero."""
+    if (fmt == "json") != path.endswith(".json"):   # read_gridfunction goes by the name
+        raise FileFormatError(f"{path}: format {fmt!r} disagrees with the file name; names "
+                              "ending in .json are read as JSON, all others as CSV")
     w = f.window
     s_idx, i1, i2 = np.nonzero(f.samples)   # C order: sign, then n1, then n2
     v = f.samples[s_idx, i1, i2]
@@ -392,8 +394,8 @@ def _cmd_transform(args, cfg: JobConfig) -> int:
         res = forward(f, lambda_window=window, auto_tol=cfg.tol * 1e-4)
     else:
         res = inverse(f, x_window=window, auto_tol=cfg.tol * 1e-4)
-    print(f"tail_bound={res.tail_bound:.3e}", file=sys.stderr)
     write_gridfunction(res.grid, args.out, cfg.fmt)
+    print(f"tail_bound={res.tail_bound:.3e}", file=sys.stderr)
     return 0
 
 
@@ -525,6 +527,14 @@ def _cmd_verify(args, cfg: JobConfig) -> int:
     return 0
 
 
+_COMMANDS = {
+    "gen": _cmd_gen,
+    "transform": _cmd_transform,
+    "bandwidth": _cmd_bandwidth,
+    "verify": _cmd_verify,
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # built once per process: parse_args keeps no state between calls.
@@ -611,16 +621,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        cfg = _merge_config(args)
-        if args.command == "gen":
-            return _cmd_gen(args, cfg)
-        if args.command == "transform":
-            return _cmd_transform(args, cfg)
-        if args.command == "bandwidth":
-            return _cmd_bandwidth(args, cfg)
-        if args.command == "verify":
-            return _cmd_verify(args, cfg)
-        raise FileFormatError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args, _merge_config(args))
     except (FileFormatError, QDomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -394,14 +394,6 @@ def _dilation_bound(n: int, p: int, q: float, sup: float, inf: float,
     return sum(abs(c) * (q ** (-u) * r) ** a for (_s, u), c in terms.items())
 
 
-def _qpoch_desc(base: float, n: int, p: int) -> float:
-    """(q^n; q^-1)_p = prod_{k<p} (1 - q^(n-k))."""
-    out = 1.0
-    for k in range(p):
-        out *= 1.0 - base ** (n - k)
-    return out
-
-
 def monomial_derivative_bound_check(f: GridFunction, n1: int, n2: int, p1: int, p2: int,
                                     p: int) -> tuple[float, float, dict]:
     """Check ||D^(p1,p2)(t1^n1 t2^n2 f)||_inf against its constructive bound.
@@ -410,8 +402,7 @@ def monomial_derivative_bound_check(f: GridFunction, n1: int, n2: int, p1: int, 
     as the samples hold.  Lattice and stencils are separable, so every term
     of the 2-D expansion is a product of 1-D ones and rhs is max|f| times
     the product of the two _dilation_bound sums: lhs <= rhs is a theorem.
-    detail's C relates rhs to the displayed
-    C * (R/q^(2p))^(n1+n2) (q^n1; q^-1)_p (q^n2; q^-1)_p / (1-q)^(2p).
+    detail holds the derivative's support radius and its bound, f's over q^p.
     """
     if not (p1 <= p < n1 and p2 <= p < n2):
         raise QDomainError("need p1 <= p < n1 and p2 <= p < n2")
@@ -423,14 +414,8 @@ def monomial_derivative_bound_check(f: GridFunction, n1: int, n2: int, p1: int, 
     ext1, ext2 = _support_extent(f)
     raw = (float(np.max(np.abs(f.samples))) * _dilation_bound(n1, p1, q, *ext1, None)
            * _dilation_bound(n2, p2, q, *ext2, f.parity_y))
-    R = support_radius(f)
-    disp = ((R / q ** (2 * p)) ** (n1 + n2)
-            * _qpoch_desc(q, n1, p) * _qpoch_desc(q, n2, p) / (1.0 - q) ** (2 * p))
-    C = raw / disp if disp > 0 else math.inf
-    detail = {"C": C, "displayed_factor": disp, "radius": R,
-              "support_radius_out": support_radius(d),
-              "support_radius_bound": R / q**p}
-    return lhs, raw, detail
+    return lhs, raw, {"support_radius_out": support_radius(d),
+                      "support_radius_bound": support_radius(f) / q**p}
 
 
 def radial_power_bound_check(f: GridFunction, n: int, i: int, j: int,
@@ -454,12 +439,7 @@ def radial_power_bound_check(f: GridFunction, n: int, i: int, j: int,
     raw = float(np.max(np.abs(f.samples))) * sum(
         math.comb(n, m) * _dilation_bound(2 * m, 2 * i, q, *ext1, None)
         * _dilation_bound(2 * (n - m), 2 * j, q, *ext2, f.parity_y) for m in range(n + 1))
-    R = support_radius(f)
-    disp = ((R / q ** (4 * p)) ** (2 * n)
-            * (_qpoch_desc(q, 2 * n, 2 * p) / (1.0 - q) ** (2 * p)) ** 2)
-    C = raw / disp if disp > 0 else math.inf
-    detail = {"C": C, "displayed_factor": disp, "radius": R}
-    return lhs, raw, detail
+    return lhs, raw, {}
 
 
 def weinstein_sup_bound_check(f: GridFunction, k: int) -> tuple[float, float, dict]:

@@ -91,7 +91,7 @@ def qshifted(x: complex, n, params: QParams, policy: TruncationPolicy = DEFAULT_
     series of the same size.
     """
     q = params.q
-    if n is math.inf or n is None or (isinstance(n, float) and math.isinf(n)):
+    if n == math.inf:
         prod = 1.0 + 0.0j if isinstance(x, complex) else 1.0
         term = x
         # geometric decay: at most ~log(product_tol)/log(q) factors

@@ -26,9 +26,6 @@ class IntegralResult:
     value: complex
     tail: float
 
-    def __complex__(self):
-        return complex(self.value)
-
 
 def neumaier_sum(terms: np.ndarray) -> complex:
     """Correctly rounded sum (math.fsum) of the real and the imaginary parts."""

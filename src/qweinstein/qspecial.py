@@ -35,9 +35,6 @@ class SeriesValue:
     value: complex
     est_tail: float
 
-    def __complex__(self):
-        return complex(self.value)
-
 
 def bessel_j(alpha: float, x: complex, params: QParams,
              policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:

@@ -239,8 +239,6 @@ def _tail_report(abs_samples: np.ndarray, weights: np.ndarray) -> float:
     edges, nexts = edge_shell_mass(mass), edge_shell_mass(mass, 1)
     tails = 0.0
     for edge, nxt in zip(edges, nexts):
-        if edge == 0.0:
-            continue
         r = edge / nxt if nxt > edge else 0.9
         r = min(r, 0.95)
         tails += edge * r / (1.0 - r)

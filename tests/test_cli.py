@@ -996,3 +996,19 @@ def test_readme_cli_flow_bandwidth_is_frozen(tmp_path):
     for key in ("a_n_literal", "a_n_spectral", "estimate"):
         assert np.array_equal(np.array(got[key]).view(np.int64),
                               np.array(frozen[key]).view(np.int64)), key
+
+
+@pytest.mark.parametrize("fmt,name", [("json", "F.csv"), ("csv", "F.json")])
+def test_format_that_disagrees_with_the_out_suffix_exit_1(tmp_path, capsys, fmt, name):
+    # the reader picks its parser by the .json suffix, so a file it could not
+    # read back is refused before it is opened
+    src, out = tmp_path / "f.csv", tmp_path / name
+    assert main(["gen", "--support=0,1,0,1", "--out", str(src)]) == 0
+    capsys.readouterr()
+    assert main(["--format", fmt, "transform", "--input", str(src), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {out}: format '{fmt}' disagrees with the file name; names ending "
+                   "in .json are read as JSON, all others as CSV\n")
+    assert not out.exists()
+    assert main(["--format", fmt, "gen", "--support=0,1,0,1", "--out", str(out)]) == 1
+    assert not out.exists()

@@ -10,11 +10,14 @@ random bumps on supports from one point to 61x61 (pad 1), saves under a
 stable name: forward and inverse samples, windows, tail bounds and edge
 ratios on automatic and fixed windows, and, on the small supports, the
 ``identity_suite`` report, the ``bandwidth_estimate`` sequences (with the
-reconstructed and with the given preimage) and ``pw_m_sup``; and, for each
-(q, alpha), ``normalization_K``, ``Kernel(...).sup_bound()`` and
-``orthogonality_check`` at a diagonal and an off-diagonal pair of lattice
-points.  A call that raises is saved as its exception's type and message.
-Only the public API is used.
+reconstructed and with the given preimage), ``pw_m_sup`` and the three
+derivative bound checks at the ``verify --suite bounds`` orders (lhs, rhs
+and the ``detail`` entries the tests read); for each (q, alpha),
+``normalization_K``, ``Kernel(...).sup_bound()`` and ``orthogonality_check``
+at a diagonal and an off-diagonal pair of lattice points; and for each q,
+``sonine_identity_check`` at the ``verify --suite sonine`` arguments.  A
+call that raises is saved as its exception's type and message.  Only the
+public API is used.
 
 ``compare`` lists the entries present in one dump only, the entries whose
 values differ and those that differ only in the sign of a zero (or a NaN
@@ -34,7 +37,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qweinstein import (Kernel, LatticeWindow, PWmParams, QParams,  # noqa: E402
                         auto_lambda_window, bandwidth_estimate, forward, identity_suite,
-                        inverse, normalization_K, orthogonality_check, pw_m_sup)
+                        inverse, monomial_derivative_bound_check, normalization_K,
+                        orthogonality_check, pw_m_sup, radial_power_bound_check,
+                        sonine_identity_check, weinstein_sup_bound_check)
 from qweinstein.cli import random_even_bump  # noqa: E402
 from qweinstein.qcore import aligned_q  # noqa: E402
 
@@ -49,6 +54,15 @@ BANDWIDTH_N = 12
 # (sign1, n1, n2) pairs for orthogonality_check: one diagonal, two off it
 ORTHO_PAIRS = {"diag": ((1, 1, 0), (1, 1, 0)), "offdiag": ((1, 1, 0), (1, 3, 2)),
                "sign": ((1, 1, 0), (-1, 1, 0))}
+# the verify suites' arguments: bound checks (name -> call on f, the detail
+# keys the tests read) and the Sonine (alpha, p) pairs with their exponents
+BOUNDS = {"monomial": (lambda f: monomial_derivative_bound_check(f, 3, 3, 1, 1, 2),
+                       ("support_radius_out", "support_radius_bound")),
+          "radial": (lambda f: radial_power_bound_check(f, 3, 1, 1, 1), ()),
+          "weinstein_sup": (lambda f: weinstein_sup_bound_check(f, 2),
+                            ("C_k", "max_derivative_sup"))}
+SONINE = ((0.0, 1), (0.5, 2))
+SONINE_Y = list(range(-2, 5))
 
 
 def _window(w: LatticeWindow) -> np.ndarray:
@@ -90,6 +104,14 @@ def _pw_m(result) -> dict:
     return {"sup": np.float64(sup), "per_n": np.array(per_n)}
 
 
+def _bound(keys):
+    def flatten(result) -> dict:
+        lhs, rhs, detail = result
+        return {"lhs_rhs": np.array([lhs, rhs]),
+                "detail": np.array([detail[k] for k in keys], dtype=np.float64)}
+    return flatten
+
+
 def write(out: str) -> None:
     start = time.perf_counter()
     entries = {}
@@ -106,6 +128,10 @@ def write(out: str) -> None:
         return result
 
     for qname, q in QS.items():
+        for alpha, order in SONINE:
+            record(f"q={qname}:sonine[alpha={alpha},p={order}]",
+                   lambda: sonine_identity_check(alpha, order, SONINE_Y, QParams(q=q, alpha=0.0)),
+                   _scalar)
         for ai, alpha in enumerate(ALPHAS):
             p = QParams(q=q, alpha=alpha)
             name = f"q={qname}:alpha={alpha}"
@@ -142,6 +168,8 @@ def write(out: str) -> None:
                 m = int(alpha + 1.5) + 1     # the least m > alpha + 3/2
                 record(f"{name}:pw_m_sup",
                        lambda: pw_m_sup(G, PWmParams(m=m, a=2.0, N=m + 4), f_hat=f), _pw_m)
+                for bname, (check, keys) in BOUNDS.items():
+                    record(f"{name}:{bname}_bound", lambda: check(f), _bound(keys))
     np.savez(out, **entries)
     print(f"wrote {len(entries)} entries to {out} in {time.perf_counter() - start:.1f} s")
 
