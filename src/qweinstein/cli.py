@@ -621,7 +621,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args, _merge_config(args))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _COMMANDS[args.command](args, _merge_config(args))
     except (FileFormatError, QDomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

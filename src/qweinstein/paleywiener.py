@@ -119,7 +119,7 @@ class TransformSideIterates:
         self._m_r = math.log(r) / self._L if r > 0 else 0.0
         self._stencil_const = 16.0 / (1.0 - q) ** 2
         self._log_amp_budget = math.log(1e-9 / 2.2e-16)   # junk budget over rounding
-        w = auto_lambda_window(f_hat, tol=1e-12)
+        w = auto_lambda_window(f_hat)
         self.window = LatticeWindow(w.n1_min - 2, w.n1_max + 4, w.n2_min - 2, w.n2_max + 4)
         self._logw_lam = np.broadcast_to(log_mu_table(self.window, self.params), self.window.shape)
         x1 = q ** self.window.n1_exponents().astype(float)

@@ -10,7 +10,7 @@ The kernel e(-i l1 x1; q^2) j_alpha(l2 x2; q^2) separates into 1-D kernel
 families indexed by the exponent sum of argument products.  Split by the
 sign of x1, the cosine family sees only the even part of the data and the
 sine family only the odd part, so a transform is two matrix products with
-real kernel matrices (_transform_array), the left ones real GEMMs on the
+real kernel matrices (_contract), the left ones real GEMMs on the
 interleaved data; the summation noise floor is the cosine product on the
 kernel moduli.  The automatic window weighs each cell once.  Families come from
 qspecial and stay accurate (or cleanly underflow to exact zero) arbitrarily
@@ -103,7 +103,7 @@ class Kernel:
         return 4.0 / (qq.real * qq.real)
 
 
-def dirac_weight(x1_exp: int, x2_exp: int, sign1: int, params: QParams) -> float:
+def dirac_weight(x1_exp: int, x2_exp: int, params: QParams) -> float:
     """Weight of the lattice Dirac measure: 1 / ((1-q)^2 |x1| x2^(2a+2))."""
     q = params.q
     x1 = q ** float(x1_exp)
@@ -124,27 +124,12 @@ class TransformResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _transform_array(data: np.ndarray, in_window: LatticeWindow, out_window: LatticeWindow,
-                     params: QParams, conj: bool) -> np.ndarray:
-    """Core contraction: out(l) = K * sum_x data(x) e(∓i l1 x1) j(l2 x2) dmu(x).
-
-    The kernel e(-i l1 x1) = cos - i sign(l1 x1) sin splits the data by the
-    sign of x1: the cosine part sees d+ + d-, the sine part d+ - d-, so the
-    products a = C (d+ + d-) Jw^T and b = S (d+ - d-) Jw^T with real kernel
-    matrices give both signs of l1 as a -+ i kappa b.  Values past the
-    float64 range come out as inf or nan, without a warning; _scaled_abs
-    raises OverflowError on them.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _contract(_kernel_matrices(in_window, out_window, params), data, conj)
-
-
 _KERNEL_CACHE: dict = {}    # the 16 most recent _kernel_matrices, oldest first
 
 
 def _kernel_matrices(in_window: LatticeWindow, out_window: LatticeWindow,
                      params: QParams) -> tuple:
-    """(C, S, Jw, x1w) of _transform_array: the gathered family matrices, with
+    """(C, S, Jw, x1w) of _contract: the gathered family matrices, with
     K (1-q)^2 and the x2 measure weight folded into Jw, and the d_q x1 weight.
 
     Memoized, read-only, on the two windows' extents (not their taint) and
@@ -176,14 +161,23 @@ def _kernel_matrices(in_window: LatticeWindow, out_window: LatticeWindow,
 
 
 def _contract(kernel: tuple, data: np.ndarray, conj: bool) -> np.ndarray:
-    """The sign-split product of _transform_array with prebuilt kernel matrices."""
+    """Core contraction: out(l) = K * sum_x data(x) e(∓i l1 x1) j(l2 x2) dmu(x).
+
+    kernel is _kernel_matrices of the two windows.  The kernel e(-i l1 x1)
+    = cos - i sign(l1 x1) sin splits the data by the sign of x1: the cosine
+    part sees d+ + d-, the sine part d+ - d-, so the products a = C (d+ + d-)
+    Jw^T and b = S (d+ - d-) Jw^T with real kernel matrices give both signs
+    of l1 as a -+ i kappa b.  Values past the float64 range come out as inf
+    or nan, without a warning; _scaled_abs raises OverflowError on them.
+    """
     C, S, Jw, x1w = kernel
-    d = data * x1w                                            # d_q x1 weight (per sign)
-    a = _real_left(C, d[0] + d[1]) @ Jw.T
-    ib = _real_left(S, d[0] - d[1]) @ Jw.T * (-1j if conj else 1j)
-    out = np.empty((2,) + a.shape, dtype=np.complex128)   # no output-sized temporaries
-    np.subtract(a, ib, out=out[0])
-    np.add(a, ib, out=out[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = data * x1w                                        # d_q x1 weight (per sign)
+        a = _real_left(C, d[0] + d[1]) @ Jw.T
+        ib = _real_left(S, d[0] - d[1]) @ Jw.T * (-1j if conj else 1j)
+        out = np.empty((2,) + a.shape, dtype=np.complex128)   # no output-sized temporaries
+        np.subtract(a, ib, out=out[0])
+        np.add(a, ib, out=out[1])
     return out
 
 
@@ -214,7 +208,7 @@ def _scaled_abs(z: np.ndarray) -> np.ndarray:
     return a if -64 < e <= 64 else np.ldexp(a, -e, out=a)
 
 
-def _input_edge_ratio(samples: np.ndarray, weights: np.ndarray, edge_tol: float = 0.02) -> float:
+def _input_edge_ratio(samples: np.ndarray, weights: np.ndarray, edge_tol: float) -> float:
     """Share of the L2 mass |samples|^2 weights on the outermost shells, where weights
     is the window's (N1, N2) table of measure weights; DivergenceError above edge_tol."""
     mass = _scaled_abs(samples) ** 2 * weights
@@ -249,63 +243,35 @@ def forward(f: GridFunction, lambda_window: LatticeWindow | None = None, *,
             auto_tol: float = 1e-12, edge_tol: float = 0.02, _conj: bool = False) -> TransformResult:
     """q-Weinstein transform of an even grid function.
 
-    With lambda_window=None the spectral window is grown automatically
-    until the reported relative tail falls below auto_tol (or the kernel
-    underflow frontier is reached, beyond which shells are exactly zero).
-    """
-    if f.parity_y != EVEN:
-        raise QDomainError("forward requires even parity in the second variable")
-    edge_ratio = _input_edge_ratio(f.samples, mu_table(f.window, f.params), edge_tol)
-    if lambda_window is None:
-        grid, tail = _auto_window_transform(f, auto_tol, _conj)
-    else:
-        out = _transform_array(f.samples, f.window, lambda_window, f.params, conj=_conj)
-        tail = _tail_report(_scaled_abs(out), mu_table(lambda_window, f.params))
-        grid = GridFunction(f.params, lambda_window, EVEN, out)
-    return TransformResult(grid=grid, tail_bound=tail,
-                           diagnostics={"input_edge_mass_ratio": edge_ratio})
-
-
-def inverse(F: GridFunction, x_window: LatticeWindow | None = None, *,
-            auto_tol: float = 1e-12, edge_tol: float = 0.02) -> TransformResult:
-    """Inverse transform: forward with the sign-flipped first kernel argument."""
-    return forward(F, lambda_window=x_window, auto_tol=auto_tol, edge_tol=edge_tol, _conj=True)
-
-
-def auto_lambda_window(f: GridFunction, tol: float = 1e-12) -> LatticeWindow:
-    """Select a spectral window with relative edge tails below tol (see _auto_window_transform)."""
-    return _auto_window_transform(f, tol)[0].window
-
-
-def _auto_window_transform(f: GridFunction, tol: float,
-                           conj: bool = False) -> tuple[GridFunction, float]:
-    """The transform of f on an automatically selected spectral window, and its tail report.
-
-    The transform is evaluated once on a generous window (outer edges at
+    With lambda_window=None the spectral window is selected automatically:
+    the transform is evaluated once on a generous window (outer edges at
     the kernel truncation frontier, where deeper shells are exact zeros;
-    inner edges where the measure weight has decayed past tol), then the
-    window is trimmed from each edge while the cumulative trimmed mass
-    stays below tol/8 of the total, and the trimmed slice is returned.
+    inner edges where the measure weight has decayed past auto_tol), then
+    the window is trimmed from each edge while the cumulative trimmed mass
+    stays below auto_tol/8 of the total, and the trimmed slice is returned.
     One |out| and one weight table of the generous window serve both the
     trim and the tail report.  Conjugation only swaps the two signs of l1,
     so it leaves the window unchanged.
     """
-    if not 0.0 < tol < 1.0:
-        raise QDomainError(f"the automatic window's tolerance must lie in (0, 1), got {tol!r}")
-    q = f.params.q
-    alpha = f.params.alpha
-    w = f.window
+    if f.parity_y != EVEN:
+        raise QDomainError("forward requires even parity in the second variable")
+    edge_ratio = _input_edge_ratio(f.samples, mu_table(f.window, f.params), edge_tol)
+    diagnostics = {"input_edge_mass_ratio": edge_ratio}
+    if lambda_window is not None:
+        out = _contract(_kernel_matrices(f.window, lambda_window, f.params), f.samples, _conj)
+        tail = _tail_report(_scaled_abs(out), mu_table(lambda_window, f.params))
+        return TransformResult(GridFunction(f.params, lambda_window, EVEN, out), tail, diagnostics)
+
+    if not 0.0 < auto_tol < 1.0:
+        raise QDomainError(f"the automatic window's tolerance must lie in (0, 1), got {auto_tol!r}")
+    q, w = f.params.q, f.window
     L = math.log(1.0 / q)
     floor_k = effective_floor_exponent(q)
-    m1_lo = floor_k - w.n1_max
-    m2_lo = floor_k - w.n2_max
-    m1_hi = int(math.ceil(-math.log(tol * 1e-3) / L))
-    m2_hi = int(math.ceil(-math.log(tol * 1e-3) / (min(1.0, 2.0 * alpha + 2.0) * L)))
-    m1_hi = min(m1_hi, 500)
-    m2_hi = min(m2_hi, 500)
-    win = LatticeWindow(m1_lo, m1_hi, m2_lo, m2_hi)
+    m1_hi = int(math.ceil(-math.log(auto_tol * 1e-3) / L))
+    m2_hi = int(math.ceil(-math.log(auto_tol * 1e-3) / (min(1.0, 2.0 * f.params.alpha + 2.0) * L)))
+    win = LatticeWindow(floor_k - w.n1_max, min(m1_hi, 500), floor_k - w.n2_max, min(m2_hi, 500))
 
-    out = _transform_array(f.samples, f.window, win, f.params, conj=conj)
+    out = _contract(_kernel_matrices(w, win, f.params), f.samples, _conj)
     # reconstruction error is linear in the discarded |F| mass, so the
     # trim budget uses the L1 shell masses, not the squared ones
     abs_out = _scaled_abs(out)
@@ -313,9 +279,10 @@ def _auto_window_transform(f: GridFunction, tol: float,
     l1 = abs_out * weights
     total = float(l1.sum())
     if total == 0.0:
-        return GridFunction.zeros(f.params, LatticeWindow(-8 - w.n1_max, 8, -8 - w.n2_max, 8)), 0.0
+        zeros = GridFunction.zeros(f.params, LatticeWindow(-8 - w.n1_max, 8, -8 - w.n2_max, 8))
+        return TransformResult(zeros, 0.0, diagnostics)
 
-    budget = tol / 8.0 * total
+    budget = auto_tol / 8.0 * total
 
     # shells cut from each edge: the longest run whose cumulative mass stays
     # within budget, always keeping the 4 innermost
@@ -330,7 +297,19 @@ def _auto_window_transform(f: GridFunction, tol: float,
     s1, s2 = slice(c_lo1, len(mass_m1) - c_hi1), slice(c_lo2, len(mass_m2) - c_hi2)
     tail = _tail_report(abs_out[:, s1, s2], weights[s1, s2])
     # a copy, so the generous window's arrays are freed with this call
-    return GridFunction(f.params, trimmed, EVEN, out[:, s1, s2].copy()), tail
+    return TransformResult(GridFunction(f.params, trimmed, EVEN, out[:, s1, s2].copy()), tail,
+                           diagnostics)
+
+
+def inverse(F: GridFunction, x_window: LatticeWindow | None = None, *,
+            auto_tol: float = 1e-12, edge_tol: float = 0.02) -> TransformResult:
+    """Inverse transform: forward with the sign-flipped first kernel argument."""
+    return forward(F, lambda_window=x_window, auto_tol=auto_tol, edge_tol=edge_tol, _conj=True)
+
+
+def auto_lambda_window(f: GridFunction) -> LatticeWindow:
+    """The spectral window forward selects for f (relative tails below 1e-12)."""
+    return forward(f, edge_tol=math.inf).grid.window
 
 
 # ---------------------------------------------------------------------------
@@ -419,16 +398,14 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None) -> IdentityRe
         max(lam_win.n2_min - pad, floor_k - fpad.window.n2_min),
         lam_win.n2_max + pad,
     )
-    # one kernel (and one set of measure weights) for every transform from
-    # fpad's window onto lam_pad; each input still passes forward's edge
-    # check, and only the tail reports are skipped
+    # one kernel for every transform from fpad's window onto lam_pad, without
+    # forward's edge check and tail report: every input is fpad or a stencil
+    # or monomial of it, which reaches at most 2 shells into its zero pad
     kernel = _kernel_matrices(fpad.window, lam_pad, f.params)
     C, S, Jw, x1w = kernel
     abs_C, abs_JwT = np.hypot(C, S), np.abs(Jw).T
-    weights = mu_table(fpad.window, f.params)
 
     def transform(g: GridFunction) -> GridFunction:
-        _input_edge_ratio(g.samples, weights)
         return GridFunction(f.params, lam_pad, EVEN, _contract(kernel, g.samples, conj=False))
 
     F0 = transform(fpad)
@@ -578,6 +555,6 @@ def orthogonality_check(x_pt: tuple[int, int, int], y_pt: tuple[int, int, int],
     K = normalization_K(params)
     pred = 0.0
     if (s1x, n1x, n2x) == (s1y, n1y, n2y):
-        pred = dirac_weight(n1x, n2x, s1x, params) / (K * K)
+        pred = dirac_weight(n1x, n2x, params) / (K * K)
     return OrthogonalityResult(value=value, predicted_diagonal=pred,
                                fluctuation=fluct, shells_used=len(ms))

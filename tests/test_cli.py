@@ -429,6 +429,23 @@ def test_non_finite_alpha_exit_1(capsys, argv):
     assert err.startswith("error: alpha must be finite") and "Warning" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--q", "1e-6", "verify", "--suite", "identities"],
+    ["--q", "1e-12", "verify", "--suite", "bounds"],
+    ["--q", "1e-30", "verify", "--suite", "plancherel"],
+    ["--alpha", "1e300", "verify", "--suite", "plancherel"],
+    ["--q", "1e-100", "verify", "--suite", "pw-m"],
+    ["--q", "1e-320", "verify", "--suite", "identities"],
+], ids=" ".join)
+def test_float_overflow_in_a_command_exit_2(capsys, argv):
+    # in-domain extremes the float64 numerics cannot carry: main raises on the
+    # first overflow, divide or invalid value instead of warning (a warning
+    # would fail here, as the test settings turn RuntimeWarning into an error)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical diagnostic:") and "Warning" not in err
+
+
 @pytest.mark.parametrize("tol", ["1e-320", "1e300"])
 def test_auto_window_tolerance_outside_unit_interval_exit_1(tmp_path, capsys, tol):
     # transform's automatic window runs at tol * 1e-4, which underflows to 0 for the

@@ -24,7 +24,7 @@ from qweinstein import (
 from qweinstein.paleywiener import TransformSideIterates
 from qweinstein.qintegrate import log_l2_norm_sq, log_mu_weights
 from qweinstein.qops import EVEN, dq_partial, weinstein_op
-from qweinstein.transform import _transform_array, auto_lambda_window, embed_zeros, norm_sq_lambda
+from qweinstein.transform import _contract, _kernel_matrices, auto_lambda_window, embed_zeros, norm_sq_lambda
 from qweinstein.cli import random_even_bump
 
 from .conftest import make_bump
@@ -152,14 +152,14 @@ def _reference_run(eng):
     m2 = win.n2_exponents()[None, None, :]
     w_lin = np.exp(eng._logw_lam)
     eta = eng.f_hat.samples.copy()
-    G_prev = _transform_array(eta, x_win, win, params, conj=False)
+    G_prev = _contract(_kernel_matrices(x_win, win, params), eta, conj=False)
     log_scale = 0.0
     for n in range(1, eng.N + 1):
         eta_raw = eta * (-eng._r2_x)
         s = float(np.max(np.abs(eta_raw))) or 1.0
         eta = eta_raw / s
         log_scale += math.log(s)
-        G_dir = _transform_array(eta, x_win, win, params, conj=False)
+        G_dir = _contract(_kernel_matrices(x_win, win, params), eta, conj=False)
         G_sten = weinstein_op(GridFunction(params, clean, EVEN, G_prev), 1).samples / s
         c = eng._core_cutoff(n)
         mask = np.broadcast_to((m1 <= c) & (m2 <= c), G_dir.shape)
@@ -226,7 +226,7 @@ def test_run_on_the_nonzero_box_is_bit_identical_at_half(alpha, k):
     f = embed_zeros(make_bump(QParams(q=0.5, alpha=alpha), 83, -2, 4, -2, 4), k, k)
     eng = TransformSideIterates(f, 30)
     assert eng.f_hat.window == LatticeWindow(-2, 4, -2, 4)
-    w = auto_lambda_window(f, tol=1e-12)
+    w = auto_lambda_window(f)
     assert eng.window == LatticeWindow(w.n1_min - 2, w.n1_max + 4, w.n2_min - 2, w.n2_max + 4)
     for st, (values, scalars, _) in zip(eng.run(), _reference_run(_untrimmed(eng, f)),
                                         strict=True):

@@ -114,7 +114,7 @@ def test_single_point_l2_norm_closed_form():
 
     from qweinstein.transform import dirac_weight
 
-    assert abs(dirac_weight(a_exp, b_exp, 1, p) - 1.0 / want) < 1e-9 / want
+    assert abs(dirac_weight(a_exp, b_exp, p) - 1.0 / want) < 1e-9 / want
 
 
 def test_lp_norm_homogeneity():

@@ -5,6 +5,7 @@ package (outside its own definition and ``__init__.py``) and nothing in
 ``perfbench/`` refers to is code that only tests call; it belongs in the tests,
 unless it is a paper object listed in ``PAPER_OBJECTS``.  Names are matched,
 not resolved: a method counts as used wherever an attribute of its name is read.
+Likewise, a parameter that its function's body never reads is one no caller needs.
 """
 
 import ast
@@ -53,3 +54,21 @@ def test_every_public_name_is_used_outside_the_tests():
                 unused.append(node.name)
     assert not unused, f"public but used only by tests: {unused}"
     assert set(PAPER_OBJECTS) <= defined, "a paper object named here is gone from src/"
+
+
+def test_every_parameter_is_read_by_its_body():
+    unread, paths = [], sorted((ROOT / "src" / "qweinstein").glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                      if x is not None and x.arg not in ("self", "cls")]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for b in body for n in ast.walk(b)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.name}:{name}({p})" for p in params if p not in read]
+    assert not unread, f"parameters their function never reads: {unread}"
