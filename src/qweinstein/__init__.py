@@ -6,14 +6,12 @@ Paley-Wiener bandwidth estimator built on iterated-operator norm growth.
 """
 
 from .qcore import (
-    DEFAULT_POLICY,
     DivergenceError,
     LatticePoint,
     PoleError,
     QDomainError,
     QParams,
     TaintError,
-    TruncationPolicy,
     qbracket,
     qfactorial,
     qgamma,

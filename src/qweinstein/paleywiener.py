@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import (DEFAULT_POLICY, DivergenceError, QDomainError, QParams, TruncationPolicy,
-                    lattice_alignment)
-from .qintegrate import log_l2_norm_sq, log_mu_table, log_mu_weights, log_sum_exp, mu_table
+from .qcore import DivergenceError, QDomainError, QParams, lattice_alignment
+from .qintegrate import N_MAX, log_l2_norm_sq, log_mu_table, log_mu_weights, log_sum_exp, mu_table
 from .qops import (_FLIP, EVEN, GridFunction, LatticeWindow, _weinstein_array, dq_ladder,
                    dq_mixed, require_finite, weinstein_op)
 from .qspecial import bessel_j, sonine_weight
@@ -466,8 +465,7 @@ def weinstein_sup_bound_check(f: GridFunction, k: int) -> tuple[float, float, di
     return lhs, rhs, {"C_k": Ck, "max_derivative_sup": worst}
 
 
-def sonine_identity_check(alpha: float, p: int, y_exponents: list[int], params: QParams,
-                          policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+def sonine_identity_check(alpha: float, p: int, y_exponents: list[int], params: QParams) -> float:
     """Max error of the Sonine-type representation over lattice sample points.
 
     Compares j_{alpha+p}(q^k; q^2) with the Jackson integral of
@@ -476,18 +474,18 @@ def sonine_identity_check(alpha: float, p: int, y_exponents: list[int], params: 
     """
     q = params.q
     base = QParams(q=q, alpha=alpha)
-    n_terms = max(policy.n_max, 60)
+    n_terms = N_MAX
     k_lo = min(y_exponents)
     k_hi = max(y_exponents) + n_terms
     # arguments q^k here are bounded by q^(min y exponent): shallow, so the
     # direct series is accurate at every q (no lattice-family truncation)
-    fam_a = np.array([bessel_j(alpha, q ** float(k), base, policy).value.real
+    fam_a = np.array([bessel_j(alpha, q ** float(k), base).value.real
                       for k in range(k_lo, k_hi + 1)])
     jj = np.arange(n_terms)
     # (1-q) q^jj t^(2a+1) W_{p-1}(t) at t = q^jj
-    w = (1.0 - q) * q ** (jj * (2.0 * alpha + 2.0)) * sonine_weight(p, q**jj, base, policy)
+    w = (1.0 - q) * q ** (jj * (2.0 * alpha + 2.0)) * sonine_weight(p, q**jj, base)
     worst = 0.0
     for ky in y_exponents:
-        lhs = bessel_j(alpha + p, q ** float(ky), base, policy).value.real
+        lhs = bessel_j(alpha + p, q ** float(ky), base).value.real
         worst = max(worst, abs(lhs - w @ fam_a[ky - k_lo:ky - k_lo + n_terms]))
     return worst

@@ -3,7 +3,7 @@
 Everything here is a pure function of its inputs.  The deformation
 parameter lives in 0 < q < 1, so every infinite product encountered has
 factors 1 - x*q^k with |x*q^k| -> 0 geometrically; truncation at
-|x*q^k| < product_tol leaves a tail bounded by a geometric series.
+|x*q^k| < PRODUCT_TOL leaves a tail bounded by a geometric series.
 """
 
 from __future__ import annotations
@@ -58,35 +58,14 @@ class LatticePoint:
         return self.sign * q**self.exponent
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Cutoffs for infinite Jackson sums, products and power series.
-
-    n_min/n_max bound the lattice exponent window used by infinite sums,
-    product_tol stops infinite products once the factor is within
-    product_tol of 1, series_tol stops power series once the term
-    magnitude (past the peak) drops below it.
-    """
-
-    n_min: int = -40
-    n_max: int = 120
-    product_tol: float = 1e-16
-    series_tol: float = 1e-17
-
-    def __post_init__(self):
-        if self.n_min >= self.n_max:
-            raise QDomainError("TruncationPolicy requires n_min < n_max")
-        if self.product_tol <= 0 or self.series_tol <= 0:
-            raise QDomainError("TruncationPolicy tolerances must be > 0")
+# infinite products stop once the factor is within PRODUCT_TOL of 1
+PRODUCT_TOL = 1e-16
 
 
-DEFAULT_POLICY = TruncationPolicy()
-
-
-def qshifted(x: complex, n, params: QParams, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def qshifted(x: complex, n, params: QParams) -> complex:
     """q-shifted factorial (x; q)_n, with n a natural number or math.inf.
 
-    The infinite product is truncated once |x q^k| < product_tol; the
+    The infinite product is truncated once |x q^k| < PRODUCT_TOL; the
     dropped tail changes the log of the product by at most a geometric
     series of the same size.
     """
@@ -94,8 +73,8 @@ def qshifted(x: complex, n, params: QParams, policy: TruncationPolicy = DEFAULT_
     if n == math.inf:
         prod = 1.0 + 0.0j if isinstance(x, complex) else 1.0
         term = x
-        # geometric decay: at most ~log(product_tol)/log(q) factors
-        while abs(term) >= policy.product_tol:
+        # geometric decay: at most ~log(PRODUCT_TOL)/log(q) factors
+        while abs(term) >= PRODUCT_TOL:
             prod = prod * (1.0 - term)
             term = term * q
         return prod
@@ -124,24 +103,24 @@ def qfactorial(n: int, params: QParams) -> float:
 
 
 @functools.lru_cache(maxsize=256)
-def qgamma(x: float, params: QParams, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+def qgamma(x: float, params: QParams) -> float:
     """q-Gamma via the quotient of infinite products.
 
     Gamma_q(x) = (q; q)_inf / (q^x; q)_inf * (1-q)^(1-x), poles at the
     nonpositive integers are rejected explicitly.  Memoized on
-    (x, params, policy): callers ask for the same few values many times.
+    (x, params): callers ask for the same few values many times.
     """
     q = params.q
     if x <= 0 and float(x).is_integer():
         raise PoleError(f"Gamma_q has a pole at x = {x}")
-    num = qshifted(q, math.inf, params, policy)
-    den = qshifted(math.exp(x * math.log(q)), math.inf, params, policy)
+    num = qshifted(q, math.inf, params)
+    den = qshifted(math.exp(x * math.log(q)), math.inf, params)
     return num / den * (1.0 - q) ** (1.0 - x)
 
 
-def qgamma_base(x: float, base_q: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+def qgamma_base(x: float, base_q: float) -> float:
     """Gamma computed in an explicit base (used with base q^2 throughout)."""
-    return qgamma(x, QParams(q=base_q, alpha=0.0), policy)
+    return qgamma(x, QParams(q=base_q, alpha=0.0))
 
 
 def lattice_alignment(q: float) -> tuple[float, int | None]:

@@ -119,8 +119,8 @@ class GridFunction:
         )
 
     @staticmethod
-    def zeros(params: QParams, window: LatticeWindow, parity_y: str = EVEN) -> "GridFunction":
-        return GridFunction(params, window, parity_y, np.zeros(window.shape, dtype=np.complex128))
+    def zeros(params: QParams, window: LatticeWindow) -> "GridFunction":
+        return GridFunction(params, window, EVEN, np.zeros(window.shape, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------

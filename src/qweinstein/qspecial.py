@@ -19,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import (
-    DEFAULT_POLICY,
-    QDomainError,
-    QParams,
-    TruncationPolicy,
-    lattice_alignment,
-    qgamma_base,
-)
+from .qcore import QDomainError, QParams, lattice_alignment, qgamma_base
 
 @dataclass(frozen=True)
 class SeriesValue:
@@ -36,8 +29,11 @@ class SeriesValue:
     est_tail: float
 
 
-def bessel_j(alpha: float, x: complex, params: QParams,
-             policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
+# the power series stops, past its peak term, once the tail estimate is below SERIES_TOL
+SERIES_TOL = 1e-17
+
+
+def bessel_j(alpha: float, x: complex, params: QParams) -> SeriesValue:
     """Normalized third Jackson q-Bessel function j_alpha(x; q^2).
 
     Series form: sum_n (-1)^n q^(n(n+1)) ((1-q)x)^(2n) /
@@ -65,27 +61,27 @@ def bessel_j(alpha: float, x: complex, params: QParams,
         total += term
         if n >= n_peak + 2:
             est_tail = abs(term) / (1.0 - min(abs(r), 0.99))
-            if est_tail < policy.series_tol:
+            if est_tail < SERIES_TOL:
                 break
         if n > 100000:
             raise ArithmeticError("bessel_j series failed to terminate")
     return SeriesValue(value=total, est_tail=est_tail)
 
 
-def qcos(x: complex, params: QParams, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def qcos(x: complex, params: QParams) -> complex:
     """q-cosine: cos(x; q^2) = j_{-1/2}(x; q^2)."""
-    return bessel_j(-0.5, x, params, policy).value
+    return bessel_j(-0.5, x, params).value
 
 
-def qsin(x: complex, params: QParams, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def qsin(x: complex, params: QParams) -> complex:
     """q-sine: sin(x; q^2) = x * j_{1/2}(x; q^2)."""
-    return complex(x) * bessel_j(0.5, x, params, policy).value
+    return complex(x) * bessel_j(0.5, x, params).value
 
 
-def qexp(z: complex, params: QParams, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def qexp(z: complex, params: QParams) -> complex:
     """q-exponential e(z; q^2) = cos(-iz; q^2) + i sin(-iz; q^2)."""
     miz = -1j * complex(z)
-    return qcos(miz, params, policy) + 1j * qsin(miz, params, policy)
+    return qcos(miz, params) + 1j * qsin(miz, params)
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +117,19 @@ def effective_floor_exponent(q: float) -> int:
     return _floor_exponent(q, lattice_alignment(q)[0])
 
 
+def alignment_regime(eps: float) -> str:
+    """The regime of effective_floor_exponent that an alignment residual eps puts q in."""
+    return "aligned" if eps == 0.0 else "near-aligned" if eps < 1e-8 else "misaligned"
+
+
 def _floor_exponent(q: float, eps: float) -> int:
     # effective_floor_exponent for a known alignment residual eps
     floor_rep = decay_floor_exponent(q)
-    if eps == 0.0:
+    regime = alignment_regime(eps)
+    if regime == "aligned":
         return floor_rep
     L = math.log(1.0 / q)
-    if eps < 1e-8:
+    if regime == "near-aligned":
         k_star = math.sqrt(math.log(1.0 / eps) / (2.0 * L))
         return max(floor_rep, -int(math.floor(k_star)) + 1)
     c = math.log(1e3 / eps) / L
@@ -165,7 +167,7 @@ def bessel_j_exponent_family(alpha: float, params: QParams, k_min: int,
     lo_eff = k_min if k_min >= 0 else max(k_min, _floor_exponent(q, eps))
     # the 1e-9 keeps a double-rounded aligned root on -j from either side
     k_s = -int(math.floor(math.log(1.0 - q) / math.log(q) + 1e-9))
-    miller = eps < 1e-8 and lo_eff <= min(k_s - 3, k_max)
+    miller = alignment_regime(eps) != "misaligned" and lo_eff <= min(k_s - 3, k_max)
     lo_series = k_s if miller else lo_eff
     out = np.zeros(k_max - k_min + 1)
     for k in range(lo_series, k_max + 1):
@@ -218,8 +220,7 @@ def qtrig_exponent_families(params: QParams, k_min: int,
     return cos_vals, sin_vals
 
 
-def sonine_weight(p: int, t: float | np.ndarray, params: QParams,
-                  policy: TruncationPolicy = DEFAULT_POLICY) -> float | np.ndarray:
+def sonine_weight(p: int, t: float | np.ndarray, params: QParams) -> float | np.ndarray:
     """Weight W_{p-1}(t; q^2) of the Sonine-type q-integral representation.
 
     W_{p-1}(t; q^2) = (1+q) Gamma_{q^2}(alpha+p+1) /
@@ -239,8 +240,8 @@ def sonine_weight(p: int, t: float | np.ndarray, params: QParams,
     q = params.q
     alpha = params.alpha
     q2 = q * q
-    const = (1.0 + q) * qgamma_base(alpha + p + 1.0, q2, policy) / (
-        qgamma_base(alpha + 1.0, q2, policy) * qgamma_base(float(p), q2, policy)
+    const = (1.0 + q) * qgamma_base(alpha + p + 1.0, q2) / (
+        qgamma_base(alpha + 1.0, q2) * qgamma_base(float(p), q2)
     )
     prod = np.ones_like(t)
     for k in range(p - 1):

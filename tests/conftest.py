@@ -4,6 +4,10 @@ import pytest
 from qweinstein import QDomainError, QParams
 from qweinstein.qops import EVEN, GridFunction, LatticeWindow, dq_partial
 from qweinstein.cli import random_even_bump
+from qweinstein.qcore import aligned_q
+
+# q = 1/2 (aligned exactly), a near-aligned root and two misaligned q
+FOUR_Q = (0.5, aligned_q(2), 0.7, 0.9)
 
 
 @pytest.fixture
@@ -18,6 +22,13 @@ def p05a0():
 
 def make_bump(params, seed=1, lo1=-1, hi1=3, lo2=-1, hi2=3, pad=1):
     return random_even_bump(params, LatticeWindow(lo1, hi1, lo2, hi2), seed, pad=pad)
+
+
+def dilated(f):
+    """g(x) = f(x / q): f's samples on the window one shell deeper in both exponents."""
+    w = f.window
+    return f.with_samples(f.samples, window=LatticeWindow(w.n1_min + 1, w.n1_max + 1,
+                                                          w.n2_min + 1, w.n2_max + 1))
 
 
 @pytest.fixture

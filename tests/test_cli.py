@@ -179,6 +179,25 @@ def test_verify_shrunken_window_fails(capsys):
     assert "tail=" in out and "FAIL" in out
 
 
+@pytest.mark.parametrize("q,regime", [(0.7, "misaligned"), (aligned_q(2), "near-aligned")])
+def test_tail_is_labelled_with_the_regime_off_q_half(tmp_path, capsys, q, regime):
+    # off q = 1/2 the tail is a diagnostic, far below the Plancherel error it sits next to
+    assert main(["--q", repr(q), "--alpha", "0.5", "--seed", "1",
+                 "verify", "--suite", "plancherel"]) == 3
+    out = capsys.readouterr().out
+    row = next(line for line in out.splitlines() if line.startswith("plancherel[seed=1,"))
+    tail = float(row.split(f",tail({regime})=")[1].split("]")[0])
+    assert "tail=" not in out and tail < 0.01 * float(row.split("max_rel_err=")[1].split()[0])
+    src, fwd = tmp_path / "f.csv", tmp_path / "F.csv"
+    assert main(["--q", repr(q), "--alpha", "0.5", "--seed", "1",
+                 "gen", "--support=-2,4,-2,4", "--out", str(src)]) == 0
+    assert main(["transform", "--input", str(src), "--direction", "forward",
+                 "--out", str(fwd)]) == 0
+    err = capsys.readouterr().err
+    assert "tail_bound=" not in err
+    assert math.isfinite(float(err.split(f"tail_diagnostic({regime})=")[1]))
+
+
 def test_verify_unknown_suite():
     assert main(["verify", "--suite", "nonsense"]) == 1
 

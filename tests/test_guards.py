@@ -13,7 +13,7 @@ import pytest
 
 import qweinstein as qw
 from qweinstein import (DivergenceError, GridFunction, LatticeWindow, PWmParams, QDomainError,
-                        QParams, TruncationPolicy)
+                        QParams)
 from qweinstein.cli import FileFormatError, JobConfig, read_gridfunction, write_gridfunction
 from qweinstein.qcore import LatticePoint, aligned_q
 
@@ -79,10 +79,6 @@ GUARDS = [
      "weinstein_sup_bound_check needs k >= 0"),
     # qcore
     ("point-sign", lambda t: LatticePoint(0, 1), QDomainError, "sign must be +1 or -1, got 0"),
-    ("policy-window", lambda t: TruncationPolicy(n_min=1, n_max=1), QDomainError,
-     "TruncationPolicy requires n_min < n_max"),
-    ("policy-tol", lambda t: TruncationPolicy(product_tol=0.0), QDomainError,
-     "TruncationPolicy tolerances must be > 0"),
     ("qshifted-n", lambda t: qw.qshifted(0.5, -1, P), QDomainError,
      "n must be a natural number or inf, got -1"),
     ("qshifted-none", lambda t: qw.qshifted(0.5, None, P), QDomainError,

@@ -9,13 +9,13 @@ from qweinstein import (
     LatticeWindow,
     QDomainError,
     QParams,
-    TruncationPolicy,
     integrate_mu,
     jackson_0_to_a,
     jackson_signed_line,
     lp_norm,
     neumaier_sum,
 )
+from qweinstein.qintegrate import N_MAX, N_MIN
 from qweinstein.qops import EVEN
 
 from .conftest import make_bump
@@ -73,15 +73,14 @@ def test_signed_line_indicator():
 
 def test_signed_line_even_split_identity():
     p = QParams(q=0.5, alpha=0.0)
-    pol = TruncationPolicy()
     q = p.q
 
     def f(x):
         return (x + x * x) * np.exp(-x * x) if abs(x) < 16 else 0.0
 
     fe = lambda x: 0.5 * (f(x) + f(-x))
-    whole = complex(jackson_signed_line(f, p, pol).value)
-    half = (1 - q) * sum(q**n * fe(q**n) for n in range(pol.n_min, pol.n_max + 1))
+    whole = complex(jackson_signed_line(f, p).value)
+    half = (1 - q) * sum(q**n * fe(q**n) for n in range(N_MIN, N_MAX + 1))
     assert abs(whole - 2 * half) < 1e-13 * max(1.0, abs(whole))
 
 

@@ -23,7 +23,7 @@ from qweinstein import (
 )
 from qweinstein.qintegrate import jackson_0_to_a, jackson_signed_line
 
-from .conftest import bessel_op_expanded, from_callable, make_bump
+from .conftest import FOUR_Q, bessel_op_expanded, dilated, from_callable, make_bump
 
 
 # ---------------------------------------------------------------------------
@@ -450,3 +450,16 @@ def test_dq_mixed_is_iterated_dq_partial(f, b1, b2):
         assert d is f
     assert (d.window, d.parity_y) == (g.window, g.parity_y)
     assert np.array_equal(d.samples.view(np.int64), g.samples.view(np.int64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from(FOUR_Q), alpha=st.sampled_from([0.0, 0.5, 1.5]),
+       lo1=st.integers(-3, 2), lo2=st.integers(-3, 2), seed=st.integers(0, 2**32 - 1))
+def test_weinstein_op_is_covariant_under_lattice_dilation(q, alpha, lo1, lo2, seed):
+    # g(x) = f(x / q) gives W g = q^-2 (W f)(x / q): the same samples, scaled;
+    # q^-2 = 4 is exact at q = 1/2
+    f = make_bump(QParams(q=q, alpha=alpha), seed, lo1, lo1 + 3, lo2, lo2 + 3, pad=3)
+    Wf = weinstein_op(f).samples
+    Wg = weinstein_op(dilated(f)).samples
+    tol = 0.0 if q == 0.5 else 1e-14
+    assert np.max(np.abs(Wg - q**-2 * Wf)) <= tol * np.max(np.abs(Wf))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qweinstein import (
     QParams,
-    TruncationPolicy,
     bessel_j,
     bessel_j_exponent_family,
     qcos,
@@ -17,7 +16,7 @@ from qweinstein import (
     sonine_weight,
 )
 from qweinstein.qcore import aligned_q
-from qweinstein.qspecial import effective_floor_exponent, qtrig_exponent_families
+from qweinstein.qspecial import SERIES_TOL, effective_floor_exponent, qtrig_exponent_families
 
 # frozen extended-precision oracles (tests/oracles.py)
 QEXP_03_05 = 1.31760113533803881776
@@ -129,19 +128,10 @@ def test_qexp_imag_bound_on_aligned_lattice():
     assert np.all(mods <= bound * (1 + 1e-12))
 
 
-def test_series_stability_under_tolerance_refinement():
-    p = QParams(q=0.5, alpha=0.5)
-    tol = 1e-14
-    a = bessel_j(0.5, 2.0, p, TruncationPolicy(series_tol=tol)).value
-    b = bessel_j(0.5, 2.0, p, TruncationPolicy(series_tol=tol / 2)).value
-    assert abs(a - b) < 10 * (tol / 2)
-
-
 def test_series_tail_invariant():
     p = QParams(q=0.5, alpha=0.5)
-    pol = TruncationPolicy(series_tol=1e-15)
-    sv = bessel_j(0.5, 3.0, p, pol)
-    assert sv.est_tail <= pol.series_tol
+    sv = bessel_j(0.5, 3.0, p)
+    assert sv.est_tail <= SERIES_TOL
 
 
 def test_family_matches_frozen_oracle_deep():

@@ -5,7 +5,9 @@ package (outside its own definition and ``__init__.py``) and nothing in
 ``perfbench/`` refers to is code that only tests call; it belongs in the tests,
 unless it is a paper object listed in ``PAPER_OBJECTS``.  Names are matched,
 not resolved: a method counts as used wherever an attribute of its name is read.
-Likewise, a parameter that its function's body never reads is one no caller needs.
+Likewise, a parameter that its function's body never reads is one no caller needs,
+and a parameter with a default that no call in the package or the benchmark sets
+is a knob only tests turn, unless ``UNSET_DEFAULTS`` gives the reason it stays.
 """
 
 import ast
@@ -23,6 +25,12 @@ PAPER_OBJECTS = {
     "Kernel": "the product kernel at a fixed spectral point",
     "sup_bound": "the kernel bound 4 / (q; q)_inf^2 of criterion 9",
     "norm_growth_sequence": "the preimage-side norm growth b_n of the Paley-Wiener theorem",
+}
+
+# defaulted parameters that no call in src/ or perfbench/ sets, and why they stay
+UNSET_DEFAULTS = {
+    "bandwidth_estimate(f_hat)": "the given-preimage route, the one that works at every q; "
+                                 "the README's misaligned-q route_max_rel_dev figures use it",
 }
 
 
@@ -72,3 +80,42 @@ def test_every_parameter_is_read_by_its_body():
             name = getattr(node, "name", "<lambda>")
             unread += [f"{path.name}:{name}({p})" for p in params if p not in read]
     assert not unread, f"parameters their function never reads: {unread}"
+
+
+def _calls_by_name(trees):
+    calls: dict = {}   # callee name -> its ast.Call nodes
+    for n in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+            calls.setdefault(n.func.id if isinstance(n.func, ast.Name) else n.func.attr,
+                             []).append(n)
+    return calls
+
+
+def _sets(call: ast.Call, name: str, position) -> bool:
+    # a call sets the parameter by keyword, by position or through * / ** unpacking
+    return (any(k.arg in (name, None) for k in call.keywords)
+            or position is not None and (len(call.args) > position
+                                         or any(isinstance(x, ast.Starred) for x in call.args)))
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    src = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "qweinstein").glob("*.py"))]
+    bench = [ast.parse(p.read_text()) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert src and bench
+    calls = _calls_by_name(src + bench)
+    unset = []
+    for node in (n for tree in src for n in ast.walk(tree)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        positional = [x.arg for x in (*a.posonlyargs, *a.args)]
+        if positional[:1] in (["self"], ["cls"]):
+            positional = positional[1:]
+        defaulted = positional[len(positional) - len(a.defaults):] if a.defaults else []
+        defaulted += [x.arg for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        for name in (x for x in defaulted if not x.startswith("_")):
+            position = positional.index(name) if name in positional else None
+            if not any(_sets(c, name, position) for c in calls.get(node.name, ())):
+                unset.append(f"{node.name}({name})")
+    assert not set(unset) - set(UNSET_DEFAULTS), f"defaults no caller sets: {unset}"
+    assert set(UNSET_DEFAULTS) <= set(unset), "an UNSET_DEFAULTS entry is now set or gone"
