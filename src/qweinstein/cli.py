@@ -168,7 +168,7 @@ def write_gridfunction(f: GridFunction, path: str, fmt: str = "csv"):
             "parity": f.parity_y,
             "n1": [w.n1_min, w.n1_max],
             "n2": [w.n2_min, w.n2_max],
-            "points": list(map(list, zip(*cols))),
+            "points": list(zip(*cols)),   # orjson writes tuples as arrays
         }
         import orjson   # here and in _read_json only: runs without JSON grid files skip its import
         with open(path, "wb") as fh:   # compact, and floats in shortest round-trip form

@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qcore import DivergenceError, QDomainError, QParams, lattice_alignment
-from .qintegrate import N_MAX, log_l2_norm_sq, log_mu_table, log_mu_weights, log_sum_exp, mu_table
+from .qintegrate import (N_MAX, _log_power_sum, _log_power_sums, log_mu_table,
+                         log_mu_weights, log_sum_exp, mu_table)
 from .qops import (_FLIP, EVEN, GridFunction, LatticeWindow, _weinstein_array, dq_ladder,
-                   dq_mixed, require_finite, weinstein_op)
+                   dq_mixed, weinstein_op)
 from .qspecial import bessel_j, sonine_weight
 from .transform import (
     _contract,
@@ -96,6 +97,10 @@ class _IterateState:
     log_norm_sq_spectral: float  # true log || ||t||^2n f_hat ||^2
 
 
+# steps whose preimage side TransformSideIterates computes at once
+_BLOCK = 64
+
+
 class TransformSideIterates:
     """Iterates of the Weinstein operator applied to F = forward(f_hat).
 
@@ -126,49 +131,63 @@ class TransformSideIterates:
         self._logw_x = log_mu_weights(f_hat)
         self._r2_x = norm_sq_lambda(f_hat.window, self.params)
 
-    def _core_cutoff(self, n: int) -> float:
+    def _core_cutoff(self, n):
+        """The core's cutoff exponent at step n, or at each step of an array of them."""
         slack = (self._log_amp_budget / n - math.log(self._stencil_const)) / (2.0 * self._L)
         return self._m_r + slack
+
+    def _preimage_side(self):
+        """Per step n = 1..N, what the preimage alone gives: n, eta_n = (-r^2)^n f_hat over
+        s_1 ... s_n, the scale s_n that keeps max|eta_n| = 1 (1 where eta_n = 0), the log of
+        s_1 ... s_n, the spectral route's true log-norm, and the core's extent (c1, c2), the
+        box of shells m1, m2 <= cutoff at the window's low corner.  It is computed _BLOCK
+        steps at a time, so at most _BLOCK scaled preimages are held at once."""
+        neg_r2 = -self._r2_x
+        eta, log_scale = self.f_hat.samples, 0.0
+        for lo in range(0, self.N, _BLOCK):
+            ns = np.arange(lo + 1, min(lo + _BLOCK, self.N) + 1)
+            etas = np.empty((len(ns),) + eta.shape, dtype=np.complex128)
+            scales, log_scales = [], []
+            for eta_n in etas:
+                np.multiply(eta, neg_r2, out=eta_n)
+                s = float(np.abs(eta_n).max()) or 1.0
+                eta_n /= s
+                log_scale += math.log(s)
+                scales.append(s)
+                log_scales.append(log_scale)
+                eta = eta_n
+            log_specs = [v + 2.0 * ls for v, ls in
+                         zip(_log_power_sums(np.abs(etas), self._logw_x, 2.0), log_scales)]
+            cut = self._core_cutoff(ns)
+            c1s, c2s = (np.searchsorted(m, cut, side="right").tolist()
+                        for m in (self.window.n1_exponents(), self.window.n2_exponents()))
+            yield from zip(ns.tolist(), etas, scales, log_scales, log_specs, c1s, c2s)
 
     def run(self):
         params = self.params
         kernel = _kernel_matrices(self.f_hat.window, self.window, params)
-        eta = self.f_hat.samples.copy()
-        G_prev = _contract(kernel, eta, conj=False)
-        log_scale = 0.0
         w_lin = mu_table(self.window, params)
-        m1, m2 = self.window.n1_exponents(), self.window.n2_exponents()
-        for n in range(1, self.N + 1):
-            eta_raw = eta * (-self._r2_x)
-            s = float(np.max(np.abs(eta_raw)))
-            if s == 0.0:
-                s = 1.0
-            eta = eta_raw / s
-            log_scale += math.log(s)
-            require_finite(G_prev)
-            # direct values, with the stencil's on the core, the box of shells
-            # m1, m2 <= cutoff at the window's low corner: the stencil reaches
-            # 2 shells past it in n1 and 1 in n2, and the low edges are the window's
+        G_prev = _contract(kernel, self.f_hat.samples, conj=False)
+        for n, eta, s, log_scale, log_spec, c1, c2 in self._preimage_side():
+            # direct values, with the stencil's on the core
             G_lit = _contract(kernel, eta, conj=False)
-            c = self._core_cutoff(n)
-            c1, c2 = (int(np.searchsorted(m, c, side="right")) for m in (m1, m2))
             if c1 and c2:
-                G_sten = _weinstein_array(G_prev[:, :c1 + 2, :c2 + 1], params,
-                                          self._x1[:, :c1 + 2], self._x2[:c2 + 1])
-                G_lit[:, :c1, :c2] = G_sten[:, :c1, :c2] / s
-            # norms (true logs, including the scale); |G_lit| is taken once
+                np.divide(_weinstein_array(G_prev, params, self._x1, self._x2, c1, c2), s,
+                          out=G_lit[:, :c1, :c2])
+            # one |G_lit| for the masses and the literal log-norm
             absv = np.abs(G_lit)
-            log_lit = log_l2_norm_sq(absv, self._logw_lam) + 2.0 * log_scale
-            log_spec = log_l2_norm_sq(eta, self._logw_x) + 2.0 * log_scale
-            mass = absv ** 2 * w_lin
-            tot = float(np.sum(mass))
-            core = float(np.sum(mass[:, :c1, :c2].ravel())) if tot > 0 else 0.0   # one flat sum
+            mass = np.square(absv)
+            mass *= w_lin
+            tot = float(mass.sum())
+            if not math.isfinite(tot):
+                raise QDomainError(f"the literal iterate at n={n} is not finite (NaN/Inf)")
+            core = float(mass[:, :c1, :c2].ravel().sum()) if tot > 0 else 0.0   # one flat sum
             yield _IterateState(
                 n=n,
                 values=G_lit,
                 log_scale=log_scale,
                 core_fraction=core / tot if tot > 0 else 0.0,
-                log_norm_sq_literal=log_lit,
+                log_norm_sq_literal=_log_power_sum(absv, self._logw_lam, 2.0) + 2.0 * log_scale,
                 log_norm_sq_spectral=log_spec,
             )
             G_prev = G_lit

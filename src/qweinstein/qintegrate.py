@@ -29,6 +29,8 @@ class IntegralResult:
 
 # lattice exponent window of the infinite Jackson sums
 N_MIN, N_MAX = -40, 120
+# largest x with exp(x) finite in float64
+_LOG_MAX = math.log(np.finfo(np.float64).max)
 
 
 def neumaier_sum(terms: np.ndarray) -> complex:
@@ -106,7 +108,13 @@ def mu_table(window: LatticeWindow, params: QParams) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _mu_table(n1_min: int, n1_max: int, n2_min: int, n2_max: int, params: QParams) -> np.ndarray:
-    table = np.exp(log_mu_table(LatticeWindow(n1_min, n1_max, n2_min, n2_max), params))
+    logs = log_mu_table(LatticeWindow(n1_min, n1_max, n2_min, n2_max), params)
+    if logs[0, 0] > _LOG_MAX:   # the largest weight, at the corner of the outermost shells
+        raise DivergenceError(
+            f"the mu weights overflow on the window n1=[{n1_min},{n1_max}] "
+            f"n2=[{n2_min},{n2_max}] at q={params.q!r}, alpha={params.alpha!r}: the largest "
+            f"is e^{logs[0, 0]:.0f}, past the float64 range")
+    table = np.exp(logs)
     table.flags.writeable = False
     return table
 
@@ -149,17 +157,40 @@ def integrate_mu(f: GridFunction) -> IntegralResult:
 
 def log_sum_exp(logs: np.ndarray) -> float:
     """log(sum(exp(logs))), shifted by the max so no term overflows; -inf if empty."""
-    if logs.size == 0:
-        return -math.inf
-    m = float(np.max(logs))
-    return m + math.log(float(np.sum(np.exp(logs - m))))
+    return _log_sum_exp_rows(logs.reshape(1, -1))[0]
 
 
-def _log_power_sum(values: np.ndarray, logw: np.ndarray, p: float) -> float:
-    """log of sum |values|^p * exp(logw) over the nonzero values."""
-    absv = np.abs(values)
-    mask = absv > 0.0
-    return log_sum_exp(p * np.log(absv[mask]) + logw[mask])
+def _log_sum_exp_rows(logs: np.ndarray) -> list[float]:
+    """log_sum_exp of each row of the 2-D logs."""
+    if logs.shape[1] == 0:
+        return [-math.inf] * len(logs)
+    m = logs.max(axis=1, keepdims=True)
+    terms = logs - m
+    sums = np.exp(terms, out=terms).sum(axis=1)
+    return [mi + math.log(si) for mi, si in zip(m[:, 0].tolist(), sums.tolist())]
+
+
+def _log_power_sum(absv: np.ndarray, logw: np.ndarray, p: float) -> float:
+    """log of sum absv^p * exp(logw) over the nonzero entries of absv = |values|."""
+    if absv.all():   # no zero to leave out: no gathers, the same terms in the same order
+        logs = np.log(absv)
+        logs *= p
+        logs += logw
+    else:
+        mask = absv > 0.0
+        logs = p * np.log(absv[mask]) + logw[mask]
+    return log_sum_exp(logs)
+
+
+def _log_power_sums(absv: np.ndarray, logw: np.ndarray, p: float) -> list[float]:
+    """_log_power_sum of each absv[i]; the arrays with no zero go together, through one
+    call of each array operation."""
+    full = absv.all(axis=tuple(range(1, absv.ndim)))
+    logs = np.log(absv[full])
+    logs *= p
+    logs += logw
+    sums = iter(_log_sum_exp_rows(logs.reshape(len(logs), math.prod(absv.shape[1:]))))
+    return [next(sums) if f else _log_power_sum(a, logw, p) for a, f in zip(absv, full.tolist())]
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
@@ -168,9 +199,9 @@ def lp_norm(f: GridFunction, p: float) -> float:
         return float(np.max(np.abs(f.samples)))
     if p <= 0:
         raise QDomainError(f"lp_norm needs p > 0 or inf, got {p}")
-    return math.exp(_log_power_sum(f.samples, log_mu_weights(f), p) / p)
+    return math.exp(_log_power_sum(np.abs(f.samples), log_mu_weights(f), p) / p)
 
 
 def log_l2_norm_sq(values: np.ndarray, logw: np.ndarray) -> float:
     """log of sum |values|^2 * exp(logw); -inf for identically zero input."""
-    return _log_power_sum(values, logw, 2.0)
+    return _log_power_sum(np.abs(values), logw, 2.0)

@@ -7,8 +7,9 @@ summed directly from their definitions at high precision.  Run
     python -m tests.oracles
 
 to print all frozen values for comparison against the constants embedded
-in the tests.  README_FLOW_BANDWIDTH is the exception: it holds package
-outputs, frozen to guard them bit for bit, and has no mpmath counterpart.
+in the tests.  README_FLOW_BANDWIDTH and README_FLOW_FILES_SHA256 are the
+exceptions: they hold package outputs, frozen to guard them bit for bit, and
+have no mpmath counterpart.
 """
 
 import mpmath as mp
@@ -105,6 +106,17 @@ README_FLOW_BANDWIDTH = {
         5.794158898099467, 5.79138041099824
     ],
     "estimate": 5.6568542494921115,
+}
+
+# SHA-256 of the files the README's CLI flow writes at q = 1/2, alpha = 0:
+# `qweinstein --seed 7 gen --support=-2,4,-2,4` (f.csv), `--format json transform`
+# forward (F.json) and `--window=-3,5,-3,5 transform` inverse of F.json (g.csv).
+# Package outputs like README_FLOW_BANDWIDTH, frozen so that any change to the
+# transform or the file writers that moves a byte of this flow is seen.
+README_FLOW_FILES_SHA256 = {
+    "f.csv": "f62e157762db7a0557e88ea4a495d0d33db4b930664fd64ae9ca430b9d2b0106",
+    "F.json": "85c3480433ac19f3fe59b6bc5230e41471a81b5cec6285e910a2d64fc0162239",
+    "g.csv": "05f8d7a66533bbc10913e73e528f9933b291ecbc90d431781282780efd0b891e",
 }
 
 

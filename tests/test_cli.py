@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import fields
@@ -463,6 +464,16 @@ def test_float_overflow_in_a_command_exit_2(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical diagnostic:") and "Warning" not in err
+
+
+def test_weight_table_overflow_exit_2_with_its_cause(capsys):
+    # at q = 1/2 the README support's generous window needs weights past e^709
+    # from alpha = 13 on; the message names alpha, q and the window
+    assert main(["--alpha", "13", "verify", "--suite", "plancherel"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("numerical diagnostic: the mu weights overflow on the window n1=[-36,50] "
+                   "n2=[-36,50] at q=0.5, alpha=13.0: the largest is e^722, past the float64 "
+                   "range\n")
 
 
 @pytest.mark.parametrize("tol", ["1e-320", "1e300"])
@@ -1032,6 +1043,19 @@ def test_readme_cli_flow_bandwidth_is_frozen(tmp_path):
     for key in ("a_n_literal", "a_n_spectral", "estimate"):
         assert np.array_equal(np.array(got[key]).view(np.int64),
                               np.array(frozen[key]).view(np.int64)), key
+
+
+def test_readme_cli_flow_files_are_frozen(tmp_path):
+    # gen -> forward to JSON -> inverse to CSV on the support padded by one, byte
+    # for byte against the frozen hashes: the writers' output and the transforms'
+    f, F, g = tmp_path / "f.csv", tmp_path / "F.json", tmp_path / "g.csv"
+    assert main(["--seed", "7", "gen", "--support=-2,4,-2,4", "--out", str(f)]) == 0
+    assert main(["--format", "json", "transform", "--input", str(f), "--direction", "forward",
+                 "--out", str(F)]) == 0
+    assert main(["--window=-3,5,-3,5", "transform", "--input", str(F), "--direction", "inverse",
+                 "--out", str(g)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (f, F, g)}
+    assert got == oracles.README_FLOW_FILES_SHA256
 
 
 @pytest.mark.parametrize("fmt,name", [("json", "F.csv"), ("csv", "F.json")])

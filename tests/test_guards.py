@@ -14,7 +14,8 @@ import pytest
 import qweinstein as qw
 from qweinstein import (DivergenceError, GridFunction, LatticeWindow, PWmParams, QDomainError,
                         QParams)
-from qweinstein.cli import FileFormatError, JobConfig, read_gridfunction, write_gridfunction
+from qweinstein.cli import (FileFormatError, JobConfig, random_even_bump, read_gridfunction,
+                            write_gridfunction)
 from qweinstein.qcore import LatticePoint, aligned_q
 
 P = QParams(q=0.5, alpha=0.0)
@@ -121,6 +122,10 @@ GUARDS = [
     # transform
     ("forward-parity", lambda t: qw.forward(_bump("odd")), QDomainError,
      "forward requires even parity in the second variable"),
+    ("mu-overflow", lambda t: qw.forward(random_even_bump(QParams(q=0.5, alpha=13.0),
+                                                          LatticeWindow(-2, 4, -2, 4), 7, pad=1)),
+     DivergenceError, "the mu weights overflow on the window n1=[-36,50] n2=[-36,50] at q=0.5, "
+     "alpha=13.0: the largest is e^722, past the float64 range"),
 ]
 
 

@@ -26,6 +26,7 @@ from qweinstein.qintegrate import log_l2_norm_sq, log_mu_weights
 from qweinstein.qops import EVEN, dq_partial, weinstein_op
 from qweinstein.transform import _contract, _kernel_matrices, auto_lambda_window, embed_zeros, norm_sq_lambda
 from qweinstein.cli import random_even_bump
+from qweinstein.qcore import aligned_q
 
 from .conftest import FOUR_Q, dilated, make_bump
 
@@ -247,6 +248,26 @@ def test_run_on_the_nonzero_box_moves_the_literal_route_by_rounding(q):
         a_lit, a_ref = (math.exp(v / (4.0 * n)) for v in (st.log_norm_sq_literal, scalars[2]))
         assert abs(a_lit / a_ref - 1.0) <= 1e-9
         assert st.log_norm_sq_spectral == scalars[3]
+
+
+def test_run_refuses_a_non_finite_iterate(monkeypatch):
+    from qweinstein import paleywiener
+
+    contract, calls = paleywiener._contract, []
+
+    def nan_at_the_third_step(*args, **kwargs):
+        out = contract(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == 4:   # the first call gives the stencil's input of step 1
+            out[0, -1, -1] = math.nan
+        return out
+
+    monkeypatch.setattr(paleywiener, "_contract", nan_at_the_third_step)
+    eng = TransformSideIterates(make_bump(QParams(q=0.5, alpha=0.0), 85, -2, 4, -2, 4), 5)
+    run = eng.run()
+    assert [next(run).n for _ in range(2)] == [1, 2]
+    with pytest.raises(QDomainError, match="the literal iterate at n=3 is not finite"):
+        next(run)
 
 
 def test_run_leaves_an_all_zero_preimage_as_it_is():
@@ -481,3 +502,63 @@ def test_bandwidth_estimate_scales_with_the_support(q, alpha, seed):
     rg = bandwidth_estimate(forward(g).grid, 20, f_hat=g)
     assert abs(rg.oracle_radius - q * rf.oracle_radius) <= 4e-16 * q * rf.oracle_radius
     assert abs(rg.estimate - q * rf.estimate) <= 1e-13 * q * rf.estimate
+
+
+def _engine_on_a_box(q, alpha, box, seed, zero_p, N):
+    """The engine on a bump over box, with each cell zeroed with probability zero_p."""
+    f = make_bump(QParams(q=q, alpha=alpha), seed, *box)
+    keep = np.random.default_rng(seed).random(f.samples.shape) >= zero_p
+    return TransformSideIterates(f.with_samples(f.samples * keep), N)
+
+
+def _branches(eng):
+    """The branches of TransformSideIterates.run's fast paths that eng reaches."""
+    hit = set()
+    cut = eng._core_cutoff(np.arange(1, eng.N + 1))
+    if np.any(np.sum(eng.window.n1_exponents()[:, None] <= cut, axis=0) <= 1):
+        hit.add("core of 0 or 1 shells")
+    nonzero = np.count_nonzero(eng.f_hat.samples)
+    if any(np.count_nonzero(step[1]) < nonzero for step in eng._preimage_side()):
+        hit.add("eta entries underflow to 0")
+    if any(not np.abs(st_.values).all() for st_ in eng.run()):
+        hit.add("exact zeros in |G|")
+    return hit
+
+
+# inputs that reach each branch: at q = 0.8 the core narrows below the stencil's
+# reach; at q = 1/2 the 7x7 box's r^2 spans 2^12 per step, so from n = 90 on eta
+# holds entries that underflowed to 0; at q = 0.7 the window's deep shells hold
+# exact zeros of the transform
+_BRANCH_EXAMPLES = {
+    "core of 0 or 1 shells": dict(q=0.8, alpha=0.0, box=(0, 2, 0, 2), seed=81, zero_p=0.0,
+                                  N=50),
+    "eta entries underflow to 0": dict(q=0.5, alpha=0.5, box=(-2, 4, -2, 4), seed=5,
+                                       zero_p=0.0, N=120),
+    "exact zeros in |G|": dict(q=0.7, alpha=1.5, box=(-1, 2, 0, 3), seed=6, zero_p=0.25, N=20),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_BRANCH_EXAMPLES))
+def test_the_branch_examples_reach_their_branch(branch):
+    assert branch in _branches(_engine_on_a_box(**_BRANCH_EXAMPLES[branch]))
+
+
+_EDGES = st.lists(st.integers(-2, 4), min_size=2, max_size=2).map(sorted)
+
+
+@settings(max_examples=15, deadline=None)
+@given(q=st.sampled_from((0.5, aligned_q(2), 0.7, 0.8)), alpha=st.sampled_from((0.0, 0.5, 1.5)),
+       box=st.tuples(_EDGES, _EDGES).map(lambda e: (*e[0], *e[1])),
+       seed=st.integers(0, 2**32 - 1), zero_p=st.sampled_from((0.0, 0.25)),
+       N=st.integers(1, 120))
+@example(**_BRANCH_EXAMPLES["core of 0 or 1 shells"])
+@example(**_BRANCH_EXAMPLES["eta entries underflow to 0"])
+@example(**_BRANCH_EXAMPLES["exact zeros in |G|"])
+def test_run_is_bit_identical_to_the_plain_loop_on_random_boxes(q, alpha, box, seed, zero_p, N):
+    # the boxes lie inside -2..4, some cells zero; N reaches past the underflow at n = 90
+    eng = _engine_on_a_box(q, alpha, box, seed, zero_p, N)
+    for st_, (values, scalars, _) in zip(eng.run(), _reference_run(eng), strict=True):
+        assert np.array_equal(st_.values.view(np.int64), values.view(np.int64))
+        got = [st_.log_scale, st_.core_fraction, st_.log_norm_sq_literal,
+               st_.log_norm_sq_spectral]
+        assert np.array_equal(np.array(got).view(np.int64), np.array(scalars).view(np.int64))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qweinstein import (
+    DivergenceError,
     GridFunction,
     Kernel,
     LatticeWindow,
@@ -194,6 +195,22 @@ def test_plancherel_fails_at_misaligned_q():
 def test_plancherel_on_a_deep_support(lo1):
     p = QParams(q=0.5, alpha=0.0)
     f = make_bump(p, seed=1, lo1=lo1, hi1=lo1 + 5, lo2=0, hi2=2, pad=1)
+    ratio = lp_norm(forward(f).grid, 2.0) / lp_norm(f, 2.0)
+    assert abs(ratio - 1) <= 1e-10
+
+
+def test_plancherel_holds_at_alpha_12():
+    # the largest integer alpha whose generous-window weight table is finite at q = 1/2
+    f = make_bump(QParams(q=0.5, alpha=12.0), seed=1, lo1=-2, hi1=4, lo2=-2, hi2=4, pad=1)
+    ratio = lp_norm(forward(f).grid, 2.0) / lp_norm(f, 2.0)
+    assert abs(ratio - 1) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, raises=DivergenceError, reason=(
+    "the automatic window's generous first window reaches n2 = -36, where the mu weight "
+    "(1-q)^2 q^n1 q^(n2 (2 alpha + 2)) is e^722 at alpha = 13, past the float64 range"))
+def test_plancherel_at_alpha_13():
+    f = make_bump(QParams(q=0.5, alpha=13.0), seed=1, lo1=-2, hi1=4, lo2=-2, hi2=4, pad=1)
     ratio = lp_norm(forward(f).grid, 2.0) / lp_norm(f, 2.0)
     assert abs(ratio - 1) <= 1e-10
 

@@ -10,7 +10,8 @@ random bumps on supports from one point to 61x61 (pad 1), saves under a
 stable name: forward and inverse samples, windows, tail bounds and edge
 ratios on automatic and fixed windows, and, on the small supports, the
 ``identity_suite`` report, the ``bandwidth_estimate`` sequences (with the
-reconstructed and with the given preimage), ``pw_m_sup`` and the three
+reconstructed and with the given preimage) at N = 12, ``pw_m_sup`` at
+N = m + 4, both again at N = 50 (the engine's late steps), the three
 derivative bound checks at the ``verify --suite bounds`` orders (lhs, rhs
 and the ``detail`` entries the tests read); for each (q, alpha),
 ``normalization_K``, ``Kernel(...).sup_bound()`` and ``orthogonality_check``
@@ -51,6 +52,9 @@ SUPPORTS = {"1x1": (0, 0, 0, 0), "4x4": (-1, 2, -1, 2), "7x7": (-2, 4, -2, 4),
             "61x61": (-20, 40, -20, 40)}
 SMALL = ("1x1", "4x4", "7x7")
 BANDWIDTH_N = 12
+# and again at the README flow's N, where the engine's core has settled and eta
+# spans 2^600 (q = 1/2, 7x7): the late steps that the N = 12 entries never reach
+LATE_N = 50
 # (sign1, n1, n2) pairs for orthogonality_check: one diagonal, two off it
 ORTHO_PAIRS = {"diag": ((1, 1, 0), (1, 1, 0)), "offdiag": ((1, 1, 0), (1, 3, 2)),
                "sign": ((1, 1, 0), (-1, 1, 0))}
@@ -165,9 +169,15 @@ def write(out: str) -> None:
                        _bandwidth)
                 record(f"{name}:bandwidth_f_hat",
                        lambda: bandwidth_estimate(G, BANDWIDTH_N, f_hat=f), _bandwidth)
+                record(f"{name}:bandwidth_N{LATE_N}", lambda: bandwidth_estimate(G, LATE_N),
+                       _bandwidth)
+                record(f"{name}:bandwidth_f_hat_N{LATE_N}",
+                       lambda: bandwidth_estimate(G, LATE_N, f_hat=f), _bandwidth)
                 m = int(alpha + 1.5) + 1     # the least m > alpha + 3/2
                 record(f"{name}:pw_m_sup",
                        lambda: pw_m_sup(G, PWmParams(m=m, a=2.0, N=m + 4), f_hat=f), _pw_m)
+                record(f"{name}:pw_m_sup_N{LATE_N}",
+                       lambda: pw_m_sup(G, PWmParams(m=m, a=2.0, N=LATE_N), f_hat=f), _pw_m)
                 for bname, (check, keys) in BOUNDS.items():
                     record(f"{name}:{bname}_bound", lambda: check(f), _bound(keys))
     np.savez(out, **entries)
