@@ -27,7 +27,7 @@ from .qintegrate import (N_MAX, _log_power_sum, _log_power_sums, log_mu_table,
                          log_mu_weights, log_sum_exp, mu_table)
 from .qops import (_FLIP, EVEN, GridFunction, LatticeWindow, _weinstein_array, dq_ladder,
                    dq_mixed, weinstein_op)
-from .qspecial import bessel_j, sonine_weight
+from .qspecial import alignment_regime, bessel_j, sonine_weight
 from .transform import (
     _contract,
     _kernel_matrices,
@@ -119,15 +119,15 @@ class TransformSideIterates:
         self.params = f_hat.params
         q = self.params.q
         self._L = math.log(1.0 / q)
-        r = support_radius(f_hat)
+        r = self._radius = support_radius(f_hat)
         self._m_r = math.log(r) / self._L if r > 0 else 0.0
         self._stencil_const = 16.0 / (1.0 - q) ** 2
         self._log_amp_budget = math.log(1e-9 / 2.2e-16)   # junk budget over rounding
         w = auto_lambda_window(f_hat)
         self.window = LatticeWindow(w.n1_min - 2, w.n1_max + 4, w.n2_min - 2, w.n2_max + 4)
         self._logw_lam = np.broadcast_to(log_mu_table(self.window, self.params), self.window.shape)
-        x1 = q ** self.window.n1_exponents().astype(float)
-        self._x1, self._x2 = np.stack([x1, -x1]), q ** self.window.n2_exponents().astype(float)
+        grid = GridFunction.zeros(self.params, self.window)
+        self._x1, self._x2 = grid.x1_values(), grid.x2_values()
         self._logw_x = log_mu_weights(f_hat)
         self._r2_x = norm_sq_lambda(f_hat.window, self.params)
 
@@ -241,12 +241,11 @@ def _preimage(F: GridFunction) -> GridFunction:
     the threshold (up to the peak's size at generic q), no threshold
     separates them from the support, and DivergenceError is raised.
     """
-    eps, _ = lattice_alignment(F.params.q)
-    if eps != 0.0:
+    if alignment_regime(F.params.q) != "aligned":
         raise DivergenceError(
-            f"cannot reconstruct the preimage at q={F.params.q!r}: its lattice-alignment "
-            f"residual {eps:.2e} is not 0, so the inverse leaves residue outside the "
-            "support that no threshold separates from it; give the preimage (f_hat)")
+            f"cannot reconstruct the preimage at q={F.params.q!r}: its lattice-alignment residual "
+            f"{lattice_alignment(F.params.q)[0]:.2e} is not 0, so the inverse leaves residue "
+            "outside the support that no threshold separates from it; give the preimage (f_hat)")
     raw = inverse(F).grid
     absf = np.abs(raw.samples)
     return raw.with_samples(np.where(absf > 1e-8 * float(np.max(absf)), raw.samples, 0.0))
@@ -271,9 +270,9 @@ def bandwidth_estimate(F: GridFunction, N: int, *,
                                exponent_normalization="sup||x|| (trivial)")
     if f_hat is None:
         f_hat = _preimage(F)
-    oracle = support_radius(f_hat)
 
     eng = TransformSideIterates(f_hat, N)
+    oracle = eng._radius
     a_spec, a_lit, fracs = [], [], []
     worst = 0.0
     for st in eng.run():
@@ -425,7 +424,7 @@ def monomial_derivative_bound_check(f: GridFunction, n1: int, n2: int, p1: int, 
     if not (p1 <= p < n1 and p2 <= p < n2):
         raise QDomainError("need p1 <= p < n1 and p2 <= p < n2")
     q = f.params.q
-    g = f.with_samples(f.samples * lattice_monomial(f.window, f.params, n1, n2))
+    g = f.with_samples(f.samples * lattice_monomial(f, n1, n2))
     d = dq_mixed(embed_zeros(g, p1 + 2, p2 + 2), (p1, p2))
     lhs = float(np.max(np.abs(d.samples)))
 

@@ -114,27 +114,25 @@ def effective_floor_exponent(q: float) -> int:
       epsilon * q^(-k(k-1)) passes 1e3, past which spectral sums are
       dominated by the divergence anyway.
     """
-    return _floor_exponent(q, lattice_alignment(q)[0])
-
-
-def alignment_regime(eps: float) -> str:
-    """The regime of effective_floor_exponent that an alignment residual eps puts q in."""
-    return "aligned" if eps == 0.0 else "near-aligned" if eps < 1e-8 else "misaligned"
-
-
-def _floor_exponent(q: float, eps: float) -> int:
-    # effective_floor_exponent for a known alignment residual eps
     floor_rep = decay_floor_exponent(q)
-    regime = alignment_regime(eps)
+    regime = alignment_regime(q)
     if regime == "aligned":
         return floor_rep
-    L = math.log(1.0 / q)
+    eps, L = lattice_alignment(q)[0], math.log(1.0 / q)
     if regime == "near-aligned":
         k_star = math.sqrt(math.log(1.0 / eps) / (2.0 * L))
         return max(floor_rep, -int(math.floor(k_star)) + 1)
     c = math.log(1e3 / eps) / L
     k_grow = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * c))
     return max(floor_rep, -int(math.floor(k_grow)))
+
+
+def alignment_regime(q: float) -> str:
+    """The regime of effective_floor_exponent that q is in: "aligned" where its
+    lattice-alignment residual is exactly 0, "near-aligned" below 1e-8, else
+    "misaligned".  The one place that classifies a residual."""
+    eps = lattice_alignment(q)[0]
+    return "aligned" if eps == 0.0 else "near-aligned" if eps < 1e-8 else "misaligned"
 
 
 def bessel_j_exponent_family(alpha: float, params: QParams, k_min: int,
@@ -163,11 +161,10 @@ def bessel_j_exponent_family(alpha: float, params: QParams, k_min: int,
     if k_min > k_max:
         raise QDomainError("bessel_j_exponent_family needs k_min <= k_max")
     q = params.q
-    eps = lattice_alignment(q)[0]
-    lo_eff = k_min if k_min >= 0 else max(k_min, _floor_exponent(q, eps))
+    lo_eff = k_min if k_min >= 0 else max(k_min, effective_floor_exponent(q))
     # the 1e-9 keeps a double-rounded aligned root on -j from either side
     k_s = -int(math.floor(math.log(1.0 - q) / math.log(q) + 1e-9))
-    miller = alignment_regime(eps) != "misaligned" and lo_eff <= min(k_s - 3, k_max)
+    miller = alignment_regime(q) != "misaligned" and lo_eff <= min(k_s - 3, k_max)
     lo_series = k_s if miller else lo_eff
     out = np.zeros(k_max - k_min + 1)
     for k in range(lo_series, k_max + 1):
@@ -185,7 +182,8 @@ def bessel_j_exponent_family(alpha: float, params: QParams, k_min: int,
     )
     k0 = lo_eff - margin
     q2a = q ** (2.0 * alpha)
-    coef = 1.0 + q2a - (1.0 - q) ** 2 * q ** (2.0 * np.arange(k0, k_s + 1))
+    # q^(2 alpha) is added last: the rest cancels at k_s, exposing any rounding of 1 + q^(2 alpha)
+    coef = (1.0 - (1.0 - q) ** 2 * q ** (2.0 * np.arange(k0, k_s + 1))) + q2a
     ratios = []
     inv = 0.0
     for c in coef.tolist():

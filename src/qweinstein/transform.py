@@ -18,14 +18,15 @@ deep into the lattice.
 
 The gathered kernel matrices (the 16 most recent window pairs) and the
 measure-weight tables (qintegrate.mu_table, the 8 most recent windows) are
-memoized and read-only, so transforms that revisit a window skip the gather
-and the exp.  An entry holds 3 (M, N) float arrays, or one (N1, N2) table;
-for a 61x61 support on its automatic window that is about 0.2 MB a kernel
-and 0.1 MB a table, 4 MB with both memos full.
+memoized by functools.lru_cache and read-only, so transforms that revisit
+a window skip the gather and the exp.  An entry holds 3 (M, N) float
+arrays, or one (N1, N2) table; for a 61x61 support on its automatic window
+that is about 0.2 MB a kernel and 0.1 MB a table, 4 MB with both memos full.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -124,39 +125,35 @@ class TransformResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-_KERNEL_CACHE: dict = {}    # the 16 most recent _kernel_matrices, oldest first
-
-
 def _kernel_matrices(in_window: LatticeWindow, out_window: LatticeWindow,
                      params: QParams) -> tuple:
     """(C, S, Jw, x1w) of _contract: the gathered family matrices, with
     K (1-q)^2 and the x2 measure weight folded into Jw, and the d_q x1 weight.
 
     Memoized, read-only, on the two windows' extents (not their taint) and
-    params.  The families are looked up on every call; their values do not
-    depend on the cached exponent range, so a widened range gathers the
-    same kernel.
+    params.  The families' values do not depend on the cached exponent
+    range, so a kernel gathered from a widened range has the same bits.
     """
-    q = params.q
     w, v = in_window, out_window
+    return _gather_kernel((w.n1_min, w.n1_max, w.n2_min, w.n2_max),
+                          (v.n1_min, v.n1_max, v.n2_min, v.n2_max), params)
+
+
+@functools.lru_cache(maxsize=16)
+def _gather_kernel(in_extents: tuple, out_extents: tuple, params: QParams) -> tuple:
+    q = params.q
+    w, v = LatticeWindow(*in_extents), LatticeWindow(*out_extents)
     cos_v, sin_v, j_v, lo = _families(params, min(v.n1_min + w.n1_min, v.n2_min + w.n2_min),
                                       max(v.n1_max + w.n1_max, v.n2_max + w.n2_max))
-    key = ((w.n1_min, w.n1_max, w.n2_min, w.n2_max), (v.n1_min, v.n1_max, v.n2_min, v.n2_max),
-           params)
-    kernel = _KERNEL_CACHE.pop(key, None)
-    if kernel is None:
-        n1, n2 = w.n1_exponents(), w.n2_exponents()
-        k1 = np.add.outer(v.n1_exponents(), n1) - lo
-        k2 = np.add.outer(v.n2_exponents(), n2) - lo
-        C, S, J = cos_v[k1], sin_v[k1], j_v[k2]                  # (M1, N1), (M2, N2)
-        Jw = (normalization_K(params) * (1.0 - q) ** 2
-              * J * q ** ((2.0 * params.alpha + 2.0) * n2.astype(float)))
-        kernel = C, S, Jw, q ** n1.astype(float)[None, :, None]
-        for a in kernel:
-            a.flags.writeable = False
-        if len(_KERNEL_CACHE) >= 16:
-            del _KERNEL_CACHE[next(iter(_KERNEL_CACHE))]
-    _KERNEL_CACHE[key] = kernel
+    n1, n2 = w.n1_exponents(), w.n2_exponents()
+    k1 = np.add.outer(v.n1_exponents(), n1) - lo
+    k2 = np.add.outer(v.n2_exponents(), n2) - lo
+    C, S, J = cos_v[k1], sin_v[k1], j_v[k2]                  # (M1, N1), (M2, N2)
+    Jw = (normalization_K(params) * (1.0 - q) ** 2
+          * J * q ** ((2.0 * params.alpha + 2.0) * n2.astype(float)))
+    kernel = C, S, Jw, q ** n1.astype(float)[None, :, None]
+    for a in kernel:
+        a.flags.writeable = False
     return kernel
 
 
@@ -330,12 +327,9 @@ def embed_zeros(f: GridFunction, pad1: int, pad2: int) -> GridFunction:
     return GridFunction(f.params, nw, f.parity_y, arr)
 
 
-def lattice_monomial(window: LatticeWindow, params: QParams, pow1: int, pow2: int) -> np.ndarray:
-    """Array x1^pow1 x2^pow2 over a window, signed first variable; shape (2, N1, N2)."""
-    q = params.q
-    x1 = q ** window.n1_exponents().astype(float)
-    x2 = q ** window.n2_exponents().astype(float)
-    return np.stack([x1, -x1])[:, :, None] ** pow1 * x2[None, None, :] ** pow2
+def lattice_monomial(g: GridFunction, pow1: int, pow2: int) -> np.ndarray:
+    """Array x1^pow1 x2^pow2 over g's window, signed first variable; shape (2, N1, N2)."""
+    return g.x1_values()[:, :, None] ** pow1 * g.x2_values()[None, None, :] ** pow2
 
 
 def norm_sq_lambda(window: LatticeWindow, params: QParams) -> np.ndarray:
@@ -440,7 +434,7 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None) -> IdentityRe
     for n, p in orders:
         gf = d_f[p][n]
         lhs = transform(gf).samples
-        mult = (1j ** (n + 2 * p)) * lattice_monomial(lam_pad, f.params, n, 2 * p)
+        mult = (1j ** (n + 2 * p)) * lattice_monomial(F0, n, 2 * p)
         rhs = mult * F0.samples
         d = np.abs(gf.samples) * x1w
         noise = eps_mach * (abs_C @ (d[0] + d[1]) @ abs_JwT)    # the same for both signs
@@ -448,7 +442,7 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None) -> IdentityRe
         errs_a[(n, p)] = _masked_rel_err(lhs, rhs, np.broadcast_to(noise <= 1e-9 * den,
                                                                    lhs.shape), den)
 
-        mono = fpad.with_samples(fpad.samples * lattice_monomial(fpad.window, f.params, n, 2 * p))
+        mono = fpad.with_samples(fpad.samples * lattice_monomial(fpad, n, 2 * p))
         lhs = transform(mono).samples
         Fg = d_F[p][n]
         rhs = (1j ** (n + 2 * p)) * Fg.samples

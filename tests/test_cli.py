@@ -28,6 +28,7 @@ from qweinstein.cli import (
     write_gridfunction,
 )
 from qweinstein.qcore import aligned_q
+from qweinstein.qspecial import alignment_regime, decay_floor_exponent, effective_floor_exponent
 
 from . import oracles
 
@@ -1072,3 +1073,40 @@ def test_format_that_disagrees_with_the_out_suffix_exit_1(tmp_path, capsys, fmt,
     assert not out.exists()
     assert main(["--format", fmt, "gen", "--support=0,1,0,1", "--out", str(out)]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("q", [0.5, math.nextafter(0.5, 1.0), aligned_q(2), aligned_q(10), 0.7])
+def test_every_consumer_of_the_regime_agrees_with_its_owner(tmp_path, capsys, q):
+    # alignment_regime decides; the family floor, bandwidth's reconstruction and
+    # transform's tail label each follow it, at residual 0 (1/2, aligned_q(10)),
+    # near 0 (one ulp above 1/2, aligned_q(2)) and far from it
+    regime = alignment_regime(q)
+    aligned = regime == "aligned"
+    assert (effective_floor_exponent(q) == decay_floor_exponent(q)) == aligned
+    src, fwd = tmp_path / "f.csv", tmp_path / "F.csv"
+    assert main(["--q", repr(q), "--seed", "1", "gen", "--support=-2,4,-2,4",
+                 "--out", str(src)]) == 0
+    assert main(["transform", "--input", str(src), "--out", str(fwd)]) == 0
+    label = "tail_bound=" if aligned else f"tail_diagnostic({regime})="
+    assert capsys.readouterr().err.startswith(label)
+    assert main(["bandwidth", "--input", str(fwd), "--N", "5"]) == (0 if aligned else 2)
+
+
+def test_verify_identities_prints_skipped_checks_as_skipped(capsys):
+    # at q = 0.7 no spectral shell serves the pairing or four (n, p) orders: their
+    # rows say so, where an error of 0.000e+00 was printed, and the exit stays 0
+    assert main(["--q", "0.7", "--alpha", "0.5", "--seed", "1",
+                 "verify", "--suite", "identities"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[3:] == ["pairing_symmetry: skipped",
+                       "identity orders (n, p) = (0, 2), (1, 2), (2, 1), (2, 2): skipped"]
+    assert all(line.endswith("[ok]") for line in out[:3])
+
+
+@pytest.mark.parametrize("suite", ["plancherel", "identities"])
+@pytest.mark.parametrize("alpha", ["8.8", "9.3", "10.7", "12.7"])
+def test_verify_passes_at_high_non_dyadic_alpha(suite, alpha):
+    # q^(2 alpha) is not dyadic at these alpha; Miller's coefficient at the turning
+    # point k_s = -1 kept it only to the bits that survive 1 + q^(2 alpha), and the
+    # family's 1e-11 normalization check failed (exit 2)
+    assert main(["--q", "0.5", "--alpha", alpha, "verify", "--suite", suite]) == 0

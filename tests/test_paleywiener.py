@@ -199,6 +199,7 @@ def test_run_gathers_kernel_families_once(monkeypatch):
 
     f = make_bump(QParams(q=0.5, alpha=0.0), 82, -2, 4, -2, 4)
     eng = TransformSideIterates(f, 10)
+    transform._gather_kernel.cache_clear()   # a memo hit would look up no families
     calls = []
     families = transform._families
 

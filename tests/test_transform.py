@@ -469,7 +469,7 @@ def test_identity_suite_builds_each_kernel_once(monkeypatch):
 def _clear_memos():
     from qweinstein import qintegrate, transform
 
-    transform._KERNEL_CACHE.clear()
+    transform._gather_kernel.cache_clear()
     qintegrate._mu_table.cache_clear()
 
 
@@ -505,8 +505,14 @@ def test_memos_stay_bounded_and_keep_the_recent_entries():
         assert mu_table(lam, p) is table
         assert transform._kernel_matrices(win, lams[0], p) is first
     # the least recently used go first: lams[0], used in every round, stays
-    extents = [(w.n1_min, w.n1_max, w.n2_min, w.n2_max) for w in lams[25:] + lams[:1]]
-    assert [key[1] for key in transform._KERNEL_CACHE] == extents
+    # with the 15 newest, and lams[24] was dropped
+    assert transform._gather_kernel.cache_info().currsize == 16
+    misses = transform._gather_kernel.cache_info().misses
+    for lam in lams[25:] + lams[:1]:
+        transform._kernel_matrices(win, lam, p)
+    assert transform._gather_kernel.cache_info().misses == misses
+    transform._kernel_matrices(win, lams[24], p)
+    assert transform._gather_kernel.cache_info().misses == misses + 1
     assert qintegrate._mu_table.cache_info().currsize == 8
 
 

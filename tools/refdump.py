@@ -3,6 +3,7 @@ so that two versions of the package can be compared bit for bit.
 
     python3 tools/refdump.py write OUT.npz       # run from the repository root
     python3 tools/refdump.py compare A.npz B.npz
+    python3 tools/refdump.py check [REV]         # REV defaults to HEAD
 
 ``write`` imports the package from ``src/`` next to this file and, for
 q in {1/2, aligned_q(2), 0.7, 0.9}, alpha in {0, 0.5, 1.5} and seeded
@@ -24,11 +25,18 @@ public API is used.
 values differ and those that differ only in the sign of a zero (or a NaN
 payload), and the largest relative difference; it exits 1 unless the two
 dumps are bit-identical.
+
+``check`` extracts REV's ``src/`` with ``git archive`` into a temporary tree,
+copies this file there so that both sides dump the same corpus, dumps that
+tree and the ``src/`` next to this file (uncommitted edits included), and
+compares the two dumps, exiting as ``compare`` does.
 """
 
 from __future__ import annotations
 
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -220,12 +228,33 @@ def compare(path_a: str, path_b: str) -> int:
     return 1 if only or differ or zero_signs else 0
 
 
+def check(rev: str) -> int:
+    root = Path(__file__).resolve().parent.parent
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        (base / "tools").mkdir(parents=True)
+        archive = subprocess.run(["git", "-C", str(root), "archive", rev, "src"],
+                                 stdout=subprocess.PIPE)
+        if archive.returncode:
+            return 2    # git has said why
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
+        (base / "tools" / "refdump.py").write_bytes(Path(__file__).read_bytes())
+        dumps = [str(Path(tmp) / f"{side}.npz") for side in ("rev", "tree")]
+        for tree, label, out in zip((base, root), (rev, "working tree"), dumps):
+            print(f"{label}: ", end="", flush=True)
+            subprocess.run([sys.executable, str(tree / "tools" / "refdump.py"), "write", out],
+                           check=True)
+        return compare(*dumps)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "write":
         write(argv[1])
         return 0
     if len(argv) == 3 and argv[0] == "compare":
         return compare(argv[1], argv[2])
+    if 1 <= len(argv) <= 2 and argv[0] == "check":
+        return check(argv[1] if len(argv) == 2 else "HEAD")
     print(__doc__.split("\n\n")[1], file=sys.stderr)
     return 2
 
