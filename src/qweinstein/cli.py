@@ -452,10 +452,8 @@ def _suite_identities(cfg: JobConfig) -> list[tuple[str, float | None, float]]:
     rep = identity_suite(f, g)
     tol = max(cfg.tol, 1e-7)
     # a skipped check's error is None; (a) and (b) can skip the same order
-    pairing = ("pairing", "pairing")
-    rows = [(k, None if k == "pairing_symmetry" and pairing in rep.skipped_orders else v, tol)
-            for k, v in rep.discrepancies.items()]
-    orders = ", ".join(str(o) for o in dict.fromkeys(rep.skipped_orders) if o != pairing)
+    rows = [(k, v, tol) for k, v in rep.discrepancies.items()]
+    orders = ", ".join(str(o) for o in dict.fromkeys(rep.skipped_orders))
     return rows + ([(f"identity orders (n, p) = {orders}", None, tol)] if orders else [])
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .qcore import DivergenceError, QDomainError, QParams, lattice_alignment
 from .qintegrate import (N_MAX, _log_power_sum, _log_power_sums, log_mu_table,
-                         log_mu_weights, log_sum_exp, mu_table)
+                         log_mu_weights, mu_table)
 from .qops import (_FLIP, EVEN, GridFunction, LatticeWindow, _weinstein_array, dq_ladder,
                    dq_mixed, weinstein_op)
 from .qspecial import alignment_regime, bessel_j, sonine_weight
@@ -76,11 +76,10 @@ def norm_growth_sequence(f: GridFunction, N: int) -> list[float]:
     """b_n = || ||x||^(2n) f ||_2^(1/2n) for n = 1..N, in log space."""
     if N < 1:
         raise QDomainError("norm_growth_sequence needs N >= 1")
-    absf = np.abs(f.samples)
-    mask = absf > 0.0
-    base = 2.0 * np.log(absf[mask]) + log_mu_weights(f)[mask]
-    logr2 = np.log(np.broadcast_to(norm_sq_lambda(f.window, f.params), f.samples.shape))[mask]
-    return [math.exp(log_sum_exp(base + 2.0 * n * logr2) / (4.0 * n)) for n in range(1, N + 1)]
+    absf, logw = np.abs(f.samples), log_mu_weights(f)
+    logr2 = np.log(norm_sq_lambda(f.window, f.params))
+    return [math.exp(_log_power_sum(absf, logw + 2.0 * n * logr2, 2.0) / (4.0 * n))
+            for n in range(1, N + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -155,13 +155,9 @@ def integrate_mu(f: GridFunction) -> IntegralResult:
                           tail=sum(edge_shell_mass(np.abs(weighted))))
 
 
-def log_sum_exp(logs: np.ndarray) -> float:
-    """log(sum(exp(logs))), shifted by the max so no term overflows; -inf if empty."""
-    return _log_sum_exp_rows(logs.reshape(1, -1))[0]
-
-
 def _log_sum_exp_rows(logs: np.ndarray) -> list[float]:
-    """log_sum_exp of each row of the 2-D logs."""
+    """log(sum(exp(row))) of each row of the 2-D logs, shifted by the row's max so no term
+    overflows; -inf for an empty row."""
     if logs.shape[1] == 0:
         return [-math.inf] * len(logs)
     m = logs.max(axis=1, keepdims=True)
@@ -179,7 +175,7 @@ def _log_power_sum(absv: np.ndarray, logw: np.ndarray, p: float) -> float:
     else:
         mask = absv > 0.0
         logs = p * np.log(absv[mask]) + logw[mask]
-    return log_sum_exp(logs)
+    return _log_sum_exp_rows(logs.reshape(1, -1))[0]
 
 
 def _log_power_sums(absv: np.ndarray, logw: np.ndarray, p: float) -> list[float]:

@@ -209,20 +209,27 @@ def _weinstein_array(s: np.ndarray, params: QParams, x1: np.ndarray, y: np.ndarr
     return _dx_array(d, q, x1[:, :c1]) + _bessel_array(p[:, 1:1 + c1], params, y[:c2])
 
 
+def _derivative(f: GridFunction, beta: tuple[int, int]) -> GridFunction:
+    """(d/d x1)^beta1 (d/d x2)^beta2 of f's samples, beta >= 0 and not (0, 0)."""
+    b1, b2 = beta
+    s, parity, q = f.samples, f.parity_y, f.params.q
+    x1, y = (f.x1_values() if b1 else None), (f.x2_values() if b2 else None)
+    for _ in range(b1):
+        s = _dx_array(_pad(s, 1), q, x1)
+    for _ in range(b2):
+        s, parity = _dy_array(s, q, y, parity), _FLIP[parity]
+    return f.with_samples(s, window=f.window.tainted_more(dx=b1, dy=b2), parity_y=parity)
+
+
 def dq_partial(f: GridFunction, var: int) -> GridFunction:
     """Symmetric q-derivative along variable 1 (signed) or 2 (positive, parity-aware).
 
     Along variable 2 the parity flag flips: the derivative of an even
     function is odd and vice versa.
     """
-    q = f.params.q
-    if var == 1:
-        return f.with_samples(_dx_array(_pad(f.samples, 1), q, f.x1_values()),
-                              window=f.window.tainted_more(dx=1))
-    if var == 2:
-        return f.with_samples(_dy_array(f.samples, q, f.x2_values(), f.parity_y),
-                              window=f.window.tainted_more(dy=1), parity_y=_FLIP[f.parity_y])
-    raise QDomainError(f"var must be 1 or 2, got {var}")
+    if var not in (1, 2):
+        raise QDomainError(f"var must be 1 or 2, got {var}")
+    return _derivative(f, (1, 0) if var == 1 else (0, 1))
 
 
 def dq_mixed(f: GridFunction, beta: tuple[int, int]) -> GridFunction:
@@ -230,15 +237,7 @@ def dq_mixed(f: GridFunction, beta: tuple[int, int]) -> GridFunction:
     b1, b2 = beta
     if b1 < 0 or b2 < 0:
         raise QDomainError("derivative orders must be >= 0")
-    g = f
-    if b1 or b2:
-        s, parity, q = f.samples, f.parity_y, f.params.q
-        x1, y = (f.x1_values() if b1 else None), (f.x2_values() if b2 else None)
-        for _ in range(b1):
-            s = _dx_array(_pad(s, 1), q, x1)
-        for _ in range(b2):
-            s, parity = _dy_array(s, q, y, parity), _FLIP[parity]
-        g = f.with_samples(s, window=f.window.tainted_more(dx=b1, dy=b2), parity_y=parity)
+    g = _derivative(f, beta) if b1 or b2 else f
     g.window.untainted_slices()   # raises TaintError if nothing survives
     return g
 

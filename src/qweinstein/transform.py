@@ -264,9 +264,9 @@ def forward(f: GridFunction, lambda_window: LatticeWindow | None = None, *,
     q, w = f.params.q, f.window
     L = math.log(1.0 / q)
     floor_k = effective_floor_exponent(q)
-    m1_hi = int(math.ceil(-math.log(auto_tol * 1e-3) / L))
-    m2_hi = int(math.ceil(-math.log(auto_tol * 1e-3) / (min(1.0, 2.0 * f.params.alpha + 2.0) * L)))
-    win = LatticeWindow(floor_k - w.n1_max, min(m1_hi, 500), floor_k - w.n2_max, min(m2_hi, 500))
+    # one inner edge for both axes: 2 alpha + 2 >= 1, so the weight decays no slower in m2
+    m_hi = min(int(math.ceil(-math.log(auto_tol * 1e-3) / L)), 500)
+    win = LatticeWindow(floor_k - w.n1_max, m_hi, floor_k - w.n2_max, m_hi)
 
     out = _contract(_kernel_matrices(w, win, f.params), f.samples, _conj)
     # reconstruction error is linear in the discarded |F| mass, so the
@@ -352,10 +352,10 @@ def _masked_rel_err(lhs: np.ndarray, rhs: np.ndarray, mask: np.ndarray,
 class IdentityReport:
     """Max relative discrepancies of the transform-operator identities.
 
-    skipped_orders lists the (n, p) pairs of the multiplier-to-derivative
-    identity that had no spectral shells that are simultaneously free of
+    A discrepancy is None where its check had no spectral shell both free of
     kernel truncation and resolvable by the divided-difference stencils
-    (possible at misaligned q, where the kernel frontier is shallow).
+    (possible at misaligned q, where the kernel frontier is shallow);
+    skipped_orders lists the (n, p) orders of (a), then of (b), that had none.
     """
 
     discrepancies: dict
@@ -461,7 +461,7 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None) -> IdentityRe
         errs_b[(n, p)] = _masked_rel_err(lhs, rhs, mask & (noise <= 1e-10 * den), den)
     for key, errs in (("derivative_to_multiplier", errs_a), ("multiplier_to_derivative", errs_b)):
         skipped += [order for order, err in errs.items() if err is None]
-        res[key] = max((err for err in errs.values() if err is not None), default=0.0)
+        res[key] = max((err for err in errs.values() if err is not None), default=None)
 
     # (c)
     lhs = transform(weinstein_op(fpad, 1)).samples
@@ -476,8 +476,7 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None) -> IdentityRe
     glo1 = max(g.window.n1_min, floor_k - fpad.window.n1_min)
     glo2 = max(g.window.n2_min, floor_k - fpad.window.n2_min)
     if glo1 > g.window.n1_max or glo2 > g.window.n2_max:
-        skipped.append(("pairing", "pairing"))
-        res["pairing_symmetry"] = 0.0
+        res["pairing_symmetry"] = None
         return IdentityReport(res, skipped, lam_pad)
     g_win = LatticeWindow(glo1, g.window.n1_max, glo2, g.window.n2_max)
     g_used = GridFunction(

@@ -155,8 +155,8 @@ def test_criterion_4_identities(q, alpha):
         f = random_even_bump(params, LatticeWindow(-2, 4, -2, 4), seed, pad=1)
         g = random_even_bump(params, LatticeWindow(-2, 4, -2, 4), seed + 50, pad=1)
         rep = identity_suite(f, g)
-        worst = max(worst, max(rep.discrepancies.values()))
-        complete = complete and not rep.skipped_orders
+        worst = max([worst] + [v for v in rep.discrepancies.values() if v is not None])
+        complete = complete and not rep.skipped_orders and None not in rep.discrepancies.values()
         if rep.skipped_orders:
             print(f"       skipped multiplier orders at q={q}: {rep.skipped_orders}")
     ok = _report(f"criterion 4 identities (q={q}, alpha={alpha})", worst, 1e-7)

@@ -1103,6 +1103,21 @@ def test_verify_identities_prints_skipped_checks_as_skipped(capsys):
     assert all(line.endswith("[ok]") for line in out[:3])
 
 
+def test_verify_identities_prints_an_identity_without_checked_orders_as_skipped(capsys):
+    # at q = 0.2 identity (a) has no spectral shell for any (n, p): its row says
+    # so, where an error of 0.000e+00 was printed; weinstein_eigen fails there
+    assert main(["--q", "0.2", "verify", "--suite", "identities"]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "derivative_to_multiplier: skipped"
+    assert out[1].startswith("multiplier_to_derivative: max_rel_err=")
+    assert out[1].endswith("[ok]")
+    assert out[2].startswith("weinstein_eigen: max_rel_err=")
+    assert out[2].endswith("[FAIL]")
+    assert out[3:] == ["pairing_symmetry: skipped",
+                       "identity orders (n, p) = (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), "
+                       "(2, 0), (2, 1), (2, 2): skipped"]
+
+
 @pytest.mark.parametrize("suite", ["plancherel", "identities"])
 @pytest.mark.parametrize("alpha", ["8.8", "9.3", "10.7", "12.7"])
 def test_verify_passes_at_high_non_dyadic_alpha(suite, alpha):

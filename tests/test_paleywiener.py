@@ -94,6 +94,17 @@ def test_norm_growth_converges_to_radius():
     assert abs(b[-1] / r - 1) < 0.02
 
 
+@pytest.mark.parametrize("q", FOUR_Q)
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5])
+def test_norm_growth_is_the_bandwidth_spectral_route(q, alpha):
+    # the engine's spectral a_n and b_n are one quantity, computed by two routes
+    p = QParams(q=q, alpha=alpha)
+    for seed in (1, 2, 3):
+        f = random_even_bump(p, LatticeWindow(-2, 4, -2, 4), seed, pad=1)
+        a = bandwidth_estimate(forward(f).grid, 40, f_hat=f).a_seq
+        np.testing.assert_allclose(a, norm_growth_sequence(f, 40), rtol=1e-13, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # bandwidth estimation
 # ---------------------------------------------------------------------------

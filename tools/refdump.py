@@ -89,7 +89,9 @@ def _transform(res) -> dict:
 
 def _identities(rep) -> dict:
     keys = sorted(rep.discrepancies)
-    return {"keys": np.array(keys), "values": np.array([rep.discrepancies[k] for k in keys]),
+    # a check with no data reads None, saved as NaN so that the dump loads without pickle
+    values = [np.nan if rep.discrepancies[k] is None else rep.discrepancies[k] for k in keys]
+    return {"keys": np.array(keys), "values": np.array(values, dtype=np.float64),
             "skipped": np.array([str(s) for s in rep.skipped_orders], dtype=str),
             "window": _window(rep.lambda_window)}
 
