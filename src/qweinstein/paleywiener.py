@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qcore import DivergenceError, QDomainError, QParams, lattice_alignment
-from .qintegrate import (N_MAX, _log_power_sum, _log_power_sums, log_mu_table,
-                         log_mu_weights, mu_table)
+from .qintegrate import N_MAX, _log_power_sum, log_mu_table, log_mu_weights, mu_table
 from .qops import (_FLIP, EVEN, GridFunction, LatticeWindow, _weinstein_array, dq_ladder,
                    dq_mixed, weinstein_op)
 from .qspecial import alignment_regime, bessel_j, sonine_weight
@@ -96,10 +95,6 @@ class _IterateState:
     log_norm_sq_spectral: float  # true log || ||t||^2n f_hat ||^2
 
 
-# steps whose preimage side TransformSideIterates computes at once
-_BLOCK = 64
-
-
 class TransformSideIterates:
     """Iterates of the Weinstein operator applied to F = forward(f_hat).
 
@@ -139,28 +134,20 @@ class TransformSideIterates:
         """Per step n = 1..N, what the preimage alone gives: n, eta_n = (-r^2)^n f_hat over
         s_1 ... s_n, the scale s_n that keeps max|eta_n| = 1 (1 where eta_n = 0), the log of
         s_1 ... s_n, the spectral route's true log-norm, and the core's extent (c1, c2), the
-        box of shells m1, m2 <= cutoff at the window's low corner.  It is computed _BLOCK
-        steps at a time, so at most _BLOCK scaled preimages are held at once."""
+        box of shells m1, m2 <= cutoff at the window's low corner.  One step at a time, so
+        a run holds one scaled preimage."""
         neg_r2 = -self._r2_x
         eta, log_scale = self.f_hat.samples, 0.0
-        for lo in range(0, self.N, _BLOCK):
-            ns = np.arange(lo + 1, min(lo + _BLOCK, self.N) + 1)
-            etas = np.empty((len(ns),) + eta.shape, dtype=np.complex128)
-            scales, log_scales = [], []
-            for eta_n in etas:
-                np.multiply(eta, neg_r2, out=eta_n)
-                s = float(np.abs(eta_n).max()) or 1.0
-                eta_n /= s
-                log_scale += math.log(s)
-                scales.append(s)
-                log_scales.append(log_scale)
-                eta = eta_n
-            log_specs = [v + 2.0 * ls for v, ls in
-                         zip(_log_power_sums(np.abs(etas), self._logw_x, 2.0), log_scales)]
-            cut = self._core_cutoff(ns)
-            c1s, c2s = (np.searchsorted(m, cut, side="right").tolist()
-                        for m in (self.window.n1_exponents(), self.window.n2_exponents()))
-            yield from zip(ns.tolist(), etas, scales, log_scales, log_specs, c1s, c2s)
+        cut = self._core_cutoff(np.arange(1, self.N + 1))
+        c1s, c2s = (np.searchsorted(m, cut, side="right").tolist()
+                    for m in (self.window.n1_exponents(), self.window.n2_exponents()))
+        for n, c1, c2 in zip(range(1, self.N + 1), c1s, c2s):
+            eta = eta * neg_r2
+            s = float(np.abs(eta).max()) or 1.0
+            eta /= s
+            log_scale += math.log(s)
+            log_spec = _log_power_sum(np.abs(eta), self._logw_x, 2.0) + 2.0 * log_scale
+            yield n, eta, s, log_scale, log_spec, c1, c2
 
     def run(self):
         params = self.params

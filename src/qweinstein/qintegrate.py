@@ -155,19 +155,9 @@ def integrate_mu(f: GridFunction) -> IntegralResult:
                           tail=sum(edge_shell_mass(np.abs(weighted))))
 
 
-def _log_sum_exp_rows(logs: np.ndarray) -> list[float]:
-    """log(sum(exp(row))) of each row of the 2-D logs, shifted by the row's max so no term
-    overflows; -inf for an empty row."""
-    if logs.shape[1] == 0:
-        return [-math.inf] * len(logs)
-    m = logs.max(axis=1, keepdims=True)
-    terms = logs - m
-    sums = np.exp(terms, out=terms).sum(axis=1)
-    return [mi + math.log(si) for mi, si in zip(m[:, 0].tolist(), sums.tolist())]
-
-
 def _log_power_sum(absv: np.ndarray, logw: np.ndarray, p: float) -> float:
-    """log of sum absv^p * exp(logw) over the nonzero entries of absv = |values|."""
+    """log of sum absv^p * exp(logw) over the nonzero entries of absv = |values|, shifted
+    by the largest term so none overflows; -inf if no entry is nonzero."""
     if absv.all():   # no zero to leave out: no gathers, the same terms in the same order
         logs = np.log(absv)
         logs *= p
@@ -175,18 +165,11 @@ def _log_power_sum(absv: np.ndarray, logw: np.ndarray, p: float) -> float:
     else:
         mask = absv > 0.0
         logs = p * np.log(absv[mask]) + logw[mask]
-    return _log_sum_exp_rows(logs.reshape(1, -1))[0]
-
-
-def _log_power_sums(absv: np.ndarray, logw: np.ndarray, p: float) -> list[float]:
-    """_log_power_sum of each absv[i]; the arrays with no zero go together, through one
-    call of each array operation."""
-    full = absv.all(axis=tuple(range(1, absv.ndim)))
-    logs = np.log(absv[full])
-    logs *= p
-    logs += logw
-    sums = iter(_log_sum_exp_rows(logs.reshape(len(logs), math.prod(absv.shape[1:]))))
-    return [next(sums) if f else _log_power_sum(a, logw, p) for a, f in zip(absv, full.tolist())]
+    if logs.size == 0:
+        return -math.inf
+    m = float(logs.max())
+    logs -= m
+    return m + math.log(float(np.exp(logs, out=logs).sum()))
 
 
 def lp_norm(f: GridFunction, p: float) -> float:

@@ -289,6 +289,26 @@ def test_run_leaves_an_all_zero_preimage_as_it_is():
     assert [st.core_fraction for st in eng.run()] == [0.0] * 3
 
 
+def test_run_peak_memory_does_not_grow_with_N():
+    # a step holds one scaled preimage, so 200 steps need no more room than 8
+    import tracemalloc
+
+    f = random_even_bump(QParams(q=0.5, alpha=0.0), LatticeWindow(-6, 12, -6, 12), 3, pad=1)
+    for _ in TransformSideIterates(f, 1).run():   # warm the memos
+        pass
+    peaks = {}
+    for N in (8, 200):
+        eng = TransformSideIterates(f, N)
+        tracemalloc.start()
+        try:
+            for _ in eng.run():
+                pass
+            peaks[N] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[200] <= 1.1 * peaks[8]
+
+
 def test_bandwidth_core_last_n_marks_where_the_core_empties():
     # at q = 0.9 the core holds stencil mass up to n = 5 only; the larger
     # route deviation after it compares direct transforms, not stencils

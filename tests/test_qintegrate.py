@@ -166,3 +166,42 @@ def test_lp_norm_rejects_bad_p():
     f = make_bump(p, seed=26)
     with pytest.raises(QDomainError):
         lp_norm(f, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the log-space reduction against mpmath
+# ---------------------------------------------------------------------------
+
+import mpmath as mp  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
+
+from qweinstein.qintegrate import _log_power_sum  # noqa: E402
+
+# |values| from 1e-300 to 1e300, with exact zeros and subnormals among them
+_ABS = st.one_of(st.just(0.0), st.floats(5e-324, 2.2e-308),
+                 st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def _abs_and_logw(draw):
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=4))
+    return (draw(hnp.arrays(np.float64, shape, elements=_ABS)),
+            draw(hnp.arrays(np.float64, shape, elements=st.floats(-700.0, 700.0))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays=_abs_and_logw(), p=st.sampled_from((1.0, 2.0)))
+@example(arrays=(np.zeros((2, 3, 3)), np.zeros((2, 3, 3))), p=2.0)
+@example(arrays=(np.array([5e-324, 1e300]), np.array([700.0, -700.0])), p=2.0)
+def test_log_power_sum_matches_mpmath(arrays, p):
+    absv, logw = arrays
+    got = _log_power_sum(absv, logw, p)
+    if not absv.any():
+        assert got == -math.inf
+        return
+    with mp.workdps(40):
+        ref = mp.log(mp.fsum(mp.exp(p * mp.log(mp.mpf(a)) + mp.mpf(w))
+                             for a, w in zip(absv.ravel().tolist(), logw.ravel().tolist()) if a))
+    assert abs(got - float(ref)) <= 1e-12

@@ -12,7 +12,9 @@ stable name: forward and inverse samples, windows, tail bounds and edge
 ratios on automatic and fixed windows, and, on the small supports, the
 ``identity_suite`` report, the ``bandwidth_estimate`` sequences (with the
 reconstructed and with the given preimage) at N = 12, ``pw_m_sup`` at
-N = m + 4, both again at N = 50 (the engine's late steps), the three
+N = m + 4, both again at N = 50 (the engine's late steps), the
+``bandwidth_estimate`` sequences once more at N = 130 (steps past 64 and
+128, and eta underflowing from n = 90 on the 7x7 box at q = 1/2), the three
 derivative bound checks at the ``verify --suite bounds`` orders (lhs, rhs
 and the ``detail`` entries the tests read); for each (q, alpha),
 ``normalization_K``, ``Kernel(...).sup_bound()`` and ``orthogonality_check``
@@ -63,6 +65,9 @@ BANDWIDTH_N = 12
 # and again at the README flow's N, where the engine's core has settled and eta
 # spans 2^600 (q = 1/2, 7x7): the late steps that the N = 12 entries never reach
 LATE_N = 50
+# and far past the late steps: N = 130 crosses steps 64 and 128, and on the 7x7 box
+# at q = 1/2 eta underflows from n = 90
+DEEP_N = 130
 # (sign1, n1, n2) pairs for orthogonality_check: one diagonal, two off it
 ORTHO_PAIRS = {"diag": ((1, 1, 0), (1, 1, 0)), "offdiag": ((1, 1, 0), (1, 3, 2)),
                "sign": ((1, 1, 0), (-1, 1, 0))}
@@ -183,6 +188,10 @@ def write(out: str) -> None:
                        _bandwidth)
                 record(f"{name}:bandwidth_f_hat_N{LATE_N}",
                        lambda: bandwidth_estimate(G, LATE_N, f_hat=f), _bandwidth)
+                record(f"{name}:bandwidth_N{DEEP_N}", lambda: bandwidth_estimate(G, DEEP_N),
+                       _bandwidth)
+                record(f"{name}:bandwidth_f_hat_N{DEEP_N}",
+                       lambda: bandwidth_estimate(G, DEEP_N, f_hat=f), _bandwidth)
                 m = int(alpha + 1.5) + 1     # the least m > alpha + 3/2
                 record(f"{name}:pw_m_sup",
                        lambda: pw_m_sup(G, PWmParams(m=m, a=2.0, N=m + 4), f_hat=f), _pw_m)
