@@ -297,7 +297,7 @@ class PWmParams:
     def __post_init__(self):
         if self.m < 0 or self.N < self.m:
             raise QDomainError("PWmParams needs 0 <= m <= N")
-        if self.a <= 0:
+        if not self.a > 0:
             raise QDomainError("PWmParams needs a > 0")
 
 

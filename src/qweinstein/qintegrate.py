@@ -176,7 +176,7 @@ def lp_norm(f: GridFunction, p: float) -> float:
     """L^p norm against the weighted measure; p = inf is the sup over samples."""
     if p == math.inf:
         return float(np.max(np.abs(f.samples)))
-    if p <= 0:
+    if not p > 0:
         raise QDomainError(f"lp_norm needs p > 0 or inf, got {p}")
     return math.exp(_log_power_sum(np.abs(f.samples), log_mu_weights(f), p) / p)
 

@@ -205,24 +205,10 @@ def _scaled_abs(z: np.ndarray) -> np.ndarray:
     return a if -64 < e <= 64 else np.ldexp(a, -e, out=a)
 
 
-def _input_edge_ratio(samples: np.ndarray, weights: np.ndarray, edge_tol: float) -> float:
-    """Share of the L2 mass |samples|^2 weights on the outermost shells, where weights
-    is the window's (N1, N2) table of measure weights; DivergenceError above edge_tol."""
-    mass = _scaled_abs(samples) ** 2 * weights
-    total = float(mass.sum())
-    edge_ratio = sum(edge_shell_mass(mass)) / total if total else 0.0
-    if edge_ratio > edge_tol:
-        raise DivergenceError(
-            f"input mass touches the window edge (edge share {edge_ratio:.2e}); "
-            "the function is not compactly supported inside its window"
-        )
-    return edge_ratio
-
-
 def _tail_report(abs_samples: np.ndarray, weights: np.ndarray) -> float:
     """Estimated relative L2 mass beyond the window, from edge-shell decay of
-    |samples|^2 weights, where abs_samples is _scaled_abs(samples) or a slice of it
-    and weights is the window's (N1, N2) weight table."""
+    |samples|^2 weights, where abs_samples is a slice of _scaled_abs(samples) and
+    weights the same slice of the (N1, N2) weight table of the contracted window."""
     mass = abs_samples ** 2 * weights
     total = float(mass.sum())
     if total == 0.0:
@@ -238,64 +224,68 @@ def _tail_report(abs_samples: np.ndarray, weights: np.ndarray) -> float:
 
 def forward(f: GridFunction, lambda_window: LatticeWindow | None = None, *,
             auto_tol: float = 1e-12, edge_tol: float = 0.02, _conj: bool = False) -> TransformResult:
-    """q-Weinstein transform of an even grid function.
+    """q-Weinstein transform of an even grid function, as one pipeline:
 
-    With lambda_window=None the spectral window is selected automatically:
-    the transform is evaluated once on a generous window (outer edges at
-    the kernel truncation frontier, where deeper shells are exact zeros;
-    inner edges where the measure weight has decayed past auto_tol), then
-    the window is trimmed from each edge while the cumulative trimmed mass
-    stays below auto_tol/8 of the total, and the trimmed slice is returned.
-    One |out| and one weight table of the generous window serve both the
-    trim and the tail report.  Conjugation only swaps the two signs of l1,
-    so it leaves the window unchanged.
+    1. the input edge guard: DivergenceError if more than edge_tol of the
+       L2 mass |f|^2 weights lies on the outermost shells of f's window;
+    2. the window: lambda_window, or with None a generous one (outer edges at
+       the kernel truncation frontier, where deeper shells are exact zeros;
+       inner edges where the measure weight has decayed past auto_tol);
+    3. one contraction onto it, then one |out| and one weight table of it;
+    4. with None only, the trim: shells are cut from each edge while the
+       cumulative trimmed L1 mass stays below auto_tol/8 of the total;
+    5. one tail report on the kept slice, which the result holds.
+    Conjugation only swaps the two signs of l1, so it leaves the window unchanged.
     """
     if f.parity_y != EVEN:
         raise QDomainError("forward requires even parity in the second variable")
-    edge_ratio = _input_edge_ratio(f.samples, mu_table(f.window, f.params), edge_tol)
+    mass = _scaled_abs(f.samples) ** 2 * mu_table(f.window, f.params)
+    total = float(mass.sum())
+    edge_ratio = sum(edge_shell_mass(mass)) / total if total else 0.0
+    del mass    # not held through the contraction, where the memory peaks
+    if edge_ratio > edge_tol:
+        raise DivergenceError(
+            f"input mass touches the window edge (edge share {edge_ratio:.2e}); "
+            "the function is not compactly supported inside its window"
+        )
     diagnostics = {"input_edge_mass_ratio": edge_ratio}
-    if lambda_window is not None:
-        out = _contract(_kernel_matrices(f.window, lambda_window, f.params), f.samples, _conj)
-        tail = _tail_report(_scaled_abs(out), mu_table(lambda_window, f.params))
-        return TransformResult(GridFunction(f.params, lambda_window, EVEN, out), tail, diagnostics)
-
-    if not 0.0 < auto_tol < 1.0:
-        raise QDomainError(f"the automatic window's tolerance must lie in (0, 1), got {auto_tol!r}")
-    q, w = f.params.q, f.window
-    L = math.log(1.0 / q)
-    floor_k = effective_floor_exponent(q)
-    # one inner edge for both axes: 2 alpha + 2 >= 1, so the weight decays no slower in m2
-    m_hi = min(int(math.ceil(-math.log(auto_tol * 1e-3) / L)), 500)
-    win = LatticeWindow(floor_k - w.n1_max, m_hi, floor_k - w.n2_max, m_hi)
+    w, win = f.window, lambda_window
+    if win is None:
+        if not 0.0 < auto_tol < 1.0:
+            raise QDomainError("the automatic window's tolerance must lie in (0, 1), "
+                               f"got {auto_tol!r}")
+        floor_k = effective_floor_exponent(f.params.q)
+        # one inner edge for both axes: 2 alpha + 2 >= 1, so the weight decays no slower in m2
+        m_hi = min(int(math.ceil(-math.log(auto_tol * 1e-3) / math.log(1.0 / f.params.q))), 500)
+        win = LatticeWindow(floor_k - w.n1_max, m_hi, floor_k - w.n2_max, m_hi)
 
     out = _contract(_kernel_matrices(w, win, f.params), f.samples, _conj)
-    # reconstruction error is linear in the discarded |F| mass, so the
-    # trim budget uses the L1 shell masses, not the squared ones
     abs_out = _scaled_abs(out)
     weights = mu_table(win, f.params)
-    l1 = abs_out * weights
-    total = float(l1.sum())
-    if total == 0.0:
-        zeros = GridFunction.zeros(f.params, LatticeWindow(-8 - w.n1_max, 8, -8 - w.n2_max, 8))
-        return TransformResult(zeros, 0.0, diagnostics)
-
-    budget = auto_tol / 8.0 * total
-
-    # shells cut from each edge: the longest run whose cumulative mass stays
-    # within budget, always keeping the 4 innermost
-    mass_m1 = l1.sum(axis=(0, 2))
-    mass_m2 = l1.sum(axis=(0, 1))
-    c_lo1, c_hi1, c_lo2, c_hi2 = (
-        int(np.searchsorted(np.cumsum(m[:-4]), budget, side="right"))
-        for m in (mass_m1, mass_m1[::-1], mass_m2, mass_m2[::-1])
-    )
-    trimmed = LatticeWindow(win.n1_min + c_lo1, win.n1_max - c_hi1,
+    s1 = s2 = slice(None)
+    if lambda_window is None:
+        # reconstruction error is linear in the discarded |F| mass, so the
+        # trim budget uses the L1 shell masses, not the squared ones
+        l1 = abs_out * weights
+        total = float(l1.sum())
+        if total == 0.0:
+            zeros = GridFunction.zeros(f.params, LatticeWindow(-8 - w.n1_max, 8, -8 - w.n2_max, 8))
+            return TransformResult(zeros, 0.0, diagnostics)
+        budget = auto_tol / 8.0 * total
+        # shells cut from each edge: the longest run whose cumulative mass stays
+        # within budget, always keeping the 4 innermost
+        mass_m1 = l1.sum(axis=(0, 2))
+        mass_m2 = l1.sum(axis=(0, 1))
+        c_lo1, c_hi1, c_lo2, c_hi2 = (
+            int(np.searchsorted(np.cumsum(m[:-4]), budget, side="right"))
+            for m in (mass_m1, mass_m1[::-1], mass_m2, mass_m2[::-1])
+        )
+        win = LatticeWindow(win.n1_min + c_lo1, win.n1_max - c_hi1,
                             win.n2_min + c_lo2, win.n2_max - c_hi2)
-    s1, s2 = slice(c_lo1, len(mass_m1) - c_hi1), slice(c_lo2, len(mass_m2) - c_hi2)
+        s1, s2 = slice(c_lo1, len(mass_m1) - c_hi1), slice(c_lo2, len(mass_m2) - c_hi2)
     tail = _tail_report(abs_out[:, s1, s2], weights[s1, s2])
-    # a copy, so the generous window's arrays are freed with this call
-    return TransformResult(GridFunction(f.params, trimmed, EVEN, out[:, s1, s2].copy()), tail,
-                           diagnostics)
+    # GridFunction copies a trimmed slice, so the generous window's arrays are freed
+    return TransformResult(GridFunction(f.params, win, EVEN, out[:, s1, s2]), tail, diagnostics)
 
 
 def inverse(F: GridFunction, x_window: LatticeWindow | None = None, *,
@@ -319,6 +309,8 @@ def embed_zeros(f: GridFunction, pad1: int, pad2: int) -> GridFunction:
     Valid (taint-free) only when f really vanishes outside its window;
     callers assert compact support.
     """
+    if pad1 < 0 or pad2 < 0:
+        raise QDomainError(f"embed_zeros needs pads >= 0, got pad1={pad1}, pad2={pad2}")
     w = f.window
     nw = LatticeWindow(w.n1_min - pad1, w.n1_max + pad1, w.n2_min - pad2, w.n2_max + pad2,
                        w.taint_x_lo, w.taint_x_hi, w.taint_y_lo, w.taint_y_hi)

@@ -74,6 +74,8 @@ GUARDS = [
     ("pwm-order", lambda t: PWmParams(m=2, a=1.0, N=1), QDomainError,
      "PWmParams needs 0 <= m <= N"),
     ("pwm-a", lambda t: PWmParams(m=0, a=0.0, N=1), QDomainError, "PWmParams needs a > 0"),
+    ("pwm-a-nan", lambda t: PWmParams(m=1, a=math.nan, N=3), QDomainError,
+     "PWmParams needs a > 0"),
     ("radial-order", lambda t: qw.radial_power_bound_check(_bump(), 3, 2, 1, 1), QDomainError,
      "need i, j <= p"),
     ("sup-bound-k", lambda t: qw.weinstein_sup_bound_check(_bump(), -1), QDomainError,
@@ -119,6 +121,8 @@ GUARDS = [
      "jackson_0_to_a needs a > 0, got 0.0"),
     ("jackson-decay", lambda t: qw.jackson_0_to_a(lambda x: x**-2, 1.0, P), DivergenceError,
      "jackson_0_to_a: terms not decaying at the window edge"),
+    ("lp-p-nan", lambda t: qw.lp_norm(_bump(), math.nan), QDomainError,
+     "lp_norm needs p > 0 or inf, got nan"),
     # transform
     ("forward-parity", lambda t: qw.forward(_bump("odd")), QDomainError,
      "forward requires even parity in the second variable"),
@@ -126,6 +130,8 @@ GUARDS = [
                                                           LatticeWindow(-2, 4, -2, 4), 7, pad=1)),
      DivergenceError, "the mu weights overflow on the window n1=[-36,50] n2=[-36,50] at q=0.5, "
      "alpha=13.0: the largest is e^722, past the float64 range"),
+    ("embed-pad", lambda t: qw.embed_zeros(_bump(), -1, 0), QDomainError,
+     "embed_zeros needs pads >= 0, got pad1=-1, pad2=0"),
 ]
 
 
