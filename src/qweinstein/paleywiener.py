@@ -213,9 +213,9 @@ def _fit_limit(a_seq: list[float]) -> float:
     return math.exp(coef[0])
 
 
-def _preimage(F: GridFunction) -> GridFunction:
-    """The inverse transform of F on its automatic window, with samples below
-    1e-8 of the peak zeroed.
+def _preimage(F: GridFunction, f_hat: GridFunction | None) -> GridFunction:
+    """f_hat, which must be on F's parameters; with None, the inverse transform
+    of F on its automatic window, with samples below 1e-8 of the peak zeroed.
 
     The moments ||t||^(2n) amplify any reconstruction residue at large
     radius without bound, so the support must be thresholded before
@@ -227,6 +227,11 @@ def _preimage(F: GridFunction) -> GridFunction:
     the threshold (up to the peak's size at generic q), no threshold
     separates them from the support, and DivergenceError is raised.
     """
+    if f_hat is not None:
+        if f_hat.params != F.params:
+            raise QDomainError(f"the preimage f_hat is on {f_hat.params}, "
+                               f"but the transform F on {F.params}")
+        return f_hat
     if alignment_regime(F.params.q) != "aligned":
         raise DivergenceError(
             f"cannot reconstruct the preimage at q={F.params.q!r}: its lattice-alignment residual "
@@ -245,8 +250,9 @@ def bandwidth_estimate(F: GridFunction, N: int, *,
     spectral route, extrapolates the limit by fitting log a_n against 1/n,
     and compares with the directly measured support radius of the inverse
     transform.  The numerics confirm the sup||x|| normalization of the
-    limit (not sup||x||^2); both are reported.  Without f_hat the preimage
-    is reconstructed by _preimage, which needs q's alignment residual to be 0.
+    limit (not sup||x||^2); both are reported.  f_hat must be on F's
+    parameters; without it the preimage is reconstructed by _preimage, which
+    needs q's alignment residual to be 0.
     """
     if N < 1:
         raise QDomainError("bandwidth_estimate needs N >= 1")
@@ -254,8 +260,7 @@ def bandwidth_estimate(F: GridFunction, N: int, *,
         return BandwidthReport(a_seq=[0.0] * N, a_seq_literal=[0.0] * N, estimate=0.0,
                                oracle_radius=0.0, n_used=N, route_max_rel_dev=0.0,
                                exponent_normalization="sup||x|| (trivial)")
-    if f_hat is None:
-        f_hat = _preimage(F)
+    f_hat = _preimage(F, f_hat)
 
     eng = TransformSideIterates(f_hat, N)
     oracle = eng._radius
@@ -316,16 +321,15 @@ def pw_m_sup(F: GridFunction, p: PWmParams, *,
 
     Enforces m > alpha + 3/2.  Returns (running sup, per-n sup values); the
     per-n values are computed in log space so deep windows cannot overflow.
-    Without f_hat the preimage is reconstructed by _preimage, which needs q's
-    alignment residual to be 0.
+    f_hat must be on F's parameters; without it the preimage is reconstructed
+    by _preimage, which needs q's alignment residual to be 0.
     """
     alpha = F.params.alpha
     if not (p.m > alpha + 1.5):
         raise QDomainError(f"pw_m_sup needs m > alpha + 3/2, got m={p.m}, alpha={alpha}")
     if float(np.max(np.abs(F.samples))) == 0.0:
         return 0.0, [0.0] * (p.N - p.m + 1)
-    if f_hat is None:
-        f_hat = _preimage(F)
+    f_hat = _preimage(F, f_hat)
     eng = TransformSideIterates(f_hat, p.N)
     log_1px2 = np.log1p(norm_sq_lambda(eng.window, F.params))
     log_a = math.log(p.a)
@@ -334,17 +338,9 @@ def pw_m_sup(F: GridFunction, p: PWmParams, *,
         n = st.n
         if n < p.m:
             continue
-        absv = np.abs(st.values)
-        mask = absv > 0.0
-        if not np.any(mask):
-            per_n.append(0.0)
-            continue
-        logs = (
-            np.log(absv[mask]) + st.log_scale
-            - 2.0 * n * log_a
-            + log_B_nm(n, p.m, F.params)
-            + p.m * np.broadcast_to(log_1px2, st.values.shape)[mask]
-        )
+        with np.errstate(divide="ignore"):   # a zero sample's log is -inf, and exp(-inf) = 0
+            logs = (np.log(np.abs(st.values)) + st.log_scale - 2.0 * n * log_a
+                    + log_B_nm(n, p.m, F.params) + p.m * log_1px2)
         per_n.append(math.exp(min(float(np.max(logs)), 700.0)))
     return (max(per_n) if per_n else 0.0), per_n
 

@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import DivergenceError, QDomainError, QParams, qgamma_base, qshifted
+from .qcore import DivergenceError, QDomainError, QParams, TaintError, qgamma_base, qshifted
 from .qintegrate import edge_shell_mass, integrate_mu, mu_table
-from .qops import EVEN, GridFunction, LatticeWindow, bessel_op, dq_ladder, weinstein_op
+from .qops import EVEN, GridFunction, LatticeWindow, bessel_op, dq_partial, weinstein_op
 from .qspecial import (
     bessel_j,
     bessel_j_exponent_family,
@@ -334,7 +334,8 @@ def norm_sq_lambda(window: LatticeWindow, params: QParams) -> np.ndarray:
 
 def _masked_rel_err(lhs: np.ndarray, rhs: np.ndarray, mask: np.ndarray,
                     den: float) -> float | None:
-    """Max |lhs - rhs| / den over the masked entries; None if the mask keeps none."""
+    """Max |lhs - rhs| / den where mask, broadcast to lhs's shape, holds; None if nowhere."""
+    mask = np.broadcast_to(mask, lhs.shape)
     if not np.any(mask):
         return None
     return float(np.max(np.abs(lhs[mask] - rhs[mask]))) / max(den, 1e-300)
@@ -366,9 +367,12 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None) -> IdentityRe
     (a) and (b) are checked at every order n, p <= 2 but (0, 0).
     The spectral window is clipped so every kernel product stays above the
     family truncation frontier; there the lattice identities are exact up
-    to rounding.  f (and g) must be compactly supported inside their
-    windows.
+    to rounding.  f (and g, even and on f's parameters) must be compactly
+    supported inside their windows.
     """
+    if g is not None and (g.params != f.params or g.parity_y != EVEN):
+        raise QDomainError(f"identity_suite pairs f on {f.params} with an even g on the same "
+                           f"parameters, got g on {g.params} with parity {g.parity_y}")
     res: dict = {}
     skipped: list = []
     n_max = p_max = 2
@@ -376,14 +380,12 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None) -> IdentityRe
     fpad = embed_zeros(f, pad, pad)
     lam_win = auto_lambda_window(f)
     floor_k = effective_floor_exponent(f.params.q)
-    # pad the spectral window for (b)'s derivatives, then keep every kernel
-    # product above the truncation frontier
-    lam_pad = LatticeWindow(
-        max(lam_win.n1_min - pad, floor_k - fpad.window.n1_min),
-        lam_win.n1_max + pad,
-        max(lam_win.n2_min - pad, floor_k - fpad.window.n2_min),
-        lam_win.n2_max + pad,
-    )
+    # the clip: a spectral exponent at or above lo1 (lo2) keeps every kernel
+    # product with fpad's window above the truncation frontier
+    lo1, lo2 = floor_k - fpad.window.n1_min, floor_k - fpad.window.n2_min
+    # pad the spectral window for (b)'s derivatives, then clip it
+    lam_pad = LatticeWindow(max(lam_win.n1_min - pad, lo1), lam_win.n1_max + pad,
+                            max(lam_win.n2_min - pad, lo2), lam_win.n2_max + pad)
     # one kernel for every transform from fpad's window onto lam_pad, without
     # forward's edge check and tail report: every input is fpad or a stencil
     # or monomial of it, which reaches at most 2 shells into its zero pad
@@ -391,10 +393,8 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None) -> IdentityRe
     C, S, Jw, x1w = kernel
     abs_C, abs_JwT = np.hypot(C, S), np.abs(Jw).T
 
-    def transform(g: GridFunction) -> GridFunction:
-        return GridFunction(f.params, lam_pad, EVEN, _contract(kernel, g.samples, conj=False))
-
-    F0 = transform(fpad)
+    transform = functools.partial(_contract, kernel, conj=False)   # samples -> array
+    F0 = GridFunction(f.params, lam_pad, EVEN, transform(fpad.samples))
 
     scale = float(np.max(np.abs(F0.samples)))
     if scale == 0.0:
@@ -410,76 +410,73 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None) -> IdentityRe
     # above the comparison scale are excluded.
     eps_mach = 2.3e-16
     orders = [(n, p) for n in range(n_max + 1) for p in range(p_max + 1) if n or p]
-    bessel_f, bessel_F = [fpad], [F0]
-    for _ in range(p_max):
-        bessel_f.append(bessel_op(bessel_f[-1]))
-        bessel_F.append(bessel_op(bessel_F[-1]))
-    # D^n B^p of fpad and of F0 as [p][n], one derivative per rung
-    d_f = [list(dq_ladder(b, (1, 0), n_max)) for b in bessel_f]
-    d_F = [list(dq_ladder(b, (1, 0), n_max)) for b in bessel_F]
+    # D^n B^p of fpad and of F0 as [p][n], one operator per rung, without the taint
+    # check: a spectral rung with no untainted shell skips its order in (b)
+    d_f, d_F = [[fpad]], [[F0]]
+    for ladder in (d_f, d_F):
+        for _ in range(p_max):
+            ladder.append([bessel_op(ladder[-1][0])])
+        for rungs in ladder:
+            for _ in range(n_max):
+                rungs.append(dq_partial(rungs[-1], 1))
     q_here = f.params.q
     L = math.log(1.0 / q_here)
-    m1g = np.broadcast_to(lam_pad.n1_exponents()[None, :, None], lam_pad.shape).astype(float)
-    m2g = np.broadcast_to(lam_pad.n2_exponents()[None, None, :], lam_pad.shape).astype(float)
+    m1, m2 = lam_pad.n1_exponents()[:, None], lam_pad.n2_exponents()
     errs_a: dict = {}
     errs_b: dict = {}
     for n, p in orders:
         gf = d_f[p][n]
-        lhs = transform(gf).samples
+        lhs = transform(gf.samples)
         mult = (1j ** (n + 2 * p)) * lattice_monomial(F0, n, 2 * p)
         rhs = mult * F0.samples
         d = np.abs(gf.samples) * x1w
         noise = eps_mach * (abs_C @ (d[0] + d[1]) @ abs_JwT)    # the same for both signs
         den = float(np.max(np.abs(rhs)))
-        errs_a[(n, p)] = _masked_rel_err(lhs, rhs, np.broadcast_to(noise <= 1e-9 * den,
-                                                                   lhs.shape), den)
+        errs_a[(n, p)] = _masked_rel_err(lhs, rhs, noise <= 1e-9 * den, den)
 
-        mono = fpad.with_samples(fpad.samples * lattice_monomial(fpad, n, 2 * p))
-        lhs = transform(mono).samples
         Fg = d_F[p][n]
-        rhs = (1j ** (n + 2 * p)) * Fg.samples
-        s1, s2 = Fg.window.untainted_slices()
+        try:
+            s1, s2 = Fg.window.untainted_slices()
+        except TaintError:   # the rung has no untainted shell
+            errs_b[(n, p)] = None
+            continue
+        lhs = transform(fpad.samples * lattice_monomial(fpad, n, 2 * p))[:, s1, s2]
+        rhs = (1j ** (n + 2 * p)) * Fg.samples[:, s1, s2]
         # per-application amplification: one symmetric derivative divides
         # by 2(1-q) l1, one Bessel application by (1-q)^2 l2^2
         log_amp = (
-            n * (m1g * L + math.log(1.0 / (2.0 * (1.0 - q_here))))
-            + p * (2.0 * m2g * L + 2.0 * math.log(1.0 / (1.0 - q_here)))
+            n * (m1[s1] * L + math.log(1.0 / (2.0 * (1.0 - q_here))))
+            + p * (2.0 * m2[s2] * L + 2.0 * math.log(1.0 / (1.0 - q_here)))
         )
-        den = float(np.max(np.abs(rhs[:, s1, s2])))
-        mask = np.zeros(lam_pad.shape, dtype=bool)
-        mask[:, s1, s2] = True
+        den = float(np.max(np.abs(rhs)))
         with np.errstate(over="ignore"):
             noise = eps_mach * np.exp(np.minimum(log_amp, 700.0)) * scale
-        errs_b[(n, p)] = _masked_rel_err(lhs, rhs, mask & (noise <= 1e-10 * den), den)
+        errs_b[(n, p)] = _masked_rel_err(lhs, rhs, noise <= 1e-10 * den, den)
     for key, errs in (("derivative_to_multiplier", errs_a), ("multiplier_to_derivative", errs_b)):
         skipped += [order for order, err in errs.items() if err is None]
         res[key] = max((err for err in errs.values() if err is not None), default=None)
 
     # (c)
-    lhs = transform(weinstein_op(fpad, 1)).samples
+    lhs = transform(weinstein_op(fpad, 1).samples)
     rhs = -norm_sq_lambda(lam_pad, f.params) * F0.samples
     res["weinstein_eigen"] = float(np.max(np.abs(lhs - rhs))) / float(np.max(np.abs(rhs)))
 
     # (d) -- pair f (x side) against g (spectral side); g is restricted to
-    # the clamp-free spectral region so both orderings sum the same terms
+    # the clip, so both orderings sum the same terms
     if g is None:
-        rev = f.samples[:, ::-1, ::-1].copy()
-        g = GridFunction(f.params, f.window, EVEN, rev)
-    glo1 = max(g.window.n1_min, floor_k - fpad.window.n1_min)
-    glo2 = max(g.window.n2_min, floor_k - fpad.window.n2_min)
-    if glo1 > g.window.n1_max or glo2 > g.window.n2_max:
+        g = GridFunction(f.params, f.window, EVEN, f.samples[:, ::-1, ::-1])
+    gw = g.window
+    glo1, glo2 = max(gw.n1_min, lo1), max(gw.n2_min, lo2)
+    if glo1 > gw.n1_max or glo2 > gw.n2_max:
         res["pairing_symmetry"] = None
         return IdentityReport(res, skipped, lam_pad)
-    g_win = LatticeWindow(glo1, g.window.n1_max, glo2, g.window.n2_max)
-    g_used = GridFunction(
-        f.params, g_win, EVEN,
-        g.samples[:, glo1 - g.window.n1_min:, glo2 - g.window.n2_min:],
-    )
-    g_used = embed_zeros(g_used, 1, 1)
-    Ff_at_g = forward(fpad, lambda_window=g_used.window).grid
-    Fg_at_f = forward(g_used, lambda_window=fpad.window).grid
-    lhs_d = complex(integrate_mu(g_used.with_samples(Ff_at_g.samples * g_used.samples)).value)
-    rhs_d = complex(integrate_mu(fpad.with_samples(fpad.samples * Fg_at_f.samples)).value)
+    g_used = g.with_samples(g.samples[:, glo1 - gw.n1_min:, glo2 - gw.n2_min:],
+                            window=LatticeWindow(glo1, gw.n1_max, glo2, gw.n2_max))
+    # the transform of each function on the other's window
+    Ff_at_g, Fg_at_f = (_contract(_kernel_matrices(a.window, b.window, f.params), a.samples, False)
+                        for a, b in ((fpad, g_used), (g_used, fpad)))
+    lhs_d = complex(integrate_mu(g_used.with_samples(Ff_at_g * g_used.samples)).value)
+    rhs_d = complex(integrate_mu(fpad.with_samples(fpad.samples * Fg_at_f)).value)
     den = max(abs(lhs_d), abs(rhs_d), 1e-300)
     res["pairing_symmetry"] = abs(lhs_d - rhs_d) / den
     return IdentityReport(res, skipped, lam_pad)

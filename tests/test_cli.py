@@ -1118,6 +1118,17 @@ def test_verify_identities_prints_an_identity_without_checked_orders_as_skipped(
                        "(2, 0), (2, 1), (2, 2): skipped"]
 
 
+def test_verify_identities_skips_an_order_whose_spectral_rung_is_fully_tainted(capsys):
+    # at q = 0.7, alpha = 7 the clipped spectral window is 6 shells deep in n2, and two
+    # Bessel steps taint 4 shells on each side: those orders are skipped, where the
+    # TaintError of the derivative rungs ended all four checks with exit 2
+    assert main(["--q", "0.7", "--alpha", "7", "verify", "--suite", "identities"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert all(line.endswith("[ok]") for line in out[:3])
+    assert out[3:] == ["pairing_symmetry: skipped",
+                       "identity orders (n, p) = (1, 2), (2, 1), (2, 2), (0, 2): skipped"]
+
+
 @pytest.mark.parametrize("suite", ["plancherel", "identities"])
 @pytest.mark.parametrize("alpha", ["8.8", "9.3", "10.7", "12.7"])
 def test_verify_passes_at_high_non_dyadic_alpha(suite, alpha):

@@ -20,6 +20,7 @@ from qweinstein.qcore import LatticePoint, aligned_q
 
 P = QParams(q=0.5, alpha=0.0)
 W = LatticeWindow(-1, 1, -1, 1)
+P7 = QParams(q=0.7, alpha=0.0)
 
 
 def _bump(parity="even"):
@@ -76,6 +77,14 @@ GUARDS = [
     ("pwm-a", lambda t: PWmParams(m=0, a=0.0, N=1), QDomainError, "PWmParams needs a > 0"),
     ("pwm-a-nan", lambda t: PWmParams(m=1, a=math.nan, N=3), QDomainError,
      "PWmParams needs a > 0"),
+    ("bandwidth-params", lambda t: qw.bandwidth_estimate(
+        _bump(), 2, f_hat=GridFunction(P7, W, "even", _bump().samples)), QDomainError,
+     "the preimage f_hat is on QParams(q=0.7, alpha=0.0), "
+     "but the transform F on QParams(q=0.5, alpha=0.0)"),
+    ("pwm-params", lambda t: qw.pw_m_sup(_bump(), PWmParams(m=2, a=1.0, N=3),
+                                         f_hat=GridFunction(P7, W, "even", _bump().samples)),
+     QDomainError, "the preimage f_hat is on QParams(q=0.7, alpha=0.0), "
+     "but the transform F on QParams(q=0.5, alpha=0.0)"),
     ("radial-order", lambda t: qw.radial_power_bound_check(_bump(), 3, 2, 1, 1), QDomainError,
      "need i, j <= p"),
     ("sup-bound-k", lambda t: qw.weinstein_sup_bound_check(_bump(), -1), QDomainError,
@@ -130,6 +139,12 @@ GUARDS = [
                                                           LatticeWindow(-2, 4, -2, 4), 7, pad=1)),
      DivergenceError, "the mu weights overflow on the window n1=[-36,50] n2=[-36,50] at q=0.5, "
      "alpha=13.0: the largest is e^722, past the float64 range"),
+    ("identity-params", lambda t: qw.identity_suite(
+        _bump(), GridFunction(P7, W, "even", _bump().samples)), QDomainError,
+     "identity_suite pairs f on QParams(q=0.5, alpha=0.0) with an even g on the same "
+     "parameters, got g on QParams(q=0.7, alpha=0.0) with parity even"),
+    ("identity-parity", lambda t: qw.identity_suite(_bump(), _bump("odd")), QDomainError,
+     "got g on QParams(q=0.5, alpha=0.0) with parity odd"),
     ("embed-pad", lambda t: qw.embed_zeros(_bump(), -1, 0), QDomainError,
      "embed_zeros needs pads >= 0, got pad1=-1, pad2=0"),
 ]

@@ -286,6 +286,19 @@ def test_identity_suite_tolerances():
     assert rep.discrepancies["pairing_symmetry"] <= 1e-8
 
 
+def test_identity_suite_skips_fully_tainted_spectral_rungs():
+    # at q = 0.1 the frontier clip leaves a spectral window too shallow for any
+    # derivative rung of (b): every order is skipped instead of raising TaintError
+    p = QParams(q=0.1, alpha=0.0)
+    f = make_bump(p, seed=1, lo1=-2, hi1=3, lo2=-2, hi2=3, pad=0)
+    g = make_bump(p, seed=1001, lo1=-2, hi1=3, lo2=-2, hi2=3, pad=0)
+    rep = identity_suite(f, g)
+    orders = [(n, k) for n in range(3) for k in range(3) if n or k]
+    assert rep.skipped_orders == orders + orders     # those of (a), then those of (b)
+    assert [rep.discrepancies[k] for k in ("derivative_to_multiplier", "multiplier_to_derivative",
+                                           "pairing_symmetry")] == [None, None, None]
+
+
 def test_orthogonality_diagonal_and_offdiagonal():
     p = QParams(q=0.5, alpha=0.5)
     x = (1, 1, 0)

@@ -10,8 +10,10 @@ q in {1/2, aligned_q(2), 0.7, 0.9}, alpha in {0, 0.5, 1.5} and seeded
 random bumps on supports from one point to 61x61 (pad 1), saves under a
 stable name: forward and inverse samples, windows, tail bounds and edge
 ratios on automatic and fixed windows, and, on the small supports, the
-``identity_suite`` report, the ``bandwidth_estimate`` sequences (with the
-reconstructed and with the given preimage) at N = 12, ``pw_m_sup`` at
+``identity_suite`` report (pairing f with its reversal, and with a seeded
+bump g on the support, as ``verify --suite identities`` does), the
+``bandwidth_estimate`` sequences (with the reconstructed and with the
+given preimage) at N = 12, ``pw_m_sup`` at
 N = m + 4, both again at N = 50 (the engine's late steps), the
 ``bandwidth_estimate`` sequences once more at N = 130 (steps past 64 and
 128, and eta underflowing from n = 90 on the 7x7 box at q = 1/2), the three
@@ -180,6 +182,8 @@ def write(out: str) -> None:
                 if sname not in SMALL:
                     continue
                 record(f"{name}:identity_suite", lambda: identity_suite(f), _identities)
+                g = random_even_bump(p, LatticeWindow(*sup), 2000 + 10 * ai + si)
+                record(f"{name}:identity_suite_g", lambda: identity_suite(f, g), _identities)
                 record(f"{name}:bandwidth", lambda: bandwidth_estimate(G, BANDWIDTH_N),
                        _bandwidth)
                 record(f"{name}:bandwidth_f_hat",
