@@ -26,7 +26,8 @@ from .qcore import DivergenceError, QDomainError, QParams, lattice_alignment
 from .qintegrate import N_MAX, _log_power_sum, log_mu_table, log_mu_weights, mu_table
 from .qops import (_FLIP, EVEN, GridFunction, LatticeWindow, _weinstein_array, dq_ladder,
                    dq_mixed, weinstein_op)
-from .qspecial import alignment_regime, bessel_j, sonine_weight
+from .qspecial import (alignment_regime, bessel_j, bessel_j_exponent_family,
+                       effective_floor_exponent, sonine_weight)
 from .transform import (
     _contract,
     _kernel_matrices,
@@ -458,8 +459,8 @@ def weinstein_sup_bound_check(f: GridFunction, k: int) -> tuple[float, float, di
     bracket = (1.0 - q ** (2.0 * alpha + 2.0)) / (1.0 - q)
     Ck = (1.0 + bracket) ** k
     worst = 0.0
-    for dx in dq_ladder(fpad, (2, 0), k):   # D^(2 p1, 0), then its x2 orders 2 p2
-        for d in dq_ladder(dx, (0, 2), k):
+    for dx in dq_ladder(fpad, lambda h: dq_mixed(h, (2, 0)), k):   # D^(2 p1, 0), then
+        for d in dq_ladder(dx, lambda h: dq_mixed(h, (0, 2)), k):  # its x2 orders 2 p2
             worst = max(worst, float(np.max(np.abs(d.samples))))
     rhs = Ck * worst
     return lhs, rhs, {"C_k": Ck, "max_derivative_sup": worst}
@@ -469,23 +470,27 @@ def sonine_identity_check(alpha: float, p: int, y_exponents: list[int], params: 
     """Max error of the Sonine-type representation over lattice sample points.
 
     Compares j_{alpha+p}(q^k; q^2) with the Jackson integral of
-    W_{p-1}(t) j_alpha(q^k t; q^2) t^(2*alpha+1) over (0, 1], evaluating
-    the integrand along exponent families so deep arguments stay accurate.
+    W_{p-1}(t) j_alpha(q^k t; q^2) t^(2*alpha+1) over (0, 1], both read from the
+    exponent families.  The sum runs until its weight q^(j(2 alpha+2)) is below
+    2^-60, N_MAX terms at least; past q = 0.9995 it raises DivergenceError.
     """
     q = params.q
     base = QParams(q=q, alpha=alpha)
-    n_terms = N_MAX
-    k_lo = min(y_exponents)
-    k_hi = max(y_exponents) + n_terms
-    # arguments q^k here are bounded by q^(min y exponent): shallow, so the
-    # direct series is accurate at every q (no lattice-family truncation)
-    fam_a = np.array([bessel_j(alpha, q ** float(k), base).value.real
-                      for k in range(k_lo, k_hi + 1)])
+    k_lo, k_hi = min(y_exponents), max(y_exponents)
+    n_terms = max(N_MAX, int(60.0 / ((2.0 * alpha + 2.0) * math.log2(1.0 / q))) + 1)
+    if q > 0.9995:   # the terms grow like 1/(1-q): 41 600 at q = 0.9995
+        raise DivergenceError(f"the Sonine check serves q <= 0.9995: at q={q!r} its Jackson "
+                              f"sum needs {n_terms} terms")
+    fam_a = bessel_j_exponent_family(alpha, base, k_lo, k_hi + n_terms)
+    lhs = bessel_j_exponent_family(alpha + p, base, k_lo, k_hi)
+    # past their frontier (k = -1 below q ~ 0.035) the families read exact zeros: the
+    # direct series there, accurate at every q for these shallow arguments
+    for k in range(k_lo, effective_floor_exponent(q)):
+        fam_a[k - k_lo] = bessel_j(alpha, q ** float(k), base).value.real
+    for k in range(k_lo, min(effective_floor_exponent(q), k_hi + 1)):
+        lhs[k - k_lo] = bessel_j(alpha + p, q ** float(k), base).value.real
     jj = np.arange(n_terms)
     # (1-q) q^jj t^(2a+1) W_{p-1}(t) at t = q^jj
     w = (1.0 - q) * q ** (jj * (2.0 * alpha + 2.0)) * sonine_weight(p, q**jj, base)
-    worst = 0.0
-    for ky in y_exponents:
-        lhs = bessel_j(alpha + p, q ** float(ky), base).value.real
-        worst = max(worst, abs(lhs - w @ fam_a[ky - k_lo:ky - k_lo + n_terms]))
-    return worst
+    return max(abs(lhs[ky - k_lo] - w @ fam_a[ky - k_lo:ky - k_lo + n_terms])
+               for ky in y_exponents)

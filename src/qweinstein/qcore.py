@@ -9,6 +9,7 @@ factors 1 - x*q^k with |x*q^k| -> 0 geometrically; truncation at
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -113,9 +114,23 @@ def qgamma(x: float, params: QParams) -> float:
     q = params.q
     if x <= 0 and float(x).is_integer():
         raise PoleError(f"Gamma_q has a pole at x = {x}")
-    num = qshifted(q, math.inf, params)
-    den = qshifted(math.exp(x * math.log(q)), math.inf, params)
-    return num / den * (1.0 - q) ** (1.0 - x)
+    if q < 0.997:   # (q; q)_inf leaves the normal float range from about q = 0.9977 on
+        num = qshifted(q, math.inf, params)
+        den = qshifted(math.exp(x * math.log(q)), math.inf, params)
+        return num / den * (1.0 - q) ** (1.0 - x)
+
+    def log_factors(a: float, sign: float):   # sign * log|1 - q^(a+k)|, k = 0, 1, ...
+        k = 0
+        while (t := q ** (a + k)) >= PRODUCT_TOL:
+            yield sign * (math.log1p(-t) if t < 1.0 else math.log(t - 1.0))
+            k += 1
+
+    # near q = 1 the quotient is one correctly rounded sum of the logs of all the factors,
+    # each factor's power taken afresh, so that equal powers in both cancel exactly
+    logs = math.fsum(itertools.chain([(1.0 - x) * math.log1p(-q)], log_factors(1.0, 1.0),
+                                     log_factors(x, -1.0)))
+    # the factors 1 - q^(x+k) with x + k < 0 are negative
+    return (-1.0) ** max(0, math.ceil(-x)) * math.exp(logs)
 
 
 def qgamma_base(x: float, base_q: float) -> float:

@@ -98,22 +98,18 @@ def log_mu_weights(f: GridFunction) -> np.ndarray:
     return np.broadcast_to(log_mu_table(f.window, f.params), f.window.shape)
 
 
+@functools.lru_cache(maxsize=8)
 def mu_table(window: LatticeWindow, params: QParams) -> np.ndarray:
     """The (N1, N2) table of mu weights on a window, which both signs of x1 share.
 
-    Memoized, read-only, on the window's extents (not its taint) and params.
+    Memoized, read-only, on the window (its extents: taint is not compared) and params.
     """
-    return _mu_table(window.n1_min, window.n1_max, window.n2_min, window.n2_max, params)
-
-
-@functools.lru_cache(maxsize=8)
-def _mu_table(n1_min: int, n1_max: int, n2_min: int, n2_max: int, params: QParams) -> np.ndarray:
-    logs = log_mu_table(LatticeWindow(n1_min, n1_max, n2_min, n2_max), params)
+    logs = log_mu_table(window, params)
     if logs[0, 0] > _LOG_MAX:   # the largest weight, at the corner of the outermost shells
         raise DivergenceError(
-            f"the mu weights overflow on the window n1=[{n1_min},{n1_max}] "
-            f"n2=[{n2_min},{n2_max}] at q={params.q!r}, alpha={params.alpha!r}: the largest "
-            f"is e^{logs[0, 0]:.0f}, past the float64 range")
+            f"the mu weights overflow on the window n1=[{window.n1_min},{window.n1_max}] "
+            f"n2=[{window.n2_min},{window.n2_max}] at q={params.q!r}, alpha={params.alpha!r}: "
+            f"the largest is e^{logs[0, 0]:.0f}, past the float64 range")
     table = np.exp(logs)
     table.flags.writeable = False
     return table

@@ -13,7 +13,7 @@ trusted on the untainted interior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -27,16 +27,16 @@ _FLIP = {EVEN: ODD, ODD: EVEN}
 
 @dataclass(frozen=True)
 class LatticeWindow:
-    """Exponent window [n1_min, n1_max] x [n2_min, n2_max] plus taint layers."""
+    """Exponent window [n1_min, n1_max] x [n2_min, n2_max] plus taint layers, which == ignores."""
 
     n1_min: int
     n1_max: int
     n2_min: int
     n2_max: int
-    taint_x_lo: int = 0
-    taint_x_hi: int = 0
-    taint_y_lo: int = 0
-    taint_y_hi: int = 0
+    taint_x_lo: int = field(default=0, compare=False)
+    taint_x_hi: int = field(default=0, compare=False)
+    taint_y_lo: int = field(default=0, compare=False)
+    taint_y_hi: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if self.n1_min > self.n1_max or self.n2_min > self.n2_max:
@@ -242,11 +242,11 @@ def dq_mixed(f: GridFunction, beta: tuple[int, int]) -> GridFunction:
     return g
 
 
-def dq_ladder(f: GridFunction, beta: tuple[int, int], count: int):
-    """f, D^beta f, D^beta D^beta f, ...: count + 1 rungs, each one dq_mixed from the last."""
+def dq_ladder(f: GridFunction, step: Callable[[GridFunction], GridFunction], count: int):
+    """f, step(f), step(step(f)), ...: count + 1 rungs, each one step from the last."""
     yield f
     for _ in range(count):
-        f = dq_mixed(f, beta)
+        f = step(f)
         yield f
 
 

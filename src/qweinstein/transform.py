@@ -34,7 +34,7 @@ import numpy as np
 
 from .qcore import DivergenceError, QDomainError, QParams, TaintError, qgamma_base, qshifted
 from .qintegrate import edge_shell_mass, integrate_mu, mu_table
-from .qops import EVEN, GridFunction, LatticeWindow, bessel_op, dq_partial, weinstein_op
+from .qops import EVEN, GridFunction, LatticeWindow, bessel_op, dq_ladder, dq_partial, weinstein_op
 from .qspecial import (
     bessel_j,
     bessel_j_exponent_family,
@@ -125,24 +125,16 @@ class TransformResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _kernel_matrices(in_window: LatticeWindow, out_window: LatticeWindow,
-                     params: QParams) -> tuple:
-    """(C, S, Jw, x1w) of _contract: the gathered family matrices, with
-    K (1-q)^2 and the x2 measure weight folded into Jw, and the d_q x1 weight.
-
-    Memoized, read-only, on the two windows' extents (not their taint) and
-    params.  The families' values do not depend on the cached exponent
-    range, so a kernel gathered from a widened range has the same bits.
-    """
-    w, v = in_window, out_window
-    return _gather_kernel((w.n1_min, w.n1_max, w.n2_min, w.n2_max),
-                          (v.n1_min, v.n1_max, v.n2_min, v.n2_max), params)
-
-
 @functools.lru_cache(maxsize=16)
-def _gather_kernel(in_extents: tuple, out_extents: tuple, params: QParams) -> tuple:
+def _kernel_matrices(w: LatticeWindow, v: LatticeWindow, params: QParams) -> tuple:
+    """(C, S, Jw, x1w) of _contract from window w onto window v: the gathered family
+    matrices, with K (1-q)^2 and the x2 measure weight folded into Jw, and the d_q x1 weight.
+
+    Memoized, read-only, on the windows (their extents: taint is not compared) and
+    params.  The families' values do not depend on the cached exponent range, so a
+    kernel gathered from a widened range has the same bits.
+    """
     q = params.q
-    w, v = LatticeWindow(*in_extents), LatticeWindow(*out_extents)
     cos_v, sin_v, j_v, lo = _families(params, min(v.n1_min + w.n1_min, v.n2_min + w.n2_min),
                                       max(v.n1_max + w.n1_max, v.n2_max + w.n2_max))
     n1, n2 = w.n1_exponents(), w.n2_exponents()
@@ -412,13 +404,10 @@ def identity_suite(f: GridFunction, g: GridFunction | None = None) -> IdentityRe
     orders = [(n, p) for n in range(n_max + 1) for p in range(p_max + 1) if n or p]
     # D^n B^p of fpad and of F0 as [p][n], one operator per rung, without the taint
     # check: a spectral rung with no untainted shell skips its order in (b)
-    d_f, d_F = [[fpad]], [[F0]]
-    for ladder in (d_f, d_F):
-        for _ in range(p_max):
-            ladder.append([bessel_op(ladder[-1][0])])
-        for rungs in ladder:
-            for _ in range(n_max):
-                rungs.append(dq_partial(rungs[-1], 1))
+    d_f, d_F = [], []
+    for g0, ladder in ((fpad, d_f), (F0, d_F)):
+        for b in dq_ladder(g0, bessel_op, p_max):   # b = B^p g0, and its rung n is D^n b
+            ladder.append(list(dq_ladder(b, lambda h: dq_partial(h, 1), n_max)))
     q_here = f.params.q
     L = math.log(1.0 / q_here)
     m1, m2 = lam_pad.n1_exponents()[:, None], lam_pad.n2_exponents()
@@ -522,9 +511,12 @@ def orthogonality_check(x_pt: tuple[int, int, int], y_pt: tuple[int, int, int],
     ky = ms + n1y - lo
     A_terms = (2.0 * (cos_v[kx] * cos_v[ky] + s1x * s1y * sin_v[kx] * sin_v[ky])
                * (1.0 - q) * q ** ms.astype(float))
-    jx = j_v[(ms + n2x) - lo]
-    jy = j_v[(ms + n2y) - lo]
-    B_terms = jx * jy * (1.0 - q) * q ** ((2.0 * alpha + 2.0) * ms.astype(float))
+    # the weight only where the product is nonzero: at the deep shells of a
+    # high alpha it overflows where the families are exact zeros
+    jxy = j_v[(ms + n2x) - lo] * j_v[(ms + n2y) - lo]
+    nz = jxy != 0.0
+    B_terms = np.zeros_like(jxy)
+    B_terms[nz] = jxy[nz] * (1.0 - q) * q ** ((2.0 * alpha + 2.0) * ms[nz].astype(float))
 
     # partial sums over m >= -t as t grows: cumulative from the inner end
     A_cum = np.cumsum(A_terms[::-1])[::-1]

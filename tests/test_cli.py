@@ -218,6 +218,17 @@ def test_verify_suites_pass_at_aligned_q(suite, capsys):
     assert rc == 0, out
 
 
+@pytest.mark.parametrize("argv", [["--q", "0.01", "verify", "--suite", "sonine"],
+                                  ["--q", "0.95", "verify", "--suite", "sonine"],
+                                  ["--q", "0.99", "verify", "--suite", "sonine"],
+                                  ["--alpha", "30", "verify", "--suite", "orthogonality"]],
+                         ids=["sonine-0.01", "sonine-0.95", "sonine-0.99", "orthogonality-alpha30"])
+def test_verify_suites_pass_at_the_q_and_alpha_edges(argv, capsys):
+    rc = main(argv)
+    out = capsys.readouterr()
+    assert rc == 0, out.out + out.err
+
+
 def test_config_round_trip(tmp_path):
     cfg = JobConfig(q=0.7, alpha=0.25, seed=13, tol=1e-5, n1_min=-2, n1_max=4,
                     n2_min=-1, n2_max=3, fmt="json", N=33)

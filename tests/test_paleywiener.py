@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qweinstein import (
+    DivergenceError,
     GridFunction,
     LatticeWindow,
     PWmParams,
@@ -210,7 +211,7 @@ def test_run_gathers_kernel_families_once(monkeypatch):
 
     f = make_bump(QParams(q=0.5, alpha=0.0), 82, -2, 4, -2, 4)
     eng = TransformSideIterates(f, 10)
-    transform._gather_kernel.cache_clear()   # a memo hit would look up no families
+    transform._kernel_matrices.cache_clear()   # a memo hit would look up no families
     calls = []
     families = transform._families
 
@@ -464,6 +465,29 @@ def test_sonine_identity_all_q(q):
     p = QParams(q=q, alpha=0.0)
     err = sonine_identity_check(0.0, 1, list(range(-2, 5)), p)
     assert err <= 1e-8
+
+
+@pytest.mark.parametrize("q", [0.95, 0.99, 0.999])
+def test_sonine_identity_near_q_one(q):
+    # the Jackson sum runs until its weight falls below 2^-60, not a fixed 120
+    # terms, and Gamma_{q^2} holds at base 0.998
+    p = QParams(q=q, alpha=0.0)
+    for alpha, order in ((0.0, 1), (0.5, 2)):
+        assert sonine_identity_check(alpha, order, list(range(-2, 5)), p) <= 1e-12
+
+
+def test_sonine_identity_past_the_family_frontier():
+    # at q = 0.01 the kernel families end at k = -1: j(q^-2) and j(q^-3) come from
+    # the direct series, as they did before the check read the families
+    p = QParams(q=0.01, alpha=0.0)
+    assert sonine_identity_check(0.0, 1, list(range(-2, 5)), p) <= 1e-8
+    assert sonine_identity_check(0.5, 2, [-3], p) <= 1e-4   # only y below the frontier
+
+
+def test_sonine_identity_past_q_0_9995_raises():
+    # the Jackson sum's term count grows like 1/(1-q): no unbounded work near q = 1
+    with pytest.raises(DivergenceError, match="serves q <= 0.9995"):
+        sonine_identity_check(0.0, 1, [0], QParams(q=0.9999, alpha=0.0))
 
 
 def test_sonine_identity_tiny_argument():

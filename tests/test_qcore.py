@@ -87,6 +87,17 @@ def test_qgamma_functional_equation(x):
     assert abs(ratio - 1) < 1e-12
 
 
+@pytest.mark.parametrize("base", [0.997, 0.998, 0.999, 0.9999])
+def test_qgamma_near_base_one(base):
+    # both infinite products underflow from base 0.9977 on; their quotient does not,
+    # and from base 0.997 on it is a sum of logs
+    p = QParams(q=base, alpha=0.0)
+    assert abs(qgamma(2.0, p) - 1.0) < 1e-12
+    for x in (0.5, 1.5):
+        ratio = qgamma(x + 1, p) / (qbracket(x, p) * qgamma(x, p))
+        assert abs(ratio - 1) < 1e-12
+
+
 def test_qgamma_pole():
     p = QParams(q=0.5, alpha=0.0)
     for x in (0.0, -1.0, -2.0):

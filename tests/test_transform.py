@@ -310,6 +310,19 @@ def test_orthogonality_diagonal_and_offdiagonal():
     assert res_off.predicted_diagonal == 0.0
 
 
+@pytest.mark.parametrize("alpha", [15.0, 30.0, 60.0])
+def test_orthogonality_at_high_alpha(alpha):
+    # the weight q^((2 alpha + 2) m) overflows at the deep shells, where the
+    # families are exact zeros: no NaN from 0 * inf
+    p = QParams(q=0.5, alpha=alpha)
+    x = (1, 1, 0)
+    res = orthogonality_check(x, x, p)
+    assert math.isfinite(abs(res.value)) and math.isfinite(res.fluctuation)
+    assert abs(res.value / res.predicted_diagonal - 1) <= 1e-3
+    res_off = orthogonality_check(x, (1, 3, 2), p)
+    assert abs(res_off.value) <= 1e-3 * res.predicted_diagonal
+
+
 def test_orthogonality_sign_separated_points():
     p = QParams(q=0.5, alpha=0.0)
     x = (1, 0, 0)
@@ -508,8 +521,8 @@ def test_identity_suite_builds_each_kernel_once(monkeypatch):
 def _clear_memos():
     from qweinstein import qintegrate, transform
 
-    transform._gather_kernel.cache_clear()
-    qintegrate._mu_table.cache_clear()
+    transform._kernel_matrices.cache_clear()
+    qintegrate.mu_table.cache_clear()
 
 
 def _bits(arrays) -> list:
@@ -545,14 +558,14 @@ def test_memos_stay_bounded_and_keep_the_recent_entries():
         assert transform._kernel_matrices(win, lams[0], p) is first
     # the least recently used go first: lams[0], used in every round, stays
     # with the 15 newest, and lams[24] was dropped
-    assert transform._gather_kernel.cache_info().currsize == 16
-    misses = transform._gather_kernel.cache_info().misses
+    assert transform._kernel_matrices.cache_info().currsize == 16
+    misses = transform._kernel_matrices.cache_info().misses
     for lam in lams[25:] + lams[:1]:
         transform._kernel_matrices(win, lam, p)
-    assert transform._gather_kernel.cache_info().misses == misses
+    assert transform._kernel_matrices.cache_info().misses == misses
     transform._kernel_matrices(win, lams[24], p)
-    assert transform._gather_kernel.cache_info().misses == misses + 1
-    assert qintegrate._mu_table.cache_info().currsize == 8
+    assert transform._kernel_matrices.cache_info().misses == misses + 1
+    assert qintegrate.mu_table.cache_info().currsize == 8
 
 
 def _memo_outputs(f: GridFunction) -> list:

@@ -21,7 +21,11 @@ derivative bound checks at the ``verify --suite bounds`` orders (lhs, rhs
 and the ``detail`` entries the tests read); for each (q, alpha),
 ``normalization_K``, ``Kernel(...).sup_bound()`` and ``orthogonality_check``
 at a diagonal and an off-diagonal pair of lattice points; and for each q,
-``sonine_identity_check`` at the ``verify --suite sonine`` arguments.  A
+``sonine_identity_check`` at the ``verify --suite sonine`` arguments.  At
+the edges of the parameter range it also saves ``sonine_identity_check`` at
+q in {0.95, 0.99, 0.999} (the suite's arguments), ``orthogonality_check`` at
+alpha in {15, 30} (q = 1/2, the ``verify --suite orthogonality`` point
+pairs) and ``qgamma`` at base q in {0.998, 0.9999} for x in {0.5, 1.5, 2}.  A
 call that raises is saved as its exception's type and message.  Only the
 public API is used.
 
@@ -51,7 +55,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from qweinstein import (Kernel, LatticeWindow, PWmParams, QParams,  # noqa: E402
                         auto_lambda_window, bandwidth_estimate, forward, identity_suite,
                         inverse, monomial_derivative_bound_check, normalization_K,
-                        orthogonality_check, pw_m_sup, radial_power_bound_check,
+                        orthogonality_check, pw_m_sup, qgamma, radial_power_bound_check,
                         sonine_identity_check, weinstein_sup_bound_check)
 from qweinstein.cli import random_even_bump  # noqa: E402
 from qweinstein.qcore import aligned_q  # noqa: E402
@@ -82,6 +86,11 @@ BOUNDS = {"monomial": (lambda f: monomial_derivative_bound_check(f, 3, 3, 1, 1, 
                             ("C_k", "max_derivative_sup"))}
 SONINE = ((0.0, 1), (0.5, 2))
 SONINE_Y = list(range(-2, 5))
+# the edges: Sonine near q = 1, orthogonality at high alpha (q = 1/2, with the
+# verify suite's diag and offdiag pairs) and q-Gamma near base 1
+EDGE_SONINE_QS = (0.95, 0.99, 0.999)
+EDGE_ORTHO_ALPHAS = (15.0, 30.0)
+EDGE_GAMMA_BASES, EDGE_GAMMA_XS = (0.998, 0.9999), (0.5, 1.5, 2.0)
 
 
 def _window(w: LatticeWindow) -> np.ndarray:
@@ -203,6 +212,21 @@ def write(out: str) -> None:
                        lambda: pw_m_sup(G, PWmParams(m=m, a=2.0, N=LATE_N), f_hat=f), _pw_m)
                 for bname, (check, keys) in BOUNDS.items():
                     record(f"{name}:{bname}_bound", lambda: check(f), _bound(keys))
+    for q in EDGE_SONINE_QS:
+        for alpha, order in SONINE:
+            record(f"q={q}:sonine[alpha={alpha},p={order}]",
+                   lambda: sonine_identity_check(alpha, order, SONINE_Y, QParams(q=q, alpha=0.0)),
+                   _scalar)
+    for alpha in EDGE_ORTHO_ALPHAS:
+        p = QParams(q=0.5, alpha=alpha)
+        for pname in ("diag", "offdiag"):
+            x, y = ORTHO_PAIRS[pname]
+            record(f"q=half:alpha={alpha}:orthogonality_{pname}",
+                   lambda: orthogonality_check(x, y, p), _orthogonality)
+    for base in EDGE_GAMMA_BASES:
+        for x in EDGE_GAMMA_XS:
+            record(f"base={base}:qgamma({x})", lambda: qgamma(x, QParams(q=base, alpha=0.0)),
+                   _scalar)
     np.savez(out, **entries)
     print(f"wrote {len(entries)} entries to {out} in {time.perf_counter() - start:.1f} s")
 
