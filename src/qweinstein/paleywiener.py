@@ -17,7 +17,9 @@ The bandwidth estimator runs two routes for a_n = ||W^n F||^(1/2n):
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,22 +90,45 @@ def norm_growth_sequence(f: GridFunction, N: int) -> list[float]:
 
 @dataclass
 class _IterateState:
+    """Step n of the engine.  The core fraction and both routes' norms are
+    computed from this step's own arrays when a consumer reads them."""
+
     n: int
     values: np.ndarray        # hybrid literal iterate, at common scale
+    abs_values: np.ndarray    # |values|
     log_scale: float          # log of the accumulated scale factor
-    core_fraction: float
-    log_norm_sq_literal: float   # true log ||W^n F||^2, literal route
-    log_norm_sq_spectral: float  # true log || ||t||^2n f_hat ||^2
+    mass: np.ndarray          # |values|^2 mu
+    tot: float                # sum of mass
+    core: tuple[int, int]     # the core's extent (c1, c2)
+    eta: np.ndarray           # the scaled preimage iterate
+    eng: TransformSideIterates
+
+    @property
+    def core_fraction(self) -> float:
+        c1, c2 = self.core
+        if not self.tot > 0:
+            return 0.0
+        return float(self.mass[:, :c1, :c2].ravel().sum()) / self.tot   # one flat sum
+
+    @property
+    def log_norm_sq_literal(self) -> float:
+        """True log ||W^n F||^2, literal route."""
+        return _log_power_sum(self.abs_values, self.eng._logw_lam, 2.0) + 2.0 * self.log_scale
+
+    @property
+    def log_norm_sq_spectral(self) -> float:
+        """True log || ||t||^2n f_hat ||^2."""
+        return _log_power_sum(np.abs(self.eta), self.eng._logw_x, 2.0) + 2.0 * self.log_scale
 
 
 class TransformSideIterates:
     """Iterates of the Weinstein operator applied to F = forward(f_hat).
 
     Yields hybrid values (stencil core + direct complement) with shared
-    scaling, plus both routes' norms, for n = 1..N.  The preimage is kept
-    on the bounding box of its nonzero samples: the shells outside hold
-    exact zeros, which add nothing to a norm, nothing to a contraction but
-    a change of summation order, and do not move the automatic window.
+    scaling, and both routes' norms on demand, for n = 1..N.  The preimage
+    is kept on the bounding box of its nonzero samples: the shells outside
+    hold exact zeros, which add nothing to a norm, nothing to a contraction
+    but a change of summation order, and do not move the automatic window.
     """
 
     def __init__(self, f_hat: GridFunction, N: int):
@@ -134,9 +159,9 @@ class TransformSideIterates:
     def _preimage_side(self):
         """Per step n = 1..N, what the preimage alone gives: n, eta_n = (-r^2)^n f_hat over
         s_1 ... s_n, the scale s_n that keeps max|eta_n| = 1 (1 where eta_n = 0), the log of
-        s_1 ... s_n, the spectral route's true log-norm, and the core's extent (c1, c2), the
-        box of shells m1, m2 <= cutoff at the window's low corner.  One step at a time, so
-        a run holds one scaled preimage."""
+        s_1 ... s_n, and the core's extent (c1, c2), the box of shells m1, m2 <= cutoff at
+        the window's low corner.  One step at a time, so a run holds one scaled preimage.
+        A subnormal s_n raises DivergenceError: dividing by it overflows."""
         neg_r2 = -self._r2_x
         eta, log_scale = self.f_hat.samples, 0.0
         cut = self._core_cutoff(np.arange(1, self.N + 1))
@@ -145,17 +170,20 @@ class TransformSideIterates:
         for n, c1, c2 in zip(range(1, self.N + 1), c1s, c2s):
             eta = eta * neg_r2
             s = float(np.abs(eta).max()) or 1.0
+            if s < sys.float_info.min:
+                raise DivergenceError(
+                    f"the preimage iterate at n={n} peaks at the subnormal {s:.3e}: the "
+                    "transform has lost precision at this amplitude; scale the input up")
             eta /= s
             log_scale += math.log(s)
-            log_spec = _log_power_sum(np.abs(eta), self._logw_x, 2.0) + 2.0 * log_scale
-            yield n, eta, s, log_scale, log_spec, c1, c2
+            yield n, eta, s, log_scale, c1, c2
 
     def run(self):
         params = self.params
         kernel = _kernel_matrices(self.f_hat.window, self.window, params)
         w_lin = mu_table(self.window, params)
         G_prev = _contract(kernel, self.f_hat.samples, conj=False)
-        for n, eta, s, log_scale, log_spec, c1, c2 in self._preimage_side():
+        for n, eta, s, log_scale, c1, c2 in self._preimage_side():
             # direct values, with the stencil's on the core
             G_lit = _contract(kernel, eta, conj=False)
             if c1 and c2:
@@ -168,15 +196,8 @@ class TransformSideIterates:
             tot = float(mass.sum())
             if not math.isfinite(tot):
                 raise QDomainError(f"the literal iterate at n={n} is not finite (NaN/Inf)")
-            core = float(mass[:, :c1, :c2].ravel().sum()) if tot > 0 else 0.0   # one flat sum
-            yield _IterateState(
-                n=n,
-                values=G_lit,
-                log_scale=log_scale,
-                core_fraction=core / tot if tot > 0 else 0.0,
-                log_norm_sq_literal=_log_power_sum(absv, self._logw_lam, 2.0) + 2.0 * log_scale,
-                log_norm_sq_spectral=log_spec,
-            )
+            yield _IterateState(n=n, values=G_lit, abs_values=absv, log_scale=log_scale,
+                                mass=mass, tot=tot, core=(c1, c2), eta=eta, eng=self)
             G_prev = G_lit
 
 
@@ -340,7 +361,7 @@ def pw_m_sup(F: GridFunction, p: PWmParams, *,
         if n < p.m:
             continue
         with np.errstate(divide="ignore"):   # a zero sample's log is -inf, and exp(-inf) = 0
-            logs = (np.log(np.abs(st.values)) + st.log_scale - 2.0 * n * log_a
+            logs = (np.log(st.abs_values) + st.log_scale - 2.0 * n * log_a
                     + log_B_nm(n, p.m, F.params) + p.m * log_1px2)
         per_n.append(math.exp(min(float(np.max(logs)), 700.0)))
     return (max(per_n) if per_n else 0.0), per_n
@@ -360,6 +381,7 @@ def _support_extent(f: GridFunction):
     return (float(r1.max()), float(r1.min())), (float(r2.max()), float(r2.min()))
 
 
+@functools.lru_cache(maxsize=256)
 def _dilation_bound(n: int, p: int, q: float, sup: float, inf: float,
                     parity: str | None) -> float:
     """Sum of |c| (q^-u sup)^a (inf for sup when a < 0) over the expansion of
@@ -369,7 +391,8 @@ def _dilation_bound(n: int, p: int, q: float, sup: float, inf: float,
     and a step is the five-point stencil of dq_1d.  Otherwise t is the
     positive second variable, h has that parity, and a step is the
     two-point stencil of qops._dy_array for the current parity, as on the
-    grid, whatever the parity of t^n.
+    grid, whatever the parity of t^n.  Memoized: the bound checks of one
+    support ask for the same expansions again.
     """
     terms = {(1, 0): 1.0}   # (s, u) -> c
     for a in range(n, n - p, -1):
@@ -483,7 +506,7 @@ def sonine_identity_check(alpha: float, p: int, y_exponents: list[int], params: 
                               f"sum needs {n_terms} terms")
     fam_a = bessel_j_exponent_family(alpha, base, k_lo, k_hi + n_terms)
     lhs = bessel_j_exponent_family(alpha + p, base, k_lo, k_hi)
-    # past their frontier (k = -1 below q ~ 0.035) the families read exact zeros: the
+    # past their frontier (k = -1 below q ~ 0.031) the families read exact zeros: the
     # direct series there, accurate at every q for these shallow arguments
     for k in range(k_lo, effective_floor_exponent(q)):
         fam_a[k - k_lo] = bessel_j(alpha, q ** float(k), base).value.real

@@ -138,6 +138,7 @@ def qgamma_base(x: float, base_q: float) -> float:
     return qgamma(x, QParams(q=base_q, alpha=0.0))
 
 
+@functools.lru_cache(maxsize=64)
 def lattice_alignment(q: float) -> tuple[float, int | None]:
     """Distance of q from the lattice-aligned set 1 - q = q^j, j = 1, 2, ...
 
@@ -148,7 +149,8 @@ def lattice_alignment(q: float) -> tuple[float, int | None]:
     base lattice q^(2Z).  At q = 1/2 the alignment is exact in binary
     floating point; at other aligned roots (1 - q = q^j rounded to
     double) the residual epsilon limits the usable depth to roughly
-    sqrt(ln(1/epsilon) / (2 ln(1/q))) shells.
+    sqrt(ln(1/epsilon) / (2 ln(1/q))) shells.  Memoized on q: the kernel
+    families and the checks ask for the same few q many times.
     """
     target = 1.0 - q
     best = math.inf

@@ -14,6 +14,7 @@ Two evaluation strategies coexist:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -157,7 +158,19 @@ def bessel_j_exponent_family(alpha: float, params: QParams, k_min: int,
     * strongly misaligned q, and zones under 3 shells deep, have a
       shallow frontier where the plain series is still accurate, so the
       series serves everything kept.
+
+    Memoized on the exact arguments (64 entries), and the caller gets its
+    own copy.  The memo never widens a range: a request with k_min = k_s - 2
+    or k_s - 1 is too shallow for the Miller zone, so the series serves the
+    shells that a deeper request gets from the recurrence, and the two
+    differ in the last bits.
     """
+    return _exponent_family(alpha, params, k_min, k_max).copy()
+
+
+@functools.lru_cache(maxsize=64)
+def _exponent_family(alpha: float, params: QParams, k_min: int, k_max: int) -> np.ndarray:
+    """bessel_j_exponent_family's read-only memo entry."""
     if k_min > k_max:
         raise QDomainError("bessel_j_exponent_family needs k_min <= k_max")
     q = params.q
@@ -170,6 +183,7 @@ def bessel_j_exponent_family(alpha: float, params: QParams, k_min: int,
     for k in range(lo_series, k_max + 1):
         out[k - k_min] = bessel_j(alpha, q ** float(k), params).value.real
     if not miller:
+        out.flags.writeable = False
         return out
 
     # ratios g_(k+1) / g_k of the recurrence
@@ -200,6 +214,7 @@ def bessel_j_exponent_family(alpha: float, params: QParams, k_min: int,
     zone[np.abs(zone) < 1e-300] = 0.0
     hi = min(k_s, k_max + 1)
     out[lo_eff - k_min:hi - k_min] = zone[:hi - lo_eff]
+    out.flags.writeable = False
     return out
 
 

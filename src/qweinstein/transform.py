@@ -131,8 +131,11 @@ def _kernel_matrices(w: LatticeWindow, v: LatticeWindow, params: QParams) -> tup
     matrices, with K (1-q)^2 and the x2 measure weight folded into Jw, and the d_q x1 weight.
 
     Memoized, read-only, on the windows (their extents: taint is not compared) and
-    params.  The families' values do not depend on the cached exponent range, so a
-    kernel gathered from a widened range has the same bits.
+    params.  The families' values do not depend on the cached exponent range when
+    it starts at or below k_s - 3, or at or above k_s, with k_s the families'
+    matching point; _families ensures the first with its -8 floor, so a kernel
+    gathered from a widened range has the same bits.  (A range starting at k_s - 2
+    or k_s - 1 is served by the series there, and differs in the last bits.)
     """
     q = params.q
     cos_v, sin_v, j_v, lo = _families(params, min(v.n1_min + w.n1_min, v.n2_min + w.n2_min),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qweinstein import QDomainError, QParams
+from qweinstein import QDomainError, QParams, qspecial, transform
 from qweinstein.qops import EVEN, GridFunction, LatticeWindow, dq_partial
 from qweinstein.cli import random_even_bump
 from qweinstein.qcore import aligned_q
@@ -22,6 +22,16 @@ def p05a0():
 
 def make_bump(params, seed=1, lo1=-1, hi1=3, lo2=-1, hi2=3, pad=1):
     return random_even_bump(params, LatticeWindow(lo1, hi1, lo2, hi2), seed, pad=pad)
+
+
+def clear_family_memos():
+    """Empty every memo of qspecial, and transform's kernel and family caches, so
+    that the next family request computes afresh."""
+    for fn in vars(qspecial).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    transform._FAMILY_CACHE.clear()
+    transform._kernel_matrices.cache_clear()
 
 
 def dilated(f):

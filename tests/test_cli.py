@@ -149,6 +149,25 @@ def test_bandwidth_cli(tmp_path, capsys):
     assert len(lines) == 21
 
 
+@pytest.mark.parametrize("value", ["1e-300", "1e-310"])
+def test_bandwidth_on_a_subnormal_amplitude_names_the_cause(tmp_path, capsys, value):
+    # one point at q = 1/2: at 1e-310 the preimage's peak is subnormal, and dividing
+    # by it would overflow; the engine stops with the cause instead of numpy's message
+    src, fwd = tmp_path / "f.csv", tmp_path / "F.csv"
+    src.write_text("# qweinstein v1 q=0.5 alpha=0.0 parity=even n1=[0,0] n2=[0,0]\n"
+                   f"sign,n1,n2,re,im\n1,0,0,{value},0.0\n")
+    assert main(["transform", "--input", str(src), "--out", str(fwd)]) == 0
+    capsys.readouterr()
+    rc = main(["bandwidth", "--input", str(fwd), "--N", "5"])
+    out, err = capsys.readouterr()
+    if value == "1e-300":
+        assert rc == 0 and "estimate=1.4142136\n" in out
+        return
+    assert rc == 2
+    assert "peaks at the subnormal" in err and "scale the input up" in err
+    assert "overflow encountered" not in err
+
+
 def test_bandwidth_usage_error(tmp_path):
     src = tmp_path / "f.csv"
     assert main(["--q", "0.5", "--seed", "6", "gen", "--support=0,2,0,2",

@@ -29,7 +29,7 @@ from qweinstein.transform import _contract, _kernel_matrices, auto_lambda_window
 from qweinstein.cli import random_even_bump
 from qweinstein.qcore import aligned_q
 
-from .conftest import FOUR_Q, dilated, make_bump
+from .conftest import FOUR_Q, clear_family_memos, dilated, make_bump
 
 
 def single_point(params, a_exp=1, b_exp=0, lo=-2, hi=3, value=1.0):
@@ -373,6 +373,43 @@ def test_pw_m_reconstructed_preimage_matches_given_one(alpha):
     assert np.allclose(per_n, per_n_f, rtol=1e-6, atol=0.0)
 
 
+def test_pw_m_sup_computes_no_log_norm(monkeypatch):
+    # pw_m_sup reads |W^n F| alone, so the engine computes neither route's norm
+    # for it; bandwidth_estimate reads both at every step
+    from qweinstein import paleywiener
+
+    calls, log_power_sum = [], paleywiener._log_power_sum
+
+    def counted(*args):
+        calls.append(1)
+        return log_power_sum(*args)
+
+    monkeypatch.setattr(paleywiener, "_log_power_sum", counted)
+    f = random_even_bump(QParams(q=0.5, alpha=0.0), LatticeWindow(-1, 3, -1, 3), seed=1, pad=1)
+    F = forward(f).grid
+    pw_m_sup(F, PWmParams(m=3, a=2.0, N=16), f_hat=f)
+    assert len(calls) == 0
+    bandwidth_estimate(F, 16, f_hat=f)
+    assert len(calls) == 2 * 16
+
+
+@pytest.mark.parametrize("value,raises", [(1e-300, False), (1e-310, True)])
+def test_engine_refuses_a_subnormal_preimage_peak(value, raises):
+    # dividing by a subnormal peak multiplies by 1/s = inf; the transform has
+    # already lost precision at that amplitude, so the engine names the cause
+    p = QParams(q=0.5, alpha=0.0)
+    f = single_point(p, 0, 0, value=value)
+    F = forward(f).grid
+    if not raises:
+        assert abs(bandwidth_estimate(F, 5, f_hat=f).estimate - math.sqrt(2.0)) < 1e-6
+        return
+    for call in (lambda: pw_m_sup(F, PWmParams(m=2, a=2.0, N=5), f_hat=f),
+                 lambda: bandwidth_estimate(F, 5, f_hat=f)):
+        with pytest.raises(DivergenceError, match=r"n=1 peaks at the subnormal 2\.000e-310.*"
+                                                  r"scale the input up"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # constructive bound checks
 # ---------------------------------------------------------------------------
@@ -488,6 +525,20 @@ def test_sonine_identity_past_q_0_9995_raises():
     # the Jackson sum's term count grows like 1/(1-q): no unbounded work near q = 1
     with pytest.raises(DivergenceError, match="serves q <= 0.9995"):
         sonine_identity_check(0.0, 1, [0], QParams(q=0.9999, alpha=0.0))
+
+
+def test_sonine_identity_bits_do_not_depend_on_an_earlier_forward():
+    # the check asks for the family of j_{1/2} from k = -2, a forward at the same
+    # (q, alpha) for a deeper range: the memo must not serve one from the other.
+    # The max over y can hide the last bits of y = -2, so each y is checked alone too
+    p = QParams(q=0.5, alpha=0.0)
+    ys = [list(range(-2, 5))] + [[y] for y in range(-2, 5)]
+    clear_family_memos()
+    before = np.array([sonine_identity_check(0.5, 2, y, p) for y in ys])
+    clear_family_memos()
+    forward(make_bump(QParams(q=0.5, alpha=0.5), seed=55))
+    after = np.array([sonine_identity_check(0.5, 2, y, p) for y in ys])
+    assert np.array_equal(after.view(np.int64), before.view(np.int64))
 
 
 def test_sonine_identity_tiny_argument():

@@ -18,6 +18,8 @@ from qweinstein import (
 from qweinstein.qcore import aligned_q
 from qweinstein.qspecial import SERIES_TOL, effective_floor_exponent, qtrig_exponent_families
 
+from .conftest import clear_family_memos
+
 # frozen extended-precision oracles (tests/oracles.py)
 QEXP_03_05 = 1.31760113533803881776
 J_A05_Q05 = {
@@ -180,6 +182,34 @@ def test_family_zero_beyond_frontier():
     ks = np.arange(-12, 5)
     assert np.all(fam[ks < floor] == 0.0)
     assert np.any(fam[ks >= floor] != 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_family_memo_is_keyed_on_the_exact_range(alpha):
+    # at q = 1/2 a request from k = -2 is too shallow for the Miller zone, so the
+    # series serves k = -2 and -1, which a request from k = -8 takes from the
+    # recurrence: a memo that served one from the other would move their bits
+    p = QParams(q=0.5, alpha=alpha)
+    cold = {}
+    for k_min in (-2, -8):
+        clear_family_memos()
+        cold[k_min] = bessel_j_exponent_family(alpha, p, k_min, 10)
+    assert not np.array_equal(cold[-2], cold[-8][6:])
+    for order in ((-2, -8), (-8, -2)):
+        clear_family_memos()
+        for k_min in order:
+            got = bessel_j_exponent_family(alpha, p, k_min, 10)
+            assert np.array_equal(got.view(np.int64), cold[k_min].view(np.int64)), (order, k_min)
+
+
+def test_family_memo_hands_out_copies():
+    p = QParams(q=0.5, alpha=0.5)
+    clear_family_memos()
+    ref = bessel_j_exponent_family(0.5, p, -8, 4).copy()
+    mine = bessel_j_exponent_family(0.5, p, -8, 4)
+    mine[:] = 7.0
+    assert np.array_equal(bessel_j_exponent_family(0.5, p, -8, 4).view(np.int64),
+                          ref.view(np.int64))
 
 
 def test_sin_equals_x_times_j_half():

@@ -21,7 +21,11 @@ derivative bound checks at the ``verify --suite bounds`` orders (lhs, rhs
 and the ``detail`` entries the tests read); for each (q, alpha),
 ``normalization_K``, ``Kernel(...).sup_bound()`` and ``orthogonality_check``
 at a diagonal and an off-diagonal pair of lattice points; and for each q,
-``sonine_identity_check`` at the ``verify --suite sonine`` arguments.  At
+``sonine_identity_check`` at the ``verify --suite sonine`` arguments and at
+each of their y alone, and at q = 1/2 and aligned_q(2) both once more after
+that q's transforms and bandwidth runs (``sonine_after_transforms``, equal to
+its twin unless a memo makes the check's bits depend on the order of the
+calls).  At
 the edges of the parameter range it also saves ``sonine_identity_check`` at
 q in {0.95, 0.99, 0.999} (the suite's arguments), ``orthogonality_check`` at
 alpha in {15, 30} (q = 1/2, the ``verify --suite orthogonality`` point
@@ -86,6 +90,9 @@ BOUNDS = {"monomial": (lambda f: monomial_derivative_bound_check(f, 3, 3, 1, 1, 
                             ("C_k", "max_derivative_sup"))}
 SONINE = ((0.0, 1), (0.5, 2))
 SONINE_Y = list(range(-2, 5))
+# the q whose Sonine entries are saved again after their transforms and bandwidth runs:
+# a family memo whose bits depended on the order of its requests would tell them apart
+SONINE_AGAIN = ("half", "aligned2")
 # the edges: Sonine near q = 1, orthogonality at high alpha (q = 1/2, with the
 # verify suite's diag and offdiag pairs) and q-Gamma near base 1
 EDGE_SONINE_QS = (0.95, 0.99, 0.999)
@@ -129,6 +136,11 @@ def _scalar(value) -> dict:
     return {"value": np.float64(value)}
 
 
+def _sonine(errors) -> dict:
+    # the max over the suite's y, and each y's error alone, whose last bits the max can hide
+    return {"value": np.float64(errors[0]), "per_y": np.array(errors[1:])}
+
+
 def _pw_m(result) -> dict:
     sup, per_n = result
     return {"sup": np.float64(sup), "per_n": np.array(per_n)}
@@ -157,11 +169,15 @@ def write(out: str) -> None:
             entries[f"{name}:{key}"] = np.asarray(value)
         return result
 
-    for qname, q in QS.items():
+    def sonine(qname, q, entry="sonine"):
+        p = QParams(q=q, alpha=0.0)
         for alpha, order in SONINE:
-            record(f"q={qname}:sonine[alpha={alpha},p={order}]",
-                   lambda: sonine_identity_check(alpha, order, SONINE_Y, QParams(q=q, alpha=0.0)),
-                   _scalar)
+            record(f"q={qname}:{entry}[alpha={alpha},p={order}]",
+                   lambda: [sonine_identity_check(alpha, order, ys, p)
+                            for ys in [SONINE_Y] + [[y] for y in SONINE_Y]], _sonine)
+
+    for qname, q in QS.items():
+        sonine(qname, q)
         for ai, alpha in enumerate(ALPHAS):
             p = QParams(q=q, alpha=alpha)
             name = f"q={qname}:alpha={alpha}"
@@ -212,6 +228,8 @@ def write(out: str) -> None:
                        lambda: pw_m_sup(G, PWmParams(m=m, a=2.0, N=LATE_N), f_hat=f), _pw_m)
                 for bname, (check, keys) in BOUNDS.items():
                     record(f"{name}:{bname}_bound", lambda: check(f), _bound(keys))
+        if qname in SONINE_AGAIN:
+            sonine(qname, q, "sonine_after_transforms")
     for q in EDGE_SONINE_QS:
         for alpha, order in SONINE:
             record(f"q={q}:sonine[alpha={alpha},p={order}]",
