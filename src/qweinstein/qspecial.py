@@ -159,42 +159,46 @@ def bessel_j_exponent_family(alpha: float, params: QParams, k_min: int,
       shallow frontier where the plain series is still accurate, so the
       series serves everything kept.
 
-    Memoized on the exact arguments (64 entries), and the caller gets its
-    own copy.  The memo never widens a range: a request with k_min = k_s - 2
-    or k_s - 1 is too shallow for the Miller zone, so the series serves the
-    shells that a deeper request gets from the recurrence, and the two
-    differ in the last bits.
+    Every request reads one memo entry per (alpha, q) (64 entries): the
+    family over [frontier - 1, K], with K the first k whose first series term
+    is below 2^-54, so that the series is exactly 1.0 from K on.  The request
+    is the entry held at its ends, 0 below it and 1.0 past it, so its bits do
+    not depend on its range, and it is the caller's own array.  An entry holds
+    about 60 values at q = 1/2 and 36,800 (0.3 MB) at q = 0.9995.
     """
-    return _exponent_family(alpha, params, k_min, k_max).copy()
+    if k_min > k_max:
+        raise QDomainError("bessel_j_exponent_family needs k_min <= k_max")
+    entry, lo = _family_entry(alpha, params.q)
+    # the entry held at its ends: 0 below the frontier, 1.0 from K on
+    return entry.take(np.arange(k_min - lo, k_max - lo + 1), mode="clip")
 
 
 @functools.lru_cache(maxsize=64)
-def _exponent_family(alpha: float, params: QParams, k_min: int, k_max: int) -> np.ndarray:
-    """bessel_j_exponent_family's read-only memo entry."""
-    if k_min > k_max:
-        raise QDomainError("bessel_j_exponent_family needs k_min <= k_max")
-    q = params.q
-    lo_eff = k_min if k_min >= 0 else max(k_min, effective_floor_exponent(q))
+def _family_entry(alpha: float, q: float) -> tuple[np.ndarray, int]:
+    """bessel_j_exponent_family's memo entry: the read-only family over [lo, K], and lo."""
+    params = QParams(q=q, alpha=alpha)
+    frontier = effective_floor_exponent(q)
+    lo = frontier - 1
+    # the series' first term is -t1 q^(2k): below 2^-54 the sum rounds to 1.0
+    t1 = (1.0 - q) ** 2 * q * q / ((1.0 - q * q) * (1.0 - q ** (2.0 * alpha + 2.0)))
+    K = math.floor(math.log(2.0**-54 / t1) / (2.0 * math.log(q))) + 1
     # the 1e-9 keeps a double-rounded aligned root on -j from either side
     k_s = -int(math.floor(math.log(1.0 - q) / math.log(q) + 1e-9))
-    miller = alignment_regime(q) != "misaligned" and lo_eff <= min(k_s - 3, k_max)
-    lo_series = k_s if miller else lo_eff
-    out = np.zeros(k_max - k_min + 1)
-    for k in range(lo_series, k_max + 1):
-        out[k - k_min] = bessel_j(alpha, q ** float(k), params).value.real
+    miller = alignment_regime(q) != "misaligned" and frontier <= k_s - 3
+    out = np.zeros(K - lo + 1)
+    for k in range(k_s if miller else frontier, K + 1):
+        out[k - lo] = bessel_j(alpha, q ** float(k), params).value.real
     if not miller:
         out.flags.writeable = False
-        return out
+        return out, lo
 
     # ratios g_(k+1) / g_k of the recurrence
     #   q^(2 alpha) g_(k+1) = (1 + q^(2 alpha) - (1-q)^2 q^(2k)) g_k - g_(k-1)
-    # for k = k0 .. k_s, seeded with g_(k0-1) = 0; the margin below lo_eff
+    # for k = k0 .. k_s, seeded with g_(k0-1) = 0; the margin below the frontier
     # lets the seed's share decay by ~2^-160 before the first kept shell
-    margin = max(
-        10,
-        int(math.ceil(math.sqrt(lo_eff * lo_eff + 160.0 / math.log2(1.0 / q)))) - abs(lo_eff) + 8,
-    )
-    k0 = lo_eff - margin
+    margin = max(10, int(math.ceil(math.sqrt(frontier * frontier + 160.0 / math.log2(1.0 / q))))
+                 - abs(frontier) + 8)
+    k0 = frontier - margin
     q2a = q ** (2.0 * alpha)
     # q^(2 alpha) is added last: the rest cancels at k_s, exposing any rounding of 1 + q^(2 alpha)
     coef = (1.0 - (1.0 - q) ** 2 * q ** (2.0 * np.arange(k0, k_s + 1))) + q2a
@@ -204,18 +208,17 @@ def _exponent_family(alpha: float, params: QParams, k_min: int, k_max: int) -> n
         r = (c - inv) / q2a
         ratios.append(r)
         inv = 1.0 / r
-    ref, ref2 = (bessel_j(alpha, q ** float(k), params).value.real for k in (k_s, k_s + 1))
+    ref, ref2 = out[k_s - lo], out[k_s + 1 - lo]
     if not abs(ratios[-1] * ref - ref2) < 1e-11 * abs(ref2):
         raise ArithmeticError("bessel_j_exponent_family: Miller normalization failed to converge")
-    # j_k = ref * g_k / g_(k_s) on lo_eff <= k < k_s; past the overflow of
+    # j_k = ref * g_k / g_(k_s) on frontier <= k < k_s; past the overflow of
     # the ratio product the family is an exact zero
     with np.errstate(over="ignore"):
-        zone = ref / np.cumprod(np.array(ratios[lo_eff - k0:k_s - k0])[::-1])[::-1]
+        zone = ref / np.cumprod(np.array(ratios[frontier - k0:k_s - k0])[::-1])[::-1]
     zone[np.abs(zone) < 1e-300] = 0.0
-    hi = min(k_s, k_max + 1)
-    out[lo_eff - k_min:hi - k_min] = zone[:hi - lo_eff]
+    out[1:k_s - lo] = zone
     out.flags.writeable = False
-    return out
+    return out, lo
 
 
 def qtrig_exponent_families(params: QParams, k_min: int,
@@ -225,11 +228,10 @@ def qtrig_exponent_families(params: QParams, k_min: int,
     Both reduce to Bessel families: cos = j_{-1/2}, sin(x) = x j_{1/2}(x).
     """
     cos_vals = bessel_j_exponent_family(-0.5, params, k_min, k_max)
-    j_half = bessel_j_exponent_family(0.5, params, k_min, k_max)
-    ks = np.arange(k_min, k_max + 1, dtype=float)
-    with np.errstate(over="ignore", under="ignore"):
-        sin_vals = np.power(params.q, ks) * j_half
-    sin_vals[~np.isfinite(sin_vals)] = 0.0
+    sin_vals = bessel_j_exponent_family(0.5, params, k_min, k_max)
+    # j_{1/2} is 0 below the frontier; from there on q^k is finite
+    i = min(max(effective_floor_exponent(params.q) - k_min, 0), len(sin_vals))
+    sin_vals[i:] *= np.power(params.q, np.arange(k_min + i, k_max + 1, dtype=float))
     return cos_vals, sin_vals
 
 

@@ -25,12 +25,11 @@ def make_bump(params, seed=1, lo1=-1, hi1=3, lo2=-1, hi2=3, pad=1):
 
 
 def clear_family_memos():
-    """Empty every memo of qspecial, and transform's kernel and family caches, so
-    that the next family request computes afresh."""
+    """Empty every memo of qspecial, and transform's kernel memo, so that the next
+    family request computes afresh."""
     for fn in vars(qspecial).values():
         if hasattr(fn, "cache_clear"):
             fn.cache_clear()
-    transform._FAMILY_CACHE.clear()
     transform._kernel_matrices.cache_clear()
 
 

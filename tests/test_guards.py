@@ -123,6 +123,10 @@ GUARDS = [
     ("family-miller", lambda t: qw.bessel_j_exponent_family(
         7.0, QParams(q=float(np.nextafter(0.5, 1.0)), alpha=7.0), -4, 0),
      ArithmeticError, "bessel_j_exponent_family: Miller normalization failed to converge"),
+    # a range past the Miller zone reads the same memo entry, so it raises as well
+    ("family-miller-shallow", lambda t: qw.bessel_j_exponent_family(
+        7.0, QParams(q=float(np.nextafter(0.5, 1.0)), alpha=7.0), 3, 5),
+     ArithmeticError, "bessel_j_exponent_family: Miller normalization failed to converge"),
     ("family-range", lambda t: qw.bessel_j_exponent_family(0.0, P, 2, 1), QDomainError,
      "bessel_j_exponent_family needs k_min <= k_max"),
     # qintegrate

@@ -13,6 +13,7 @@ from qweinstein import (
     qexp,
     qshifted,
     qsin,
+    qspecial,
     sonine_weight,
 )
 from qweinstein.qcore import aligned_q
@@ -184,22 +185,64 @@ def test_family_zero_beyond_frontier():
     assert np.any(fam[ks >= floor] != 0.0)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.5])
-def test_family_memo_is_keyed_on_the_exact_range(alpha):
-    # at q = 1/2 a request from k = -2 is too shallow for the Miller zone, so the
-    # series serves k = -2 and -1, which a request from k = -8 takes from the
-    # recurrence: a memo that served one from the other would move their bits
-    p = QParams(q=0.5, alpha=alpha)
-    cold = {}
-    for k_min in (-2, -8):
+def _memo_span(alpha, q):
+    """(frontier - 1, K) of the family memo entry at (alpha, q)."""
+    entry, lo = qspecial._family_entry(alpha, q)
+    return lo, lo + len(entry) - 1
+
+
+def _matching_point(q):
+    return -int(math.floor(math.log(1.0 - q) / math.log(q) + 1e-9))
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from([0.5, aligned_q(2), AQ3, 0.7, 0.9, 0.3]), alpha=st.floats(-0.5, 6.0),
+       data=st.data())
+def test_family_requests_agree_on_their_overlap(q, alpha, data):
+    # one memo entry per (alpha, q) serves every range: two requests agree bit for bit
+    # where they overlap, in either order, also from k_s - 2 and k_s - 1, where a
+    # shallow request once took the series instead of the recurrence
+    p = QParams(q=q, alpha=alpha)
+    lo, K = _memo_span(alpha, q)
+    k_s = _matching_point(q)
+    span = st.integers(0, 40)
+
+    def draw_range():
+        kind = data.draw(st.sampled_from(["k_s - 2", "k_s - 1", "past K", "below", "any"]))
+        if kind == "below":
+            end = lo - data.draw(span)
+            return end - data.draw(span), end
+        start = {"k_s - 2": k_s - 2, "k_s - 1": k_s - 1, "past K": K + 1 + data.draw(span),
+                 "any": data.draw(st.integers(lo - 20, K + 20))}[kind]
+        return start, start + data.draw(span)
+
+    ranges = [draw_range(), draw_range()]
+    runs = []
+    for order in (ranges, ranges[::-1]):
         clear_family_memos()
-        cold[k_min] = bessel_j_exponent_family(alpha, p, k_min, 10)
-    assert not np.array_equal(cold[-2], cold[-8][6:])
-    for order in ((-2, -8), (-8, -2)):
-        clear_family_memos()
-        for k_min in order:
-            got = bessel_j_exponent_family(alpha, p, k_min, 10)
-            assert np.array_equal(got.view(np.int64), cold[k_min].view(np.int64)), (order, k_min)
+        runs.append({r: bessel_j_exponent_family(alpha, p, *r).view(np.int64) for r in order})
+    for k_min, k_max in ranges:
+        bits = runs[0][k_min, k_max]
+        assert np.array_equal(bits, runs[1][k_min, k_max])
+        ks = np.arange(k_min, k_max + 1)
+        assert np.all(bits.view(np.float64)[ks <= lo] == 0.0)
+        assert np.all(bits.view(np.float64)[ks > K] == 1.0)
+    (a0, a1), (b0, b1) = ranges
+    lo_o, hi_o = max(a0, b0), min(a1, b1)
+    if lo_o <= hi_o:
+        a, b = runs[0][a0, a1], runs[0][b0, b1]
+        assert np.array_equal(a[lo_o - a0:hi_o - a0 + 1], b[lo_o - b0:hi_o - b0 + 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.floats(0.02, 0.999), alpha=st.floats(-0.5, 40.0))
+def test_series_is_exactly_one_from_the_memo_span_on(q, alpha):
+    # the memo fills 1.0 past its last shell K: the series must read exactly that
+    p = QParams(q=q, alpha=alpha)
+    K = _memo_span(alpha, q)[1]
+    assert bessel_j(alpha, q ** float(K - 1), p).value.real != 1.0
+    for k in range(K, K + 50):
+        assert bessel_j(alpha, q ** float(k), p).value == 1.0, k
 
 
 def test_family_memo_hands_out_copies():

@@ -26,7 +26,7 @@ from qweinstein.qcore import aligned_q, qgamma_base
 from qweinstein.qintegrate import mu_weights
 from qweinstein.qops import EVEN, weinstein_op
 from qweinstein.transform import embed_zeros, norm_sq_lambda
-from .conftest import FOUR_Q, dilated, make_bump, max_rel
+from .conftest import FOUR_Q, clear_family_memos, dilated, make_bump, max_rel
 
 K_05_05 = 0.3710633704920698050136   # frozen oracle
 
@@ -602,20 +602,20 @@ def test_cold_and_warm_memos_give_the_same_bits():
 @pytest.mark.parametrize("q", [0.5, aligned_q(2), 0.7, 0.9])
 @pytest.mark.parametrize("alpha", [0.0, 1.5])
 def test_widened_family_range_gathers_the_same_kernel(q, alpha):
+    # a kernel gathered cold has the bits of one gathered after a wider window pair
+    # has asked for a wider family range
     from qweinstein import transform
 
     p = QParams(q=q, alpha=alpha)
     win, lam = LatticeWindow(-3, 4, -3, 4), LatticeWindow(-12, 6, -12, 6)
-    _clear_memos()
-    transform._FAMILY_CACHE.clear()
-    narrow = transform._kernel_matrices(win, lam, p)
-    lo = transform._FAMILY_CACHE[(p)][0]
-    transform._families(p, lo - 100, 10)
-    assert transform._FAMILY_CACHE[(p)][0] <= lo - 100
-    _clear_memos()
-    wide = transform._kernel_matrices(win, lam, p)
-    assert wide is not narrow
-    assert all(np.array_equal(a, b) for a, b in zip(_bits(narrow), _bits(wide)))
+    clear_family_memos()
+    cold = transform._kernel_matrices(win, lam, p)
+    clear_family_memos()
+    transform._kernel_matrices(LatticeWindow(-3, 40, -3, 40), LatticeWindow(-112, 6, -112, 6), p)
+    transform._kernel_matrices.cache_clear()
+    warm = transform._kernel_matrices(win, lam, p)
+    assert warm is not cold
+    assert all(np.array_equal(a, b) for a, b in zip(_bits(cold), _bits(warm)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,17 @@ N = m + 4, both again at N = 50 (the engine's late steps), the
 128, and eta underflowing from n = 90 on the 7x7 box at q = 1/2), the three
 derivative bound checks at the ``verify --suite bounds`` orders (lhs, rhs
 and the ``detail`` entries the tests read); for each (q, alpha),
-``normalization_K``, ``Kernel(...).sup_bound()`` and ``orthogonality_check``
-at a diagonal and an off-diagonal pair of lattice points; and for each q,
-``sonine_identity_check`` at the ``verify --suite sonine`` arguments and at
-each of their y alone, and at q = 1/2 and aligned_q(2) both once more after
-that q's transforms and bandwidth runs (``sonine_after_transforms``, equal to
-its twin unless a memo makes the check's bits depend on the order of the
-calls).  At
+``normalization_K``, ``Kernel(...).sup_bound()``, ``orthogonality_check``
+at a diagonal and an off-diagonal pair of lattice points, and
+``bessel_j_exponent_family`` over one range from the family's frontier - 2 and
+one from its matching point k_s - 1, both past the memo's last shell K; for
+each q, ``qtrig_exponent_families`` over the same two ranges (its families do
+not read alpha), so that a change to the family bits shows directly, not only
+through the Sonine entries, and ``sonine_identity_check`` at the ``verify
+--suite sonine`` arguments and at each of their y alone, and at q = 1/2 and
+aligned_q(2) both once more after that q's transforms and bandwidth runs
+(``sonine_after_transforms``, equal to its twin unless a memo makes the
+check's bits depend on the order of the calls).  At
 the edges of the parameter range it also saves ``sonine_identity_check`` at
 q in {0.95, 0.99, 0.999} (the suite's arguments), ``orthogonality_check`` at
 alpha in {15, 30} (q = 1/2, the ``verify --suite orthogonality`` point
@@ -46,6 +50,7 @@ compares the two dumps, exiting as ``compare`` does.
 
 from __future__ import annotations
 
+import math
 import subprocess
 import sys
 import tempfile
@@ -63,6 +68,8 @@ from qweinstein import (Kernel, LatticeWindow, PWmParams, QParams,  # noqa: E402
                         sonine_identity_check, weinstein_sup_bound_check)
 from qweinstein.cli import random_even_bump  # noqa: E402
 from qweinstein.qcore import aligned_q  # noqa: E402
+from qweinstein.qspecial import (bessel_j_exponent_family, effective_floor_exponent,  # noqa: E402
+                                 qtrig_exponent_families)
 
 QS = {"half": 0.5, "aligned2": aligned_q(2), "0.7": 0.7, "0.9": 0.9}
 ALPHAS = (0.0, 0.5, 1.5)
@@ -89,6 +96,9 @@ BOUNDS = {"monomial": (lambda f: monomial_derivative_bound_check(f, 3, 3, 1, 1, 
           "weinstein_sup": (lambda f: weinstein_sup_bound_check(f, 2),
                             ("C_k", "max_derivative_sup"))}
 SONINE = ((0.0, 1), (0.5, 2))
+# the upper end of the family ranges: past the memo's last shell K at every corpus
+# q and alpha (K is at most 174, at q = 0.9 and alpha = -1/2)
+FAMILY_K_MAX = 200
 SONINE_Y = list(range(-2, 5))
 # the q whose Sonine entries are saved again after their transforms and bandwidth runs:
 # a family memo whose bits depended on the order of its requests would tell them apart
@@ -141,6 +151,14 @@ def _sonine(errors) -> dict:
     return {"value": np.float64(errors[0]), "per_y": np.array(errors[1:])}
 
 
+def _family_ranges(q: float) -> dict:
+    """name -> (k_min, FAMILY_K_MAX): from the frontier - 2 and from the matching point
+    k_s - 1, where k_s is the deepest k with (1-q) q^k <= 1."""
+    k_s = -int(math.floor(math.log(1.0 - q) / math.log(q) + 1e-9))
+    return {"from_frontier-2": (effective_floor_exponent(q) - 2, FAMILY_K_MAX),
+            "from_k_s-1": (k_s - 1, FAMILY_K_MAX)}
+
+
 def _pw_m(result) -> dict:
     sup, per_n = result
     return {"sup": np.float64(sup), "per_n": np.array(per_n)}
@@ -177,10 +195,18 @@ def write(out: str) -> None:
                             for ys in [SONINE_Y] + [[y] for y in SONINE_Y]], _sonine)
 
     for qname, q in QS.items():
+        for rname, (k_min, k_max) in _family_ranges(q).items():
+            record(f"q={qname}:qtrig_exponent_families_{rname}",
+                   lambda: qtrig_exponent_families(QParams(q=q, alpha=0.0), k_min, k_max),
+                   lambda cs: {"cos": cs[0], "sin": cs[1]})
         sonine(qname, q)
         for ai, alpha in enumerate(ALPHAS):
             p = QParams(q=q, alpha=alpha)
             name = f"q={qname}:alpha={alpha}"
+            for rname, (k_min, k_max) in _family_ranges(q).items():
+                record(f"{name}:bessel_j_exponent_family_{rname}",
+                       lambda: bessel_j_exponent_family(alpha, p, k_min, k_max),
+                       lambda values: {"values": values})
             record(f"{name}:normalization_K", lambda: normalization_K(p), _scalar)
             record(f"{name}:kernel_sup_bound", lambda: Kernel(p, (1.0, 1.0)).sup_bound(),
                    _scalar)
