@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -21,6 +20,7 @@ from .qops import EVEN, GridFunction, LatticeWindow
 from .qintegrate import lp_norm
 from .qspecial import alignment_regime, decay_floor_exponent
 from .transform import (
+    AUTO_EDGE_CAP,
     embed_zeros,
     forward,
     identity_suite,
@@ -41,13 +41,12 @@ from .paleywiener import (
 FORMAT_VERSION = 1
 FORMATS = ("csv", "json")
 # a window from outside the program (a grid file's header, --support, --window,
-# the n1_/n2_ config keys) has exponents in [decay_floor_exponent(q) - 501, 500]
-# and at most MAX_WINDOW_CELLS cells (both signs of x1); the reader allocates 16
-# bytes a cell, so 2 GiB.  An automatic window of forward or inverse runs from
-# effective_floor_exponent(q) minus the input's largest exponent (at most 501
-# after transform's one-shell pad) up to at most 500, so it stays in the range,
-# whose 2 (1002 - decay_floor_exponent(q))^2 cells are within the limit for
-# q <= 0.99998
+# the n1_/n2_ config keys) has exponents in [decay_floor_exponent(q) - 501, 500],
+# which holds every automatic window of forward or inverse on such an input: from
+# effective_floor_exponent(q) minus the input's largest exponent (at most
+# AUTO_EDGE_CAP + 1 after transform's one-shell pad) up to AUTO_EDGE_CAP.  It has
+# at most MAX_WINDOW_CELLS cells (both signs of x1), 16 bytes each to the reader,
+# so 2 GiB; the range's 2 (1002 - decay_floor_exponent(q))^2 fit for q <= 0.99998
 MAX_WINDOW_CELLS = 2**27
 
 
@@ -55,7 +54,7 @@ def _checked_window(bounds, q: float, what: str) -> LatticeWindow:
     """The window with bounds n1_min, n1_max, n2_min, n2_max from outside the
     program; QDomainError, naming it as what, unless it keeps the limits above."""
     what = f"{what} n1=[{bounds[0]},{bounds[1]}] n2=[{bounds[2]},{bounds[3]}]"
-    lo, hi = decay_floor_exponent(q) - 501, 500
+    lo, hi = decay_floor_exponent(q) - AUTO_EDGE_CAP - 1, AUTO_EDGE_CAP
     if not all(lo <= n <= hi for n in bounds):
         raise QDomainError(f"{what}: exponents must lie in [{lo}, {hi}] at q={q}")
     window = LatticeWindow(*bounds)
@@ -170,9 +169,9 @@ def write_gridfunction(f: GridFunction, path: str, fmt: str = "csv"):
             "n2": [w.n2_min, w.n2_max],
             "points": list(zip(*cols)),   # orjson writes tuples as arrays
         }
-        import orjson   # here and in _read_json only: runs without JSON grid files skip its import
+        import orjson   # here, in _read_json and _cmd_bandwidth only: other runs skip its import
         with open(path, "wb") as fh:   # compact, and floats in shortest round-trip form
-            # np.float64 params too, which json.dumps wrote as floats
+            # OPT_SERIALIZE_NUMPY: np.float64 params too, as floats
             fh.write(orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY))
     else:
         raise FileFormatError(f"unknown format {fmt!r}")
@@ -310,21 +309,11 @@ def read_gridfunction(path: str) -> GridFunction:
 
 def _read_json(path: str) -> GridFunction:
     import orjson   # see write_gridfunction
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    # the stdlib parser, and repr in the messages, recurse once per nesting level
     try:
-        try:
-            return _grid_from_json(orjson.loads(raw), path)
-        except (orjson.JSONDecodeError, FileFormatError):
-            # orjson rejects NaN, Infinity, 1e400, lone surrogates and a BOM, which the
-            # stdlib parser takes or names, and reads integers past 64 bits as floats:
-            # such a file is parsed again as before, so every rejection keeps its message
-            pass
-        try:
-            doc = json.loads(_read_text(path))
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+        doc = orjson.loads(_read_text(path))
+    except orjson.JSONDecodeError as exc:
+        raise FileFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    try:   # repr of deeply nested rows in the messages recurses once per level
         return _grid_from_json(doc, path)
     except RecursionError as exc:
         raise FileFormatError(f"{path}:1: JSON nested too deeply") from exc
@@ -411,12 +400,14 @@ def _cmd_bandwidth(args, cfg: JobConfig) -> int:
     print(f"exponent_normalization={rep.exponent_normalization}")
     if args.out is not None:
         if cfg.fmt == "json":
-            with open(args.out, "w") as fh:
-                json.dump({"n": list(range(1, rep.n_used + 1)),
-                           "a_n_literal": rep.a_seq_literal,
-                           "a_n_spectral": rep.a_seq,
-                           "estimate": rep.estimate,
-                           "oracle_radius": rep.oracle_radius}, fh, indent=1)
+            import orjson   # see write_gridfunction
+            with open(args.out, "wb") as fh:
+                fh.write(orjson.dumps({"n": list(range(1, rep.n_used + 1)),
+                                       "a_n_literal": rep.a_seq_literal,
+                                       "a_n_spectral": rep.a_seq,
+                                       "estimate": rep.estimate,
+                                       "oracle_radius": rep.oracle_radius},
+                                      option=orjson.OPT_SERIALIZE_NUMPY))
         else:
             with open(args.out, "w") as fh:
                 fh.write("n,a_n_literal,a_n_spectral\n")

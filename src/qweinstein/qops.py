@@ -33,15 +33,13 @@ class LatticeWindow:
     n1_max: int
     n2_min: int
     n2_max: int
-    taint_x_lo: int = field(default=0, compare=False)
-    taint_x_hi: int = field(default=0, compare=False)
-    taint_y_lo: int = field(default=0, compare=False)
-    taint_y_hi: int = field(default=0, compare=False)
+    taint_x: int = field(default=0, compare=False)   # layers at each end of the n1 axis
+    taint_y: int = field(default=0, compare=False)   # and of the n2 axis
 
     def __post_init__(self):
         if self.n1_min > self.n1_max or self.n2_min > self.n2_max:
             raise QDomainError("LatticeWindow needs n_min <= n_max in both variables")
-        if min(self.taint_x_lo, self.taint_x_hi, self.taint_y_lo, self.taint_y_hi) < 0:
+        if min(self.taint_x, self.taint_y) < 0:
             raise QDomainError("taint layers must be >= 0")
 
     @property
@@ -49,19 +47,13 @@ class LatticeWindow:
         return (2, self.n1_max - self.n1_min + 1, self.n2_max - self.n2_min + 1)
 
     def tainted_more(self, dx: int = 0, dy: int = 0) -> "LatticeWindow":
-        return replace(
-            self,
-            taint_x_lo=self.taint_x_lo + dx,
-            taint_x_hi=self.taint_x_hi + dx,
-            taint_y_lo=self.taint_y_lo + dy,
-            taint_y_hi=self.taint_y_hi + dy,
-        )
+        return replace(self, taint_x=self.taint_x + dx, taint_y=self.taint_y + dy)
 
     def untainted_slices(self) -> tuple[slice, slice]:
         """Index slices (along n1 and n2 axes) of the trustworthy interior."""
         _, nn1, nn2 = self.shape
-        s1 = slice(self.taint_x_lo, nn1 - self.taint_x_hi)
-        s2 = slice(self.taint_y_lo, nn2 - self.taint_y_hi)
+        s1 = slice(self.taint_x, nn1 - self.taint_x)
+        s2 = slice(self.taint_y, nn2 - self.taint_y)
         if s1.stop <= s1.start or s2.stop <= s2.start:
             raise TaintError("window fully tainted: no untainted interior left")
         return s1, s2

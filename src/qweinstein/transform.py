@@ -204,6 +204,11 @@ def _tail_report(abs_samples: np.ndarray, weights: np.ndarray) -> float:
     return tails / total
 
 
+# the automatic window's inner edges are at most this exponent; cli bounds the
+# windows it reads by the same number
+AUTO_EDGE_CAP = 500
+
+
 def forward(f: GridFunction, lambda_window: LatticeWindow | None = None, *,
             auto_tol: float = 1e-12, edge_tol: float = 0.02, _conj: bool = False) -> TransformResult:
     """q-Weinstein transform of an even grid function, as one pipeline:
@@ -212,7 +217,8 @@ def forward(f: GridFunction, lambda_window: LatticeWindow | None = None, *,
        L2 mass |f|^2 weights lies on the outermost shells of f's window;
     2. the window: lambda_window, or with None a generous one (outer edges at
        the kernel truncation frontier, where deeper shells are exact zeros;
-       inner edges where the measure weight has decayed past auto_tol);
+       inner edges where the measure weight has decayed past auto_tol, at most
+       AUTO_EDGE_CAP);
     3. one contraction onto it, then one |out| and one weight table of it;
     4. with None only, the trim: shells are cut from each edge while the
        cumulative trimmed L1 mass stays below auto_tol/8 of the total;
@@ -238,7 +244,8 @@ def forward(f: GridFunction, lambda_window: LatticeWindow | None = None, *,
                                f"got {auto_tol!r}")
         floor_k = effective_floor_exponent(f.params.q)
         # one inner edge for both axes: 2 alpha + 2 >= 1, so the weight decays no slower in m2
-        m_hi = min(int(math.ceil(-math.log(auto_tol * 1e-3) / math.log(1.0 / f.params.q))), 500)
+        m_hi = min(int(math.ceil(-math.log(auto_tol * 1e-3) / math.log(1.0 / f.params.q))),
+                   AUTO_EDGE_CAP)
         win = LatticeWindow(floor_k - w.n1_max, m_hi, floor_k - w.n2_max, m_hi)
 
     out = _contract(_kernel_matrices(w, win, f.params), f.samples, _conj)
@@ -295,7 +302,7 @@ def embed_zeros(f: GridFunction, pad1: int, pad2: int) -> GridFunction:
         raise QDomainError(f"embed_zeros needs pads >= 0, got pad1={pad1}, pad2={pad2}")
     w = f.window
     nw = LatticeWindow(w.n1_min - pad1, w.n1_max + pad1, w.n2_min - pad2, w.n2_max + pad2,
-                       w.taint_x_lo, w.taint_x_hi, w.taint_y_lo, w.taint_y_hi)
+                       w.taint_x, w.taint_y)
     arr = np.zeros(nw.shape, dtype=np.complex128)
     arr[:, pad1:pad1 + w.shape[1], pad2:pad2 + w.shape[2]] = f.samples
     return GridFunction(f.params, nw, f.parity_y, arr)

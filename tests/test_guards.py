@@ -99,7 +99,7 @@ GUARDS = [
      "qfactorial needs n >= 0, got -1"),
     ("aligned-j", lambda t: aligned_q(0), QDomainError, "aligned_q needs j >= 1"),
     # qops
-    ("taint", lambda t: LatticeWindow(0, 0, 0, 0, taint_x_lo=-1), QDomainError,
+    ("taint", lambda t: LatticeWindow(0, 0, 0, 0, taint_x=-1), QDomainError,
      "taint layers must be >= 0"),
     ("finite", lambda t: GridFunction(P, W, "even", np.full(W.shape, math.nan)), QDomainError,
      "samples must be finite (no NaN/Inf)"),
