@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qcore import DivergenceError, QDomainError, QParams, lattice_alignment
-from .qintegrate import N_MAX, _log_power_sum, log_mu_table, log_mu_weights, mu_table
+from .qintegrate import N_MAX, _log_power_sum, edge_cut, log_mu_table, log_mu_weights, mu_table
 from .qops import (_FLIP, EVEN, GridFunction, LatticeWindow, _weinstein_array, dq_ladder,
                    dq_mixed, weinstein_op)
 from .qspecial import (alignment_regime, bessel_j, bessel_j_exponent_family,
@@ -66,12 +66,8 @@ def _nonzero_box(f: GridFunction) -> GridFunction:
     nz = f.samples != 0.0
     if not np.any(nz):
         return f
-    i1 = np.flatnonzero(nz.any(axis=(0, 2)))
-    i2 = np.flatnonzero(nz.any(axis=(0, 1)))
-    lo1, hi1, lo2, hi2 = int(i1[0]), int(i1[-1]), int(i2[0]), int(i2[-1])
-    w = f.window
-    box = LatticeWindow(w.n1_min + lo1, w.n1_min + hi1, w.n2_min + lo2, w.n2_min + hi2)
-    return f.with_samples(f.samples[:, lo1:hi1 + 1, lo2:hi2 + 1], window=box)
+    box, (s1, s2) = edge_cut(f.window, nz, 0, 1)
+    return f.with_samples(f.samples[:, s1, s2], window=box)
 
 
 def norm_growth_sequence(f: GridFunction, N: int) -> list[float]:
@@ -376,9 +372,9 @@ def _support_extent(f: GridFunction):
     mask = _support_mask(f)
     if not np.any(mask):
         return (0.0, 0.0), (0.0, 0.0)
-    r1 = f.x1_values()[0][mask.any(axis=(0, 2))]
-    r2 = f.x2_values()[mask.any(axis=(0, 1))]
-    return (float(r1.max()), float(r1.min())), (float(r2.max()), float(r2.min()))
+    _, (s1, s2) = edge_cut(f.window, mask, 0, 1)
+    r1, r2 = f.x1_values()[0][s1], f.x2_values()[s2]   # q^n falls as n grows
+    return (float(r1[0]), float(r1[-1])), (float(r2[0]), float(r2[-1]))
 
 
 @functools.lru_cache(maxsize=256)

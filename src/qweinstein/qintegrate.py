@@ -124,18 +124,28 @@ def log_mu_table(window: LatticeWindow, params: QParams) -> np.ndarray:
             + n2[None, :] * (2.0 * params.alpha + 2.0) * math.log(q))
 
 
-def edge_shell_mass(mass: np.ndarray, depth: int = 0) -> list[float]:
-    """Mass on the shell `depth` steps in from each window edge.
+def shell_masses(mass: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-shell sums of a nonnegative (2, N1, N2) mass over a window, axis 0 the sign of x1.
 
-    Entries follow the edges low n1, high n1, low n2, high n2; ``mass`` is a
-    nonnegative array over a window, axis 0 being the sign of x1.  A shell
-    that the window does not have (depth past its width) has zero mass.
+    Four arrays, each read from one window edge inward: low n1, high n1, low
+    n2, high n2.  A corner cell counts in one n1 shell and one n2 shell.
     """
+    both = mass[0] + mass[1]
+    m1, m2 = both.sum(axis=1), both.sum(axis=0)
+    return m1, m1[::-1], m2, m2[::-1]
+
+
+def edge_cut(window: LatticeWindow, mass: np.ndarray, budget: float,
+             keep: int) -> tuple[LatticeWindow, tuple[slice, slice]]:
+    """window without the shells cut from each edge, and the (n1, n2) index slices of
+    what stays: from each edge the longest run of shells whose cumulative mass stays
+    within budget, never one of the last keep shells read from that edge."""
+    lo1, hi1, lo2, hi2 = (int(np.searchsorted(np.cumsum(m[:-keep]), budget, side="right"))
+                          for m in shell_masses(mass))
     _, n1, n2 = mass.shape
-    return [float(mass[:, depth, :].sum()) if depth < n1 else 0.0,
-            float(mass[:, -1 - depth, :].sum()) if depth < n1 else 0.0,
-            float(mass[:, :, depth].sum()) if depth < n2 else 0.0,
-            float(mass[:, :, -1 - depth].sum()) if depth < n2 else 0.0]
+    return (LatticeWindow(window.n1_min + lo1, window.n1_max - hi1,
+                          window.n2_min + lo2, window.n2_max - hi2),
+            (slice(lo1, n1 - hi1), slice(lo2, n2 - hi2)))
 
 
 def integrate_mu(f: GridFunction) -> IntegralResult:
@@ -148,7 +158,7 @@ def integrate_mu(f: GridFunction) -> IntegralResult:
         raise QDomainError("integrate_mu requires even parity in x2")
     weighted = f.samples * mu_weights(f)
     return IntegralResult(value=neumaier_sum(weighted),
-                          tail=sum(edge_shell_mass(np.abs(weighted))))
+                          tail=sum(float(m[0]) for m in shell_masses(np.abs(weighted))))
 
 
 def _log_power_sum(absv: np.ndarray, logw: np.ndarray, p: float) -> float:

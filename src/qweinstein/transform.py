@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qcore import DivergenceError, QDomainError, QParams, TaintError, qgamma_base, qshifted
-from .qintegrate import edge_shell_mass, integrate_mu, mu_table
+from .qintegrate import edge_cut, integrate_mu, mu_table, shell_masses
 from .qops import EVEN, GridFunction, LatticeWindow, bessel_op, dq_ladder, dq_partial, weinstein_op
 from .qspecial import (
     bessel_j,
@@ -191,15 +191,14 @@ def _tail_report(abs_samples: np.ndarray, weights: np.ndarray) -> float:
     """Estimated relative L2 mass beyond the window, from edge-shell decay of
     |samples|^2 weights, where abs_samples is a slice of _scaled_abs(samples) and
     weights the same slice of the (N1, N2) weight table of the contracted window."""
-    mass = abs_samples ** 2 * weights
-    total = float(mass.sum())
+    shells = shell_masses(abs_samples ** 2 * weights)
+    total = float(shells[0].sum())
     if total == 0.0:
         return 0.0
-    edges, nexts = edge_shell_mass(mass), edge_shell_mass(mass, 1)
     tails = 0.0
-    for edge, nxt in zip(edges, nexts):
-        r = edge / nxt if nxt > edge else 0.9
-        r = min(r, 0.95)
+    for m in shells:
+        edge, nxt = float(m[0]), (float(m[1]) if len(m) > 1 else 0.0)
+        r = min(edge / nxt if nxt > edge else 0.9, 0.95)
         tails += edge * r / (1.0 - r)
     return tails / total
 
@@ -227,10 +226,9 @@ def forward(f: GridFunction, lambda_window: LatticeWindow | None = None, *,
     """
     if f.parity_y != EVEN:
         raise QDomainError("forward requires even parity in the second variable")
-    mass = _scaled_abs(f.samples) ** 2 * mu_table(f.window, f.params)
-    total = float(mass.sum())
-    edge_ratio = sum(edge_shell_mass(mass)) / total if total else 0.0
-    del mass    # not held through the contraction, where the memory peaks
+    shells = shell_masses(_scaled_abs(f.samples) ** 2 * mu_table(f.window, f.params))
+    total = float(shells[0].sum())
+    edge_ratio = sum(float(m[0]) for m in shells) / total if total else 0.0
     if edge_ratio > edge_tol:
         raise DivergenceError(
             f"input mass touches the window edge (edge share {edge_ratio:.2e}); "
@@ -260,18 +258,7 @@ def forward(f: GridFunction, lambda_window: LatticeWindow | None = None, *,
         if total == 0.0:
             zeros = GridFunction.zeros(f.params, LatticeWindow(-8 - w.n1_max, 8, -8 - w.n2_max, 8))
             return TransformResult(zeros, 0.0, diagnostics)
-        budget = auto_tol / 8.0 * total
-        # shells cut from each edge: the longest run whose cumulative mass stays
-        # within budget, always keeping the 4 innermost
-        mass_m1 = l1.sum(axis=(0, 2))
-        mass_m2 = l1.sum(axis=(0, 1))
-        c_lo1, c_hi1, c_lo2, c_hi2 = (
-            int(np.searchsorted(np.cumsum(m[:-4]), budget, side="right"))
-            for m in (mass_m1, mass_m1[::-1], mass_m2, mass_m2[::-1])
-        )
-        win = LatticeWindow(win.n1_min + c_lo1, win.n1_max - c_hi1,
-                            win.n2_min + c_lo2, win.n2_max - c_hi2)
-        s1, s2 = slice(c_lo1, len(mass_m1) - c_hi1), slice(c_lo2, len(mass_m2) - c_hi2)
+        win, (s1, s2) = edge_cut(win, l1, auto_tol / 8.0 * total, 4)
     tail = _tail_report(abs_out[:, s1, s2], weights[s1, s2])
     # GridFunction copies a trimmed slice, so the generous window's arrays are freed
     return TransformResult(GridFunction(f.params, win, EVEN, out[:, s1, s2]), tail, diagnostics)

@@ -205,3 +205,56 @@ def test_log_power_sum_matches_mpmath(arrays, p):
         ref = mp.log(mp.fsum(mp.exp(p * mp.log(mp.mpf(a)) + mp.mpf(w))
                              for a, w in zip(absv.ravel().tolist(), logw.ravel().tolist()) if a))
     assert abs(got - float(ref)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the edge cut
+# ---------------------------------------------------------------------------
+
+from hypothesis import assume  # noqa: E402
+
+from qweinstein.qintegrate import edge_cut, shell_masses  # noqa: E402
+
+
+def _bounding_box(window: LatticeWindow, mask: np.ndarray) -> LatticeWindow:
+    """The box of the nonzero cells, found from each axis's nonzero shells."""
+    i1 = np.flatnonzero(mask.any(axis=(0, 2)))
+    i2 = np.flatnonzero(mask.any(axis=(0, 1)))
+    return LatticeWindow(window.n1_min + int(i1[0]), window.n1_min + int(i1[-1]),
+                         window.n2_min + int(i2[0]), window.n2_min + int(i2[-1]))
+
+
+@st.composite
+def _padded_mass(draw):
+    """A window and a nonnegative integer-valued mass on it, zero shells at its edges:
+    every sum of its cells is exact, whatever the order."""
+    n1, n2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    core = draw(hnp.arrays(np.float64, (2, n1, n2), elements=st.integers(0, 4).map(float)))
+    pads = [draw(st.integers(0, 3)) for _ in range(4)]
+    mass = np.pad(core, ((0, 0), pads[:2], pads[2:]))
+    lo1, lo2 = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+    return LatticeWindow(lo1, lo1 + mass.shape[1] - 1, lo2, lo2 + mass.shape[2] - 1), mass
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_padded_mass(), share=st.floats(0.0, 0.5, exclude_max=True),
+       keep=st.sampled_from((1, 4)))
+@example(case=(LatticeWindow(0, 0, 0, 0), np.ones((2, 1, 1))), share=0.0, keep=4)
+def test_edge_cut_cuts_within_budget_and_slices_its_window(case, share, keep):
+    window, mass = case
+    assume(mass.any())
+    budget = share * float(mass.sum())
+    box, (s1, s2) = edge_cut(window, mass, 0, 1)
+    assert box == _bounding_box(window, mass != 0)
+    assert edge_cut(window, mass != 0, 0, 1) == (box, (s1, s2))   # bools: the same box
+
+    win, (s1, s2) = edge_cut(window, mass, budget, keep)
+    cuts = (s1.start, mass.shape[1] - s1.stop, s2.start, mass.shape[2] - s2.stop)
+    assert cuts == (win.n1_min - window.n1_min, window.n1_max - win.n1_max,
+                    win.n2_min - window.n2_min, window.n2_max - win.n2_max)
+    assert mass[:, s1, s2].shape == win.shape
+    m1, m2 = mass.sum(axis=(0, 2)), mass.sum(axis=(0, 1))
+    for m, got, cut in zip((m1, m1[::-1], m2, m2[::-1]), shell_masses(mass), cuts):
+        assert np.array_equal(got, m)
+        assert m[:cut].sum() <= budget
+        assert cut == max(len(m) - keep, 0) or m[:cut + 1].sum() > budget

@@ -56,3 +56,16 @@ def test_refdump_compare_lists_every_kind_of_difference(tmp_path, capsys, monkey
 
     assert refdump.compare(same, dump("extra", **{"c:raises": np.array("ValueError")})) == 1
     assert "in one dump only: 1\n  c:raises\n" in capsys.readouterr().out
+
+    # one line per field name, a key's last component: how many of its entries differ,
+    # and by how much at most; a field whose entries all agree gets no line
+    moved = {"x:a:tail": np.array(1.0 + 2.0 ** -52), "y:a:tail": np.array(1.0 + 2.0 ** -50),
+             "x:a:values": np.array([1.0, 0.0]), "x:window": np.array([-2, 4, -3])}
+    base.update({"x:a:tail": np.array(1.0), "y:a:tail": np.array(1.0),
+                 "x:a:values": np.array([1.0, 0.0]), "x:window": np.array([-2, 4, -2])})
+    assert refdump.compare(dump("fields"), dump("moved", **moved)) == 1
+    out = capsys.readouterr().out
+    assert "values differ: 3\n" in out
+    assert "field tail: 2 differ, largest relative difference 8.882e-16\n" in out
+    assert "field window: 1 differ, largest relative difference 2.500e-01\n" in out
+    assert "field values:" not in out

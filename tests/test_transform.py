@@ -377,7 +377,24 @@ def test_inverse_matches_direct_kernel_sum():
 def _edge_decay_tail(G: GridFunction) -> float:
     """The tail rule restated: per window edge, the edge shell's L2 mass times
     r / (1 - r), r the edge-to-next-shell mass ratio (0.9 when the mass does
-    not decay, at most 0.95), summed and divided by the total mass."""
+    not decay, at most 0.95), summed and divided by the total mass.  Shell
+    masses sum the two signs of x1 first, then along each axis; the total is
+    the sum of the n1 shells."""
+    mass = np.abs(G.samples) ** 2 * mu_weights(G)
+    both = mass[0] + mass[1]
+    rows, cols = both.sum(axis=1), both.sum(axis=0)
+    tails = 0.0
+    for shells in (rows, rows[::-1], cols, cols[::-1]):
+        edge, nxt = float(shells[0]), float(shells[1])
+        if edge != 0.0:
+            r = min(edge / nxt if nxt > edge else 0.9, 0.95)
+            tails += edge * r / (1.0 - r)
+    return tails / float(rows.sum())
+
+
+def _slice_sum_tail(G: GridFunction) -> float:
+    """The same rule with each shell summed as one slice over both signs, and the
+    total over the whole mass: the same numbers, rounded another way."""
     mass = np.abs(G.samples) ** 2 * mu_weights(G)
     shells = [(mass[:, 0, :], mass[:, 1, :]), (mass[:, -1, :], mass[:, -2, :]),
               (mass[:, :, 0], mass[:, :, 1]), (mass[:, :, -1], mass[:, :, -2])]
@@ -389,16 +406,28 @@ def _edge_decay_tail(G: GridFunction) -> float:
     return tails / float(mass.sum())
 
 
+def _slice_sum_edge_share(f: GridFunction) -> float:
+    """The input edge share with slice sums: the four edge shells' mass over the total."""
+    mass = np.abs(f.samples) ** 2 * mu_weights(f)
+    edges = (mass[:, 0, :], mass[:, -1, :], mass[:, :, 0], mass[:, :, -1])
+    return sum(float(e.sum()) for e in edges) / float(mass.sum())
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
 def test_tail_bound_is_the_edge_shell_decay_rule(alpha):
     p = QParams(q=0.5, alpha=alpha)
     f = make_bump(p, seed=54, lo1=-2, hi1=4, lo2=-2, hi2=4)
     F = forward(f)
-    assert F.tail_bound == _edge_decay_tail(F.grid)
     back = inverse(F.grid)
-    assert back.tail_bound == _edge_decay_tail(back.grid)
     fixed = forward(f, lambda_window=LatticeWindow(-4, 6, -4, 6))
-    assert fixed.tail_bound == _edge_decay_tail(fixed.grid) > 0.0
+    assert fixed.tail_bound > 0.0
+    for res, inp in ((F, f), (back, F.grid), (fixed, f)):
+        assert res.tail_bound == _edge_decay_tail(res.grid)
+        # only the rounding of the shell sums differs from slice sums
+        ref = _slice_sum_tail(res.grid)
+        assert abs(res.tail_bound - ref) <= 1e-13 * ref
+        share, ref = res.diagnostics["input_edge_mass_ratio"], _slice_sum_edge_share(inp)
+        assert abs(share - ref) <= 1e-13 * ref
 
 
 def test_auto_window_builds_one_weight_table_per_window(monkeypatch):

@@ -11,7 +11,9 @@ random bumps on supports from one point to 61x61 (pad 1), saves under a
 stable name: forward and inverse samples, windows, tail bounds and edge
 ratios on automatic and fixed windows, and, on the small supports, the
 ``identity_suite`` report (pairing f with its reversal, and with a seeded
-bump g on the support, as ``verify --suite identities`` does), the
+bump g on the support, as ``verify --suite identities`` does), ``integrate_mu``
+of f and of its transform (value and edge-shell tail, which no other entry
+shows), the
 ``bandwidth_estimate`` sequences (with the reconstructed and with the
 given preimage) at N = 12, ``pw_m_sup`` at
 N = m + 4, both again at N = 50 (the engine's late steps), the
@@ -39,8 +41,10 @@ public API is used.
 
 ``compare`` lists the entries present in one dump only, the entries whose
 values differ and those that differ only in the sign of a zero (or a NaN
-payload), and the largest relative difference; it exits 1 unless the two
-dumps are bit-identical.
+payload), then one line per field name (a key's last component) with its
+count of differing entries and their largest relative difference, and the
+largest relative difference overall; it exits 1 unless the two dumps are
+bit-identical.
 
 ``check`` extracts REV's ``src/`` with ``git archive`` into a temporary tree,
 copies this file there so that both sides dump the same corpus, dumps that
@@ -63,7 +67,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qweinstein import (Kernel, LatticeWindow, PWmParams, QParams,  # noqa: E402
                         auto_lambda_window, bandwidth_estimate, forward, identity_suite,
-                        inverse, monomial_derivative_bound_check, normalization_K,
+                        integrate_mu, inverse, monomial_derivative_bound_check, normalization_K,
                         orthogonality_check, pw_m_sup, qgamma, radial_power_bound_check,
                         sonine_identity_check, weinstein_sup_bound_check)
 from qweinstein.cli import random_even_bump  # noqa: E402
@@ -140,6 +144,10 @@ def _orthogonality(res) -> dict:
     return {"value": np.complex128(res.value),
             "scalars": np.array([res.predicted_diagonal, res.fluctuation]),
             "shells_used": np.array(res.shells_used)}
+
+
+def _integral(res) -> dict:
+    return {"value": np.complex128(res.value), "tail": np.float64(res.tail)}
 
 
 def _scalar(value) -> dict:
@@ -232,6 +240,8 @@ def write(out: str) -> None:
                 record(f"{name}:inverse_fixed", lambda: inverse(G, x_window=w), _transform)
                 if sname not in SMALL:
                     continue
+                record(f"{name}:integrate_mu", lambda: integrate_mu(f), _integral)
+                record(f"{name}:integrate_mu_G", lambda: integrate_mu(G), _integral)
                 record(f"{name}:identity_suite", lambda: identity_suite(f), _identities)
                 g = random_even_bump(p, LatticeWindow(*sup), 2000 + 10 * ai + si)
                 record(f"{name}:identity_suite_g", lambda: identity_suite(f, g), _identities)
@@ -283,7 +293,7 @@ def compare(path_a: str, path_b: str) -> int:
     A, B = np.load(path_a), np.load(path_b)
     only = sorted(set(A.files) ^ set(B.files))
     differ, zero_signs = [], []
-    worst, worst_key = 0.0, None
+    rels = {}   # key -> relative difference, for the numeric entries whose values differ
     for key in sorted(set(A.files) & set(B.files)):
         a, b = A[key], B[key]
         if a.dtype != b.dtype or a.shape != b.shape:
@@ -298,14 +308,21 @@ def compare(path_a: str, path_b: str) -> int:
         differ.append(key)
         if numeric:
             with np.errstate(invalid="ignore"):
-                rel = float(np.nanmax(np.abs(a - b))) / max(float(np.nanmax(np.abs(a))), 1e-300)
-            if rel > worst:
-                worst, worst_key = rel, key
+                rels[key] = (float(np.nanmax(np.abs(a - b)))
+                             / max(float(np.nanmax(np.abs(a))), 1e-300))
     for title, keys in (("in one dump only", only), ("values differ", differ),
                         ("only the sign of a zero differs", zero_signs)):
         print(f"{title}: {len(keys)}")
         for key in keys:
             print(f"  {key}")
+    fields = {}   # field name -> (entries that differ, their largest relative difference)
+    for key in differ:
+        field = key.rsplit(":", 1)[-1]
+        count, rel = fields.get(field, (0, 0.0))
+        fields[field] = (count + 1, max(rel, rels.get(key, 0.0)))
+    for field, (count, rel) in sorted(fields.items()):
+        print(f"field {field}: {count} differ, largest relative difference {rel:.3e}")
+    worst, worst_key = max(((r, k) for k, r in rels.items() if r > 0.0), default=(0.0, None))
     print(f"{len(set(A.files) & set(B.files))} entries in both; largest relative difference "
           f"{worst:.3e}" + (f" ({worst_key})" if worst_key else ""))
     return 1 if only or differ or zero_signs else 0
