@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import DivergenceError, QDomainError, QParams, lattice_alignment
+from .qcore import DivergenceError, QDomainError, QParams, lattice_alignment, qbracket
 from .qintegrate import N_MAX, _log_power_sum, edge_cut, log_mu_table, log_mu_weights, mu_table
 from .qops import (_FLIP, EVEN, GridFunction, LatticeWindow, _weinstein_array, dq_ladder,
                    dq_mixed, weinstein_op)
@@ -152,14 +152,18 @@ class TransformSideIterates:
         slack = (self._log_amp_budget / n - math.log(self._stencil_const)) / (2.0 * self._L)
         return self._m_r + slack
 
-    def _preimage_side(self):
-        """Per step n = 1..N, what the preimage alone gives: n, eta_n = (-r^2)^n f_hat over
-        s_1 ... s_n, the scale s_n that keeps max|eta_n| = 1 (1 where eta_n = 0), the log of
-        s_1 ... s_n, and the core's extent (c1, c2), the box of shells m1, m2 <= cutoff at
-        the window's low corner.  One step at a time, so a run holds one scaled preimage.
-        A subnormal s_n raises DivergenceError: dividing by it overflows."""
+    def run(self):
+        """Per step n = 1..N, the engine's state: eta_n = (-r^2)^n f_hat over s_1 ... s_n, where
+        the scale s_n keeps max|eta_n| = 1 (1 where eta_n = 0), the log of s_1 ... s_n, and the
+        direct values of eta_n's transform, with the stencil's on the core: the box of shells
+        m1, m2 <= cutoff at the window's low corner.  One step at a time, so a run holds one
+        scaled preimage.  A subnormal s_n raises DivergenceError: dividing by it overflows."""
+        params = self.params
+        kernel = _kernel_matrices(self.f_hat.window, self.window, params)
+        w_lin = mu_table(self.window, params)
         neg_r2 = -self._r2_x
         eta, log_scale = self.f_hat.samples, 0.0
+        G_prev = _contract(kernel, eta, conj=False)
         cut = self._core_cutoff(np.arange(1, self.N + 1))
         c1s, c2s = (np.searchsorted(m, cut, side="right").tolist()
                     for m in (self.window.n1_exponents(), self.window.n2_exponents()))
@@ -172,14 +176,6 @@ class TransformSideIterates:
                     "transform has lost precision at this amplitude; scale the input up")
             eta /= s
             log_scale += math.log(s)
-            yield n, eta, s, log_scale, c1, c2
-
-    def run(self):
-        params = self.params
-        kernel = _kernel_matrices(self.f_hat.window, self.window, params)
-        w_lin = mu_table(self.window, params)
-        G_prev = _contract(kernel, self.f_hat.samples, conj=False)
-        for n, eta, s, log_scale, c1, c2 in self._preimage_side():
             # direct values, with the stencil's on the core
             G_lit = _contract(kernel, eta, conj=False)
             if c1 and c2:
@@ -470,13 +466,10 @@ def weinstein_sup_bound_check(f: GridFunction, k: int) -> tuple[float, float, di
     """
     if k < 0:
         raise QDomainError("weinstein_sup_bound_check needs k >= 0")
-    q = f.params.q
-    alpha = f.params.alpha
     fpad = embed_zeros(f, 2 * k + 2, 2 * k + 2)
     wk = weinstein_op(fpad, k)
     lhs = float(np.max(np.abs(wk.samples)))
-    bracket = (1.0 - q ** (2.0 * alpha + 2.0)) / (1.0 - q)
-    Ck = (1.0 + bracket) ** k
+    Ck = (1.0 + qbracket(2.0 * f.params.alpha + 2.0, f.params)) ** k
     worst = 0.0
     for dx in dq_ladder(fpad, lambda h: dq_mixed(h, (2, 0)), k):   # D^(2 p1, 0), then
         for d in dq_ladder(dx, lambda h: dq_mixed(h, (0, 2)), k):  # its x2 orders 2 p2

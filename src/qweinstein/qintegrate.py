@@ -87,8 +87,7 @@ def jackson_signed_line(f: Callable[[float], complex], params: QParams) -> Integ
 def mu_weights(f: GridFunction) -> np.ndarray:
     """Weight array of the measure x2^(2a+1) d_q x1 d_q x2 on f's window.
 
-    Entry (s, i1, i2) is (1-q)^2 q^n1 q^(n2 (2a+2)); kept in float64, with
-    log-space fallbacks in the norm helpers for deep windows; read-only.
+    Entry (s, i1, i2) is (1-q)^2 q^n1 q^(n2 (2a+2)); kept in float64; read-only.
     """
     return np.broadcast_to(mu_table(f.window, f.params), f.window.shape)
 

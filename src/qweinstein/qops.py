@@ -5,10 +5,12 @@ variable) and the positive lattice {q^n2} (second variable), with a parity
 flag describing the even extension across x2 = 0.  All operators are pure:
 they return new GridFunction instances.
 
-Out-of-window reads are zeros; each symmetric q-derivative application
-contaminates one boundary layer of the exponent window in the affected
-variable, which the window records as taint.  Results should only be
-trusted on the untainted interior.
+Every stencil takes the raw samples and reads zeros outside them; each
+symmetric q-derivative application contaminates one boundary layer of the
+exponent window in the affected variable, which the window records as
+taint.  Results should only be trusted on the untainted interior.  The
+Weinstein step _weinstein_array is D_x^2 + B, taken on a block of shells
+by slicing the samples.
 """
 
 from __future__ import annotations
@@ -154,9 +156,9 @@ def _pad(s: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _dx_array(p: np.ndarray, q: float, x1: np.ndarray) -> np.ndarray:
-    """Symmetric q-derivative along variable 1 of raw samples p, padded by one shell at both
-    ends of n1 (see _pad); x1 is the (2, N1) signed grid of the unpadded rows."""
+def _dx_array(s: np.ndarray, q: float, x1: np.ndarray) -> np.ndarray:
+    """Symmetric q-derivative along variable 1 of raw samples s; x1 is the (2, N1) signed grid."""
+    p = _pad(s, 1)
     flipped = p[::-1]
     num = (
         p[:, :-2]                   # f(z/q): exponent n1-1
@@ -176,29 +178,23 @@ def _dy_array(s: np.ndarray, q: float, y: np.ndarray, parity_y: str) -> np.ndarr
     return num / ((1.0 - q) * y)
 
 
-def _bessel_array(p: np.ndarray, params: QParams, y: np.ndarray) -> np.ndarray:
-    """Conjugated q-Bessel stencil of raw even samples p, padded by one shell at both ends
-    of n2 (see _pad); y is the (N2,) second-variable grid of the unpadded columns."""
+def _bessel_array(s: np.ndarray, params: QParams, y: np.ndarray) -> np.ndarray:
+    """Conjugated q-Bessel stencil of raw even samples s; y is the (N2,) second-variable grid."""
     q = params.q
     q2a = q ** (2.0 * params.alpha)
-    num = p[:, :, :-2] - (1.0 + q2a) * p[:, :, 1:-1] + q2a * p[:, :, 2:]
+    p = _pad(s, 2)
+    num = p[:, :, :-2] - (1.0 + q2a) * s + q2a * p[:, :, 2:]
     return num / ((1.0 - q) ** 2 * y * y)
 
 
 def _weinstein_array(s: np.ndarray, params: QParams, x1: np.ndarray, y: np.ndarray,
                      c1: int, c2: int) -> np.ndarray:
-    """One Weinstein step d^2/dx1^2 + Bessel_y of raw even samples s, zero outside them, on
-    the block of their first c1 shells in n1 and c2 in n2; x1 (2, N1) and y (N2,) are the
-    grids of s.  The block reads 2 shells past it in n1 and 1 in n2."""
-    q = params.q
-    n1, n2 = s.shape[1:]
-    k1 = min(c1 + 1, n1)                 # rows of the first derivative the second one reads
-    r1, r2 = min(k1 + 1, n1), min(c2 + 1, n2)
-    p = np.zeros((2, k1 + 2, c2 + 2), dtype=s.dtype)   # s on rows -1..k1, columns -1..c2
-    p[:, 1:1 + r1, 1:1 + r2] = s[:, :r1, :r2]
-    d = np.zeros((2, c1 + 2, c2), dtype=s.dtype)       # first derivative on rows -1..c1,
-    d[:, 1:1 + k1] = _dx_array(p[:, :, 1:-1], q, x1[:, :k1])   # zero outside s's rows
-    return _dx_array(d, q, x1[:, :c1]) + _bessel_array(p[:, 1:1 + c1], params, y[:c2])
+    """One Weinstein step d^2/dx1^2 + Bessel_y of raw even samples s, on the block of their
+    first c1 shells in n1 and c2 in n2; x1 (2, N1) and y (N2,) are the grids of s.  The
+    block reads 2 shells past it in n1 and 1 in n2, so it is the whole-window step of
+    that slice of s, cut to the block."""
+    b, x1, y, q = s[:, :c1 + 2, :c2 + 1], x1[:, :c1 + 2], y[:c2 + 1], params.q
+    return (_dx_array(_dx_array(b, q, x1), q, x1) + _bessel_array(b, params, y))[:, :c1, :c2]
 
 
 def _derivative(f: GridFunction, beta: tuple[int, int]) -> GridFunction:
@@ -207,7 +203,7 @@ def _derivative(f: GridFunction, beta: tuple[int, int]) -> GridFunction:
     s, parity, q = f.samples, f.parity_y, f.params.q
     x1, y = (f.x1_values() if b1 else None), (f.x2_values() if b2 else None)
     for _ in range(b1):
-        s = _dx_array(_pad(s, 1), q, x1)
+        s = _dx_array(s, q, x1)
     for _ in range(b2):
         s, parity = _dy_array(s, q, y, parity), _FLIP[parity]
     return f.with_samples(s, window=f.window.tainted_more(dx=b1, dy=b2), parity_y=parity)
@@ -252,7 +248,7 @@ def bessel_op(f: GridFunction) -> GridFunction:
     """
     if f.parity_y != EVEN:
         raise QDomainError("bessel_op requires even parity in the second variable")
-    out = _bessel_array(_pad(f.samples, 2), f.params, f.x2_values())
+    out = _bessel_array(f.samples, f.params, f.x2_values())
     return f.with_samples(out, window=f.window.tainted_more(dy=2))
 
 

@@ -190,11 +190,12 @@ def _scaled_abs(z: np.ndarray) -> np.ndarray:
 def _tail_report(abs_samples: np.ndarray, weights: np.ndarray) -> float:
     """Estimated relative L2 mass beyond the window, from edge-shell decay of
     |samples|^2 weights, where abs_samples is a slice of _scaled_abs(samples) and
-    weights the same slice of the (N1, N2) weight table of the contracted window."""
+    weights the same slice of the (N1, N2) weight table of the contracted window; inf if the
+    slice holds no mass, since then all of it lies beyond."""
     shells = shell_masses(abs_samples ** 2 * weights)
     total = float(shells[0].sum())
     if total == 0.0:
-        return 0.0
+        return math.inf
     tails = 0.0
     for m in shells:
         edge, nxt = float(m[0]), (float(m[1]) if len(m) > 1 else 0.0)
@@ -221,7 +222,8 @@ def forward(f: GridFunction, lambda_window: LatticeWindow | None = None, *,
     3. one contraction onto it, then one |out| and one weight table of it;
     4. with None only, the trim: shells are cut from each edge while the
        cumulative trimmed L1 mass stays below auto_tol/8 of the total;
-    5. one tail report on the kept slice, which the result holds.
+    5. one tail report on the kept slice, which the result holds: 0 for a zero input,
+       inf where the slice holds none of the transform.
     Conjugation only swaps the two signs of l1, so it leaves the window unchanged.
     """
     if f.parity_y != EVEN:
@@ -254,12 +256,12 @@ def forward(f: GridFunction, lambda_window: LatticeWindow | None = None, *,
         # reconstruction error is linear in the discarded |F| mass, so the
         # trim budget uses the L1 shell masses, not the squared ones
         l1 = abs_out * weights
-        total = float(l1.sum())
-        if total == 0.0:
+        l1_total = float(l1.sum())
+        if l1_total == 0.0:
             zeros = GridFunction.zeros(f.params, LatticeWindow(-8 - w.n1_max, 8, -8 - w.n2_max, 8))
             return TransformResult(zeros, 0.0, diagnostics)
-        win, (s1, s2) = edge_cut(win, l1, auto_tol / 8.0 * total, 4)
-    tail = _tail_report(abs_out[:, s1, s2], weights[s1, s2])
+        win, (s1, s2) = edge_cut(win, l1, auto_tol / 8.0 * l1_total, 4)
+    tail = _tail_report(abs_out[:, s1, s2], weights[s1, s2]) if total else 0.0
     # GridFunction copies a trimmed slice, so the generous window's arrays are freed
     return TransformResult(GridFunction(f.params, win, EVEN, out[:, s1, s2]), tail, diagnostics)
 
@@ -477,6 +479,10 @@ def orthogonality_check(x_pt: tuple[int, int, int], y_pt: tuple[int, int, int],
     converges only conditionally off the diagonal; the fluctuation of the
     last shells is reported, not asserted.
     """
+    for pt in (x_pt, y_pt):
+        if pt[0] not in (1, -1) or not all(isinstance(n, (int, np.integer)) for n in pt[1:]):
+            raise QDomainError("orthogonality_check needs lattice points (sign +-1, integer n1, "
+                               f"integer n2), got {pt}")
     q = params.q
     alpha = params.alpha
     s1x, n1x, n2x = x_pt

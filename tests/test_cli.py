@@ -200,6 +200,12 @@ def test_verify_shrunken_window_fails(capsys):
     assert "tail=" in out and "FAIL" in out
 
 
+def test_verify_window_past_the_frontier_reads_an_infinite_tail(capsys):
+    rc = main(["--q", "0.5", "--window=-40,-30,-40,-30", "verify", "--suite", "plancherel"])
+    assert rc == 3
+    assert "plancherel[seed=1,tail=inf]: max_rel_err=1.000e+00" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("q,regime", [(0.7, "misaligned"), (aligned_q(2), "near-aligned")])
 def test_tail_is_labelled_with_the_regime_off_q_half(tmp_path, capsys, q, regime):
     # off q = 1/2 the tail is a diagnostic, far below the Plancherel error it sits next to

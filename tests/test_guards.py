@@ -151,6 +151,11 @@ GUARDS = [
      "got g on QParams(q=0.5, alpha=0.0) with parity odd"),
     ("embed-pad", lambda t: qw.embed_zeros(_bump(), -1, 0), QDomainError,
      "embed_zeros needs pads >= 0, got pad1=-1, pad2=0"),
+    ("ortho-sign", lambda t: qw.orthogonality_check((1, 1, 0), (0, 1, 0), P), QDomainError,
+     "orthogonality_check needs lattice points (sign +-1, integer n1, integer n2), "
+     "got (0, 1, 0)"),
+    ("ortho-exponent", lambda t: qw.orthogonality_check((1, 1.5, 0), (1, 1, 0), P),
+     QDomainError, "got (1, 1.5, 0)"),
 ]
 
 

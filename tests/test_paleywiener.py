@@ -625,10 +625,11 @@ def _branches(eng):
     if np.any(np.sum(eng.window.n1_exponents()[:, None] <= cut, axis=0) <= 1):
         hit.add("core of 0 or 1 shells")
     nonzero = np.count_nonzero(eng.f_hat.samples)
-    if any(np.count_nonzero(step[1]) < nonzero for step in eng._preimage_side()):
-        hit.add("eta entries underflow to 0")
-    if any(not np.abs(st_.values).all() for st_ in eng.run()):
-        hit.add("exact zeros in |G|")
+    for st_ in eng.run():
+        if np.count_nonzero(st_.eta) < nonzero:
+            hit.add("eta entries underflow to 0")
+        if not np.abs(st_.values).all():
+            hit.add("exact zeros in |G|")
     return hit
 
 

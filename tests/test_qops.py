@@ -24,6 +24,7 @@ from qweinstein import (
     weinstein_op,
 )
 from qweinstein.qintegrate import jackson_0_to_a, jackson_signed_line
+from qweinstein.qops import _weinstein_array
 
 from .conftest import FOUR_Q, bessel_op_expanded, dilated, from_callable, make_bump
 
@@ -405,6 +406,23 @@ def test_weinstein_op_is_the_composed_stencil(f, n):
     # astuple: window == ignores the taint layers, which the stencils must track too
     assert (astuple(w.window), w.parity_y) == (astuple(g.window), EVEN)
     assert np.array_equal(w.samples.view(np.int64), g.samples.view(np.int64))
+
+
+@_PROPERTY
+@given(n1=st.integers(1, 8), n2=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       q=st.floats(0.1, 0.9, exclude_min=True, exclude_max=True), alpha=st.floats(-0.5, 2.0))
+def test_weinstein_block_is_a_slice_of_the_whole_window_step(n1, n2, seed, q, alpha):
+    # every block, also one whose reach passes the samples' edge, keeps the bits of the
+    # whole-window step there
+    rng = np.random.default_rng(seed)
+    s = rng.standard_normal((2, n1, n2)) + 1j * rng.standard_normal((2, n1, n2))
+    f = GridFunction(QParams(q=q, alpha=alpha), LatticeWindow(0, n1 - 1, 0, n2 - 1), EVEN, s)
+    args = (f.samples, f.params, f.x1_values(), f.x2_values())
+    whole = _weinstein_array(*args, n1, n2)
+    for c1 in range(n1 + 1):
+        for c2 in range(n2 + 1):
+            block = _weinstein_array(*args, c1, c2)
+            assert np.array_equal(block.view(np.int64), whole[:, :c1, :c2].view(np.int64))
 
 
 @_PROPERTY

@@ -104,6 +104,17 @@ def test_forward_of_zero():
     assert F.tail_bound == 0.0
 
 
+def test_window_past_the_frontier_reports_an_infinite_tail():
+    # the transform is exactly 0 past the kernel frontier, so a window there keeps none
+    # of a bump's mass: all of it lies beyond; a zero input has no tail at all
+    p = QParams(q=0.5, alpha=0.0)
+    f = make_bump(p, seed=7, lo1=-2, hi1=4, lo2=-2, hi2=4)
+    past = LatticeWindow(-40, -30, -40, -30)
+    F = forward(f, lambda_window=past)
+    assert np.all(F.grid.samples == 0) and F.tail_bound == math.inf
+    assert forward(GridFunction.zeros(p, f.window), lambda_window=past).tail_bound == 0.0
+
+
 def test_forward_single_point_closed_form():
     p = QParams(q=0.5, alpha=0.5)
     q = p.q

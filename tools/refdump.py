@@ -35,7 +35,9 @@ check's bits depend on the order of the calls).  At
 the edges of the parameter range it also saves ``sonine_identity_check`` at
 q in {0.95, 0.99, 0.999} (the suite's arguments), ``orthogonality_check`` at
 alpha in {15, 30} (q = 1/2, the ``verify --suite orthogonality`` point
-pairs) and ``qgamma`` at base q in {0.998, 0.9999} for x in {0.5, 1.5, 2}.  A
+pairs), ``qgamma`` at base q in {0.998, 0.9999} for x in {0.5, 1.5, 2}, and
+``forward`` of the README bump (q = 1/2, seed 7, pad 1) onto a window past the
+kernel frontier, which holds none of the transform (zero samples, infinite tail).  A
 call that raises is saved as its exception's type and message.  Only the
 public API is used.
 
@@ -112,6 +114,8 @@ SONINE_AGAIN = ("half", "aligned2")
 EDGE_SONINE_QS = (0.95, 0.99, 0.999)
 EDGE_ORTHO_ALPHAS = (15.0, 30.0)
 EDGE_GAMMA_BASES, EDGE_GAMMA_XS = (0.998, 0.9999), (0.5, 1.5, 2.0)
+# and a window past the kernel frontier at q = 1/2
+PAST_FRONTIER = LatticeWindow(-40, -30, -40, -30)
 
 
 def _window(w: LatticeWindow) -> np.ndarray:
@@ -281,6 +285,9 @@ def write(out: str) -> None:
         for x in EDGE_GAMMA_XS:
             record(f"base={base}:qgamma({x})", lambda: qgamma(x, QParams(q=base, alpha=0.0)),
                    _scalar)
+    f = random_even_bump(QParams(q=0.5, alpha=0.0), LatticeWindow(*SUPPORTS["7x7"]), 7, pad=1)
+    record("q=half:alpha=0.0:readme_bump:forward_past_frontier",
+           lambda: forward(f, lambda_window=PAST_FRONTIER), _transform)
     np.savez(out, **entries)
     print(f"wrote {len(entries)} entries to {out} in {time.perf_counter() - start:.1f} s")
 
