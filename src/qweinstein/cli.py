@@ -142,11 +142,15 @@ class JobConfig:
 # grid-function files
 # ---------------------------------------------------------------------------
 
-def write_gridfunction(f: GridFunction, path: str, fmt: str = "csv"):
-    """Sparse on-disk form: only nonzero points, absent points are zero."""
+def _check_out_name(path: str, fmt: str) -> None:
     if (fmt == "json") != path.endswith(".json"):   # read_gridfunction goes by the name
         raise FileFormatError(f"{path}: format {fmt!r} disagrees with the file name; names "
                               "ending in .json are read as JSON, all others as CSV")
+
+
+def write_gridfunction(f: GridFunction, path: str, fmt: str = "csv"):
+    """Sparse on-disk form: only nonzero points, absent points are zero."""
+    _check_out_name(path, fmt)
     w = f.window
     s_idx, i1, i2 = np.nonzero(f.samples)   # C order: sign, then n1, then n2
     v = f.samples[s_idx, i1, i2]
@@ -391,6 +395,8 @@ def _cmd_transform(args, cfg: JobConfig) -> int:
 
 
 def _cmd_bandwidth(args, cfg: JobConfig) -> int:
+    if args.out is not None:
+        _check_out_name(args.out, cfg.fmt)
     rep = bandwidth_estimate(read_gridfunction(args.input), cfg.N)
     print(f"estimate={rep.estimate:.8g}")
     print(f"oracle_radius={rep.oracle_radius:.8g}")

@@ -72,8 +72,8 @@ def _nonzero_box(f: GridFunction) -> GridFunction:
 
 def norm_growth_sequence(f: GridFunction, N: int) -> list[float]:
     """b_n = || ||x||^(2n) f ||_2^(1/2n) for n = 1..N, in log space."""
-    if N < 1:
-        raise QDomainError("norm_growth_sequence needs N >= 1")
+    if not isinstance(N, (int, np.integer)) or N < 1:
+        raise QDomainError(f"norm_growth_sequence needs N >= 1, an integer, got {N!r}")
     absf, logw = np.abs(f.samples), log_mu_weights(f)
     logr2 = np.log(norm_sq_lambda(f.window, f.params))
     return [math.exp(_log_power_sum(absf, logw + 2.0 * n * logr2, 2.0) / (4.0 * n))
@@ -86,25 +86,16 @@ def norm_growth_sequence(f: GridFunction, N: int) -> list[float]:
 
 @dataclass
 class _IterateState:
-    """Step n of the engine.  The core fraction and both routes' norms are
-    computed from this step's own arrays when a consumer reads them."""
+    """Step n of the engine.  The step computes its core fraction with its masses;
+    both routes' log-norms are computed from its arrays when a consumer reads them."""
 
     n: int
     values: np.ndarray        # hybrid literal iterate, at common scale
     abs_values: np.ndarray    # |values|
     log_scale: float          # log of the accumulated scale factor
-    mass: np.ndarray          # |values|^2 mu
-    tot: float                # sum of mass
-    core: tuple[int, int]     # the core's extent (c1, c2)
+    core_fraction: float      # share of the mass |values|^2 mu on the core
     eta: np.ndarray           # the scaled preimage iterate
     eng: TransformSideIterates
-
-    @property
-    def core_fraction(self) -> float:
-        c1, c2 = self.core
-        if not self.tot > 0:
-            return 0.0
-        return float(self.mass[:, :c1, :c2].ravel().sum()) / self.tot   # one flat sum
 
     @property
     def log_norm_sq_literal(self) -> float:
@@ -133,41 +124,37 @@ class TransformSideIterates:
         f_hat = self.f_hat = _nonzero_box(f_hat)
         self.N = N
         self.params = f_hat.params
-        q = self.params.q
-        self._L = math.log(1.0 / q)
-        r = self._radius = support_radius(f_hat)
-        self._m_r = math.log(r) / self._L if r > 0 else 0.0
-        self._stencil_const = 16.0 / (1.0 - q) ** 2
-        self._log_amp_budget = math.log(1e-9 / 2.2e-16)   # junk budget over rounding
+        self._radius = support_radius(f_hat)
         w = auto_lambda_window(f_hat)
         self.window = LatticeWindow(w.n1_min - 2, w.n1_max + 4, w.n2_min - 2, w.n2_max + 4)
         self._logw_lam = np.broadcast_to(log_mu_table(self.window, self.params), self.window.shape)
-        grid = GridFunction.zeros(self.params, self.window)
-        self._x1, self._x2 = grid.x1_values(), grid.x2_values()
         self._logw_x = log_mu_weights(f_hat)
         self._r2_x = norm_sq_lambda(f_hat.window, self.params)
 
     def _core_cutoff(self, n):
-        """The core's cutoff exponent at step n, or at each step of an array of them."""
-        slack = (self._log_amp_budget / n - math.log(self._stencil_const)) / (2.0 * self._L)
-        return self._m_r + slack
+        """The core's cutoff exponent at step n, or at each step of an array of them: the
+        shells m whose rounding (2.2e-16), scaled per step by 16/(1-q)^2 q^(2(m_r - m)) over
+        the iterate's growth r^2 = q^(-2 m_r), r the radius, stays within 1e-9 after n steps."""
+        q, r = self.params.q, self._radius
+        L = math.log(1.0 / q)
+        m_r = math.log(r) / L if r > 0 else 0.0
+        return m_r + (math.log(1e-9 / 2.2e-16) / n - math.log(16.0 / (1.0 - q) ** 2)) / (2.0 * L)
 
     def run(self):
-        """Per step n = 1..N, the engine's state: eta_n = (-r^2)^n f_hat over s_1 ... s_n, where
-        the scale s_n keeps max|eta_n| = 1 (1 where eta_n = 0), the log of s_1 ... s_n, and the
-        direct values of eta_n's transform, with the stencil's on the core: the box of shells
-        m1, m2 <= cutoff at the window's low corner.  One step at a time, so a run holds one
-        scaled preimage.  A subnormal s_n raises DivergenceError: dividing by it overflows."""
-        params = self.params
-        kernel = _kernel_matrices(self.f_hat.window, self.window, params)
-        w_lin = mu_table(self.window, params)
+        """Per step n = 1..N, the state: eta_n = (-r^2)^n f_hat / (s_1 ... s_n), s_n keeping
+        max|eta_n| = 1 (1 where eta_n = 0), the log of s_1 ... s_n, and eta_n's transform, direct
+        but the stencil's on the core: the box of shells m1, m2 <= cutoff at the window's low
+        corner.  Each step computes its core and masses from its own inputs, so a run holds one
+        scaled preimage and no per-step table.  A subnormal s_n raises DivergenceError."""
+        params, win = self.params, self.window
+        kernel = _kernel_matrices(self.f_hat.window, win, params)
+        w_lin = mu_table(win, params)
+        grid = GridFunction.zeros(params, win)
+        x1, x2 = grid.x1_values(), grid.x2_values()
         neg_r2 = -self._r2_x
         eta, log_scale = self.f_hat.samples, 0.0
         G_prev = _contract(kernel, eta, conj=False)
-        cut = self._core_cutoff(np.arange(1, self.N + 1))
-        c1s, c2s = (np.searchsorted(m, cut, side="right").tolist()
-                    for m in (self.window.n1_exponents(), self.window.n2_exponents()))
-        for n, c1, c2 in zip(range(1, self.N + 1), c1s, c2s):
+        for n in range(1, self.N + 1):
             eta = eta * neg_r2
             s = float(np.abs(eta).max()) or 1.0
             if s < sys.float_info.min:
@@ -176,10 +163,14 @@ class TransformSideIterates:
                     "transform has lost precision at this amplitude; scale the input up")
             eta /= s
             log_scale += math.log(s)
+            # the core's extent: the window's exponents are consecutive integers
+            cut = math.floor(self._core_cutoff(n))
+            c1 = min(max(cut - win.n1_min + 1, 0), win.shape[1])
+            c2 = min(max(cut - win.n2_min + 1, 0), win.shape[2])
             # direct values, with the stencil's on the core
             G_lit = _contract(kernel, eta, conj=False)
             if c1 and c2:
-                np.divide(_weinstein_array(G_prev, params, self._x1, self._x2, c1, c2), s,
+                np.divide(_weinstein_array(G_prev, params, x1, x2, c1, c2), s,
                           out=G_lit[:, :c1, :c2])
             # one |G_lit| for the masses and the literal log-norm
             absv = np.abs(G_lit)
@@ -188,8 +179,9 @@ class TransformSideIterates:
             tot = float(mass.sum())
             if not math.isfinite(tot):
                 raise QDomainError(f"the literal iterate at n={n} is not finite (NaN/Inf)")
+            core = float(mass[:, :c1, :c2].ravel().sum()) / tot if tot > 0 else 0.0
             yield _IterateState(n=n, values=G_lit, abs_values=absv, log_scale=log_scale,
-                                mass=mass, tot=tot, core=(c1, c2), eta=eta, eng=self)
+                                core_fraction=core, eta=eta, eng=self)
             G_prev = G_lit
 
 
@@ -268,8 +260,8 @@ def bandwidth_estimate(F: GridFunction, N: int, *,
     parameters; without it the preimage is reconstructed by _preimage, which
     needs q's alignment residual to be 0.
     """
-    if N < 1:
-        raise QDomainError("bandwidth_estimate needs N >= 1")
+    if not isinstance(N, (int, np.integer)) or N < 1:
+        raise QDomainError(f"bandwidth_estimate needs N >= 1, an integer, got {N!r}")
     if float(np.max(np.abs(F.samples))) == 0.0:
         return BandwidthReport(a_seq=[0.0] * N, a_seq_literal=[0.0] * N, estimate=0.0,
                                oracle_radius=0.0, n_used=N, route_max_rel_dev=0.0,
@@ -314,8 +306,9 @@ class PWmParams:
     N: int
 
     def __post_init__(self):
-        if self.m < 0 or self.N < self.m:
-            raise QDomainError("PWmParams needs 0 <= m <= N")
+        if not (isinstance(self.m, (int, np.integer)) and isinstance(self.N, (int, np.integer))
+                and 0 <= self.m <= self.N):
+            raise QDomainError(f"PWmParams needs 0 <= m <= N, both integers, got {self}")
         if not self.a > 0:
             raise QDomainError("PWmParams needs a > 0")
 
@@ -464,8 +457,8 @@ def weinstein_sup_bound_check(f: GridFunction, k: int) -> tuple[float, float, di
     ||B^m g||_inf <= [2a+2]_q^m ||d_y^2m g||_inf: the Bessel part is a
     convex dilation average of second differences, a sup-norm contraction.
     """
-    if k < 0:
-        raise QDomainError("weinstein_sup_bound_check needs k >= 0")
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise QDomainError(f"weinstein_sup_bound_check needs k >= 0, an integer, got {k!r}")
     fpad = embed_zeros(f, 2 * k + 2, 2 * k + 2)
     wk = weinstein_op(fpad, k)
     lhs = float(np.max(np.abs(wk.samples)))

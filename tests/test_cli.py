@@ -1087,6 +1087,11 @@ def test_format_that_disagrees_with_the_out_suffix_exit_1(tmp_path, capsys, fmt,
     assert not out.exists()
     assert main(["--format", fmt, "gen", "--support=0,1,0,1", "--out", str(out)]) == 1
     assert not out.exists()
+    capsys.readouterr()
+    assert main(["--format", fmt, "bandwidth", "--input", str(src), "--N", "5",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("q", [0.5, math.nextafter(0.5, 1.0), aligned_q(2), aligned_q(10), 0.7])

@@ -68,12 +68,20 @@ GUARDS = [
     # paleywiener
     ("growth-N", lambda t: qw.norm_growth_sequence(_bump(), 0), QDomainError,
      "norm_growth_sequence needs N >= 1"),
+    ("growth-N-integer", lambda t: qw.norm_growth_sequence(_bump(), 2.5), QDomainError,
+     "norm_growth_sequence needs N >= 1, an integer, got 2.5"),
     ("iterates-parity", lambda t: qw.bandwidth_estimate(_bump(), 2, f_hat=_bump("odd")),
      QDomainError, "iterates need an even preimage"),
     ("bandwidth-N", lambda t: qw.bandwidth_estimate(_bump(), 0), QDomainError,
      "bandwidth_estimate needs N >= 1"),
+    ("bandwidth-N-integer", lambda t: qw.bandwidth_estimate(_bump(), 2.5, f_hat=_bump()),
+     QDomainError, "bandwidth_estimate needs N >= 1, an integer, got 2.5"),
     ("pwm-order", lambda t: PWmParams(m=2, a=1.0, N=1), QDomainError,
      "PWmParams needs 0 <= m <= N"),
+    ("pwm-m-integer", lambda t: PWmParams(m=2.5, a=1.0, N=3), QDomainError,
+     "PWmParams needs 0 <= m <= N, both integers, got PWmParams(m=2.5, a=1.0, N=3)"),
+    ("pwm-N-integer", lambda t: PWmParams(m=2, a=1.0, N=10.5), QDomainError,
+     "PWmParams needs 0 <= m <= N, both integers, got PWmParams(m=2, a=1.0, N=10.5)"),
     ("pwm-a", lambda t: PWmParams(m=0, a=0.0, N=1), QDomainError, "PWmParams needs a > 0"),
     ("pwm-a-nan", lambda t: PWmParams(m=1, a=math.nan, N=3), QDomainError,
      "PWmParams needs a > 0"),
@@ -89,6 +97,8 @@ GUARDS = [
      "need i, j <= p"),
     ("sup-bound-k", lambda t: qw.weinstein_sup_bound_check(_bump(), -1), QDomainError,
      "weinstein_sup_bound_check needs k >= 0"),
+    ("sup-bound-k-integer", lambda t: qw.weinstein_sup_bound_check(_bump(), 1.5), QDomainError,
+     "weinstein_sup_bound_check needs k >= 0, an integer, got 1.5"),
     # qcore
     ("point-sign", lambda t: LatticePoint(0, 1), QDomainError, "sign must be +1 or -1, got 0"),
     ("qshifted-n", lambda t: qw.qshifted(0.5, -1, P), QDomainError,

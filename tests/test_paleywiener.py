@@ -308,6 +308,15 @@ def test_run_peak_memory_does_not_grow_with_N():
         finally:
             tracemalloc.stop()
     assert peaks[200] <= 1.1 * peaks[8]
+    # nor does the first step of a run of 10**6 steps: no table of N entries
+    run = TransformSideIterates(f, 10**6).run()
+    tracemalloc.start()
+    try:
+        next(run)
+        first = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first <= 2e6
 
 
 def test_bandwidth_core_last_n_marks_where_the_core_empties():
