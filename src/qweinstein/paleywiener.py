@@ -45,20 +45,13 @@ from .transform import (
 # support and norm growth
 # ---------------------------------------------------------------------------
 
-def _support_mask(f: GridFunction) -> np.ndarray:
-    """Samples with |f(x)| > 1e-12 * max|f|, separating exact lattice zeros
-    from rounding residue."""
-    absf = np.abs(f.samples)
-    return absf > 1e-12 * float(np.max(absf))
-
-
 def support_radius(f: GridFunction) -> float:
-    """Max of ||x|| over the support of f (see _support_mask); 0 if it is empty."""
-    mask = _support_mask(f)
-    if not np.any(mask):
+    """Max of ||x|| over the support of f, its nonzero samples; 0 if it is empty."""
+    nz = f.samples != 0.0
+    if not np.any(nz):
         return 0.0
     rad2 = np.broadcast_to(norm_sq_lambda(f.window, f.params), f.samples.shape)
-    return float(np.sqrt(np.max(rad2[mask])))
+    return float(np.sqrt(np.max(rad2[nz])))
 
 
 def _nonzero_box(f: GridFunction) -> GridFunction:
@@ -211,7 +204,7 @@ def _fit_limit(a_seq: list[float]) -> float:
     lo = max(0, n_tot - max(2, n_tot // 2))
     pts = [(1.0 / (i + 1), math.log(a)) for i, a in enumerate(a_seq) if i >= lo and a > 0]
     if len(pts) < 2:
-        return a_seq[-1] if a_seq else 0.0
+        return a_seq[-1]
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
     A = np.stack([np.ones_like(xs), xs], axis=1)
@@ -221,7 +214,8 @@ def _fit_limit(a_seq: list[float]) -> float:
 
 def _preimage(F: GridFunction, f_hat: GridFunction | None) -> GridFunction:
     """f_hat, which must be on F's parameters; with None, the inverse transform
-    of F on its automatic window, with samples below 1e-8 of the peak zeroed.
+    of F on its automatic window, with samples below 1e-8 of the peak zeroed:
+    the one cut between residue and support, which is then the nonzero samples.
 
     The moments ||t||^(2n) amplify any reconstruction residue at large
     radius without bound, so the support must be thresholded before
@@ -231,14 +225,15 @@ def _preimage(F: GridFunction, f_hat: GridFunction | None) -> GridFunction:
     q's lattice-alignment residual is exactly 0.  Elsewhere, even at a
     double-rounded aligned root, thousands of residue samples stay above
     the threshold (up to the peak's size at generic q), no threshold
-    separates them from the support, and DivergenceError is raised.
+    separates them from the support, and DivergenceError is raised.  A zero F
+    is reconstructed at every q: the inverse of exact zeros is exact zeros.
     """
     if f_hat is not None:
         if f_hat.params != F.params:
             raise QDomainError(f"the preimage f_hat is on {f_hat.params}, "
                                f"but the transform F on {F.params}")
         return f_hat
-    if alignment_regime(F.params.q) != "aligned":
+    if F.samples.any() and alignment_regime(F.params.q) != "aligned":
         raise DivergenceError(
             f"cannot reconstruct the preimage at q={F.params.q!r}: its lattice-alignment residual "
             f"{lattice_alignment(F.params.q)[0]:.2e} is not 0, so the inverse leaves residue "
@@ -256,16 +251,13 @@ def bandwidth_estimate(F: GridFunction, N: int, *,
     spectral route, extrapolates the limit by fitting log a_n against 1/n,
     and compares with the directly measured support radius of the inverse
     transform.  The numerics confirm the sup||x|| normalization of the
-    limit (not sup||x||^2); both are reported.  f_hat must be on F's
-    parameters; without it the preimage is reconstructed by _preimage, which
-    needs q's alignment residual to be 0.
+    limit (not sup||x||^2); both are reported.  The support is the preimage's
+    nonzero samples; an empty one (a zero F) reads estimate 0.  f_hat must be
+    on F's parameters; without it the preimage is reconstructed by _preimage,
+    which needs q's alignment residual to be 0 unless F is zero.
     """
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise QDomainError(f"bandwidth_estimate needs N >= 1, an integer, got {N!r}")
-    if float(np.max(np.abs(F.samples))) == 0.0:
-        return BandwidthReport(a_seq=[0.0] * N, a_seq_literal=[0.0] * N, estimate=0.0,
-                               oracle_radius=0.0, n_used=N, route_max_rel_dev=0.0,
-                               exponent_normalization="sup||x|| (trivial)")
     f_hat = _preimage(F, f_hat)
 
     eng = TransformSideIterates(f_hat, N)
@@ -334,8 +326,6 @@ def pw_m_sup(F: GridFunction, p: PWmParams, *,
     alpha = F.params.alpha
     if not (p.m > alpha + 1.5):
         raise QDomainError(f"pw_m_sup needs m > alpha + 3/2, got m={p.m}, alpha={alpha}")
-    if float(np.max(np.abs(F.samples))) == 0.0:
-        return 0.0, [0.0] * (p.N - p.m + 1)
     f_hat = _preimage(F, f_hat)
     eng = TransformSideIterates(f_hat, p.N)
     log_1px2 = np.log1p(norm_sq_lambda(eng.window, F.params))
@@ -349,7 +339,7 @@ def pw_m_sup(F: GridFunction, p: PWmParams, *,
             logs = (np.log(st.abs_values) + st.log_scale - 2.0 * n * log_a
                     + log_B_nm(n, p.m, F.params) + p.m * log_1px2)
         per_n.append(math.exp(min(float(np.max(logs)), 700.0)))
-    return (max(per_n) if per_n else 0.0), per_n
+    return max(per_n), per_n
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +347,10 @@ def pw_m_sup(F: GridFunction, p: PWmParams, *,
 # ---------------------------------------------------------------------------
 
 def _support_extent(f: GridFunction):
-    """((sup|x1|, inf|x1|), (sup|x2|, inf|x2|)) over the support of f."""
-    mask = _support_mask(f)
-    if not np.any(mask):
-        return (0.0, 0.0), (0.0, 0.0)
-    _, (s1, s2) = edge_cut(f.window, mask, 0, 1)
-    r1, r2 = f.x1_values()[0][s1], f.x2_values()[s2]   # q^n falls as n grows
+    """((sup|x1|, inf|x1|), (sup|x2|, inf|x2|)) over the box of f's nonzero samples
+    (_nonzero_box); for an all-zero f, the window's, which the bounds multiply by max|f| = 0."""
+    box = _nonzero_box(f)
+    r1, r2 = box.x1_values()[0], box.x2_values()   # q^n falls as n grows
     return (float(r1[0]), float(r1[-1])), (float(r2[0]), float(r2[-1]))
 
 
@@ -412,8 +400,10 @@ def monomial_derivative_bound_check(f: GridFunction, n1: int, n2: int, p1: int, 
     the product of the two _dilation_bound sums: lhs <= rhs is a theorem.
     detail holds the derivative's support radius and its bound, f's over q^p.
     """
-    if not (p1 <= p < n1 and p2 <= p < n2):
-        raise QDomainError("need p1 <= p < n1 and p2 <= p < n2")
+    if not (all(isinstance(x, (int, np.integer)) for x in (n1, n2, p1, p2, p))
+            and p1 <= p < n1 and p2 <= p < n2):
+        raise QDomainError(f"need p1 <= p < n1 and p2 <= p < n2, all integers, got n1={n1!r}, "
+                           f"n2={n2!r}, p1={p1!r}, p2={p2!r}, p={p!r}")
     q = f.params.q
     g = f.with_samples(f.samples * lattice_monomial(f, n1, n2))
     d = dq_mixed(embed_zeros(g, p1 + 2, p2 + 2), (p1, p2))
@@ -436,8 +426,9 @@ def radial_power_bound_check(f: GridFunction, n: int, i: int, j: int,
     by the derivatives need the inner support radii of the bump to stay
     bounded, so those enter the constant.
     """
-    if not (i <= p and j <= p):
-        raise QDomainError("need i, j <= p")
+    if not (all(isinstance(x, (int, np.integer)) for x in (n, i, j, p)) and i <= p and j <= p):
+        raise QDomainError(f"need i, j <= p, and n, i, j, p integers, got n={n!r}, i={i!r}, "
+                           f"j={j!r}, p={p!r}")
     q = f.params.q
     g = f.with_samples(f.samples * norm_sq_lambda(f.window, f.params) ** n)
     d = dq_mixed(embed_zeros(g, 2 * i + 2, 2 * j + 2), (2 * i, 2 * j))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -79,7 +80,7 @@ def qshifted(x: complex, n, params: QParams) -> complex:
             prod = prod * (1.0 - term)
             term = term * q
         return prod
-    if not isinstance(n, (int,)) or n < 0:
+    if not isinstance(n, numbers.Integral) or n < 0:
         raise QDomainError(f"n must be a natural number or inf, got {n!r}")
     prod = 1.0 + 0.0j if isinstance(x, complex) else 1.0
     for k in range(n):
@@ -95,8 +96,8 @@ def qbracket(x: float, params: QParams) -> float:
 
 def qfactorial(n: int, params: QParams) -> float:
     """[n]_q! = (q; q)_n / (1 - q)^n, computed as a running product of brackets."""
-    if n < 0:
-        raise QDomainError(f"qfactorial needs n >= 0, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise QDomainError(f"qfactorial needs n >= 0, got {n!r}; n must be an integer")
     out = 1.0
     for k in range(1, n + 1):
         out *= qbracket(k, params)
@@ -173,8 +174,8 @@ def aligned_q(j: int) -> float:
     These are the deformation parameters where the lattice kernel
     families decay superexponentially; j = 1 gives exactly 1/2.
     """
-    if j < 1:
-        raise QDomainError("aligned_q needs j >= 1")
+    if not isinstance(j, numbers.Integral) or j < 1:
+        raise QDomainError(f"aligned_q needs j >= 1, an integer, got {j!r}")
     if j == 1:
         return 0.5
     x = 1.0 - 1.0 / (j + 1)

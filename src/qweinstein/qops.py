@@ -223,8 +223,8 @@ def dq_partial(f: GridFunction, var: int) -> GridFunction:
 def dq_mixed(f: GridFunction, beta: tuple[int, int]) -> GridFunction:
     """D_q^beta = (d/d x1)^beta1 (d/d x2)^beta2, applied to the samples; (0, 0) returns f."""
     b1, b2 = beta
-    if b1 < 0 or b2 < 0:
-        raise QDomainError("derivative orders must be >= 0")
+    if not all(isinstance(b, (int, np.integer)) for b in beta) or b1 < 0 or b2 < 0:
+        raise QDomainError(f"derivative orders must be >= 0, integers, got {beta!r}")
     g = _derivative(f, beta) if b1 or b2 else f
     g.window.untainted_slices()   # raises TaintError if nothing survives
     return g
@@ -254,8 +254,8 @@ def bessel_op(f: GridFunction) -> GridFunction:
 
 def weinstein_op(f: GridFunction, n: int = 1) -> GridFunction:
     """n-fold q-Weinstein operator: (d^2/dx1^2 + Bessel_y)^n, n = 0 is identity."""
-    if n < 0:
-        raise QDomainError("weinstein_op needs n >= 0")
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise QDomainError(f"weinstein_op needs n >= 0, an integer, got {n!r}")
     if f.parity_y != EVEN:
         raise QDomainError("weinstein_op requires even parity")
     samples, window = f.samples, f.window

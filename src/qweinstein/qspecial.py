@@ -247,8 +247,8 @@ def sonine_weight(p: int, t: float | np.ndarray, params: QParams) -> float | np.
     t^(2*alpha+1) d_q t.  t may be an array, evaluated elementwise with the
     constant computed once; a scalar t gives a float.
     """
-    if p < 1:
-        raise QDomainError(f"sonine_weight needs p >= 1, got {p}")
+    if not isinstance(p, (int, np.integer)) or p < 1:
+        raise QDomainError(f"sonine_weight needs p >= 1, an integer, got {p!r}")
     t = np.asarray(t, dtype=float)
     if not np.all((0.0 <= t) & (t <= 1.0)):
         raise QDomainError(f"sonine_weight needs t in [0, 1], got {t}")

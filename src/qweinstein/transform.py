@@ -287,8 +287,9 @@ def embed_zeros(f: GridFunction, pad1: int, pad2: int) -> GridFunction:
     Valid (taint-free) only when f really vanishes outside its window;
     callers assert compact support.
     """
-    if pad1 < 0 or pad2 < 0:
-        raise QDomainError(f"embed_zeros needs pads >= 0, got pad1={pad1}, pad2={pad2}")
+    if not all(isinstance(x, (int, np.integer)) for x in (pad1, pad2)) or pad1 < 0 or pad2 < 0:
+        raise QDomainError(f"embed_zeros needs pads >= 0, got pad1={pad1!r}, pad2={pad2!r}; "
+                           "pads must be integers")
     w = f.window
     nw = LatticeWindow(w.n1_min - pad1, w.n1_max + pad1, w.n2_min - pad2, w.n2_max + pad2,
                        w.taint_x, w.taint_y)

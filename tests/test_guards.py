@@ -17,6 +17,7 @@ from qweinstein import (DivergenceError, GridFunction, LatticeWindow, PWmParams,
 from qweinstein.cli import (FileFormatError, JobConfig, random_even_bump, read_gridfunction,
                             write_gridfunction)
 from qweinstein.qcore import LatticePoint, aligned_q
+from qweinstein.qspecial import sonine_weight
 
 P = QParams(q=0.5, alpha=0.0)
 W = LatticeWindow(-1, 1, -1, 1)
@@ -95,6 +96,13 @@ GUARDS = [
      "but the transform F on QParams(q=0.5, alpha=0.0)"),
     ("radial-order", lambda t: qw.radial_power_bound_check(_bump(), 3, 2, 1, 1), QDomainError,
      "need i, j <= p"),
+    ("radial-degree-integer", lambda t: qw.radial_power_bound_check(_bump(), 2.5, 1, 1, 1),
+     QDomainError, "need i, j <= p, and n, i, j, p integers, got n=2.5, i=1, j=1, p=1"),
+    ("radial-order-integer", lambda t: qw.radial_power_bound_check(_bump(), 2, 1.5, 1, 2),
+     QDomainError, "got n=2, i=1.5, j=1, p=2"),
+    ("monomial-integer", lambda t: qw.monomial_derivative_bound_check(_bump(), 3.5, 3, 1, 1, 2),
+     QDomainError, "need p1 <= p < n1 and p2 <= p < n2, all integers, got n1=3.5, n2=3, p1=1, "
+     "p2=1, p=2"),
     ("sup-bound-k", lambda t: qw.weinstein_sup_bound_check(_bump(), -1), QDomainError,
      "weinstein_sup_bound_check needs k >= 0"),
     ("sup-bound-k-integer", lambda t: qw.weinstein_sup_bound_check(_bump(), 1.5), QDomainError,
@@ -107,7 +115,11 @@ GUARDS = [
      "n must be a natural number or inf, got None"),
     ("qfactorial-n", lambda t: qw.qfactorial(-1, P), QDomainError,
      "qfactorial needs n >= 0, got -1"),
+    ("qfactorial-n-integer", lambda t: qw.qfactorial(2.5, P), QDomainError,
+     "qfactorial needs n >= 0, got 2.5; n must be an integer"),
     ("aligned-j", lambda t: aligned_q(0), QDomainError, "aligned_q needs j >= 1"),
+    ("aligned-j-integer", lambda t: aligned_q(2.5), QDomainError,
+     "aligned_q needs j >= 1, an integer, got 2.5"),
     # qops
     ("taint", lambda t: LatticeWindow(0, 0, 0, 0, taint_x=-1), QDomainError,
      "taint layers must be >= 0"),
@@ -119,13 +131,19 @@ GUARDS = [
      "var must be 1 or 2, got 3"),
     ("mixed-order", lambda t: qw.dq_mixed(_bump(), (-1, 0)), QDomainError,
      "derivative orders must be >= 0"),
+    ("mixed-order-integer", lambda t: qw.dq_mixed(_bump(), (1.5, 0)), QDomainError,
+     "derivative orders must be >= 0, integers, got (1.5, 0)"),
     ("weinstein-n", lambda t: qw.weinstein_op(_bump(), -1), QDomainError,
      "weinstein_op needs n >= 0"),
+    ("weinstein-n-integer", lambda t: qw.weinstein_op(_bump(), 1.5), QDomainError,
+     "weinstein_op needs n >= 0, an integer, got 1.5"),
     ("weinstein-parity", lambda t: qw.weinstein_op(_bump("odd")), QDomainError,
      "weinstein_op requires even parity"),
     # qspecial
     ("bessel-alpha", lambda t: qw.bessel_j(-1.0, 1.0, P), QDomainError,
      "bessel_j needs alpha >= -1/2, got -1.0"),
+    ("sonine-p-integer", lambda t: sonine_weight(1.5, 0.5, P), QDomainError,
+     "sonine_weight needs p >= 1, an integer, got 1.5"),
     # near q = 1 the terms overflow before the peak that the tail test waits for
     ("bessel-terms", lambda t: qw.bessel_j(0.0, 1e3, QParams(q=0.9999, alpha=0.0)),
      ArithmeticError, "bessel_j series failed to terminate"),
@@ -161,6 +179,10 @@ GUARDS = [
      "got g on QParams(q=0.5, alpha=0.0) with parity odd"),
     ("embed-pad", lambda t: qw.embed_zeros(_bump(), -1, 0), QDomainError,
      "embed_zeros needs pads >= 0, got pad1=-1, pad2=0"),
+    ("embed-pad-integer", lambda t: qw.embed_zeros(_bump(), 1.5, 0), QDomainError,
+     "embed_zeros needs pads >= 0, got pad1=1.5, pad2=0; pads must be integers"),
+    ("bump-pad-integer", lambda t: random_even_bump(P, W, 1, pad=1.5), QDomainError,
+     "got pad1=1.5, pad2=1.5; pads must be integers"),
     ("ortho-sign", lambda t: qw.orthogonality_check((1, 1, 0), (0, 1, 0), P), QDomainError,
      "orthogonality_check needs lattice points (sign +-1, integer n1, integer n2), "
      "got (0, 1, 0)"),
@@ -191,6 +213,19 @@ def test_zero_preimage_has_empty_support_and_zero_sups():
     assert (rep.estimate, rep.a_seq, rep.exponent_normalization) == (
         0.0, [0.0, 0.0], "sup||x|| (empty support)")
     assert qw.pw_m_sup(F, PWmParams(m=2, a=1.0, N=3), f_hat=zero) == (0.0, [0.0, 0.0])
+
+
+def test_zero_function_bound_checks_read_zero():
+    # an all-zero f has an empty support: each bound is max|f| = 0 times a finite sum
+    zero = GridFunction.zeros(P, W)
+    for lhs, rhs, _ in (qw.radial_power_bound_check(zero, 1, 1, 0, 1),
+                        qw.radial_power_bound_check(zero, 3, 1, 1, 1),
+                        qw.monomial_derivative_bound_check(zero, 3, 3, 1, 1, 2)):
+        assert (lhs, rhs) == (0.0, 0.0)
+
+
+def test_qshifted_takes_a_numpy_integer():
+    assert qw.qshifted(0.5, np.int64(3), P) == qw.qshifted(0.5, 3, P)
 
 
 def test_fit_at_one_point_is_that_point():

@@ -110,8 +110,9 @@ def test_norm_growth_is_the_bandwidth_spectral_route(q, alpha):
 # bandwidth estimation
 # ---------------------------------------------------------------------------
 
-def test_bandwidth_zero_function():
-    p = QParams(q=0.5, alpha=0.5)
+@pytest.mark.parametrize("q", [0.5, 0.7])   # 0.7: a zero F needs no aligned q
+def test_bandwidth_zero_function(q):
+    p = QParams(q=q, alpha=0.5)
     F = GridFunction.zeros(p, LatticeWindow(-4, 8, -4, 8))
     rep = bandwidth_estimate(F, 10)
     assert rep.estimate == 0.0
@@ -347,8 +348,9 @@ def test_pw_m_requires_large_m():
         pw_m_sup(F, PWmParams(m=1, a=1.0, N=5))
 
 
-def test_pw_m_zero_function():
-    p = QParams(q=0.5, alpha=0.5)
+@pytest.mark.parametrize("q", [0.5, 0.7])
+def test_pw_m_zero_function(q):
+    p = QParams(q=q, alpha=0.5)
     F = GridFunction.zeros(p, LatticeWindow(-4, 8, -4, 8))
     sup, per_n = pw_m_sup(F, PWmParams(m=3, a=2.0, N=6))
     assert sup == 0.0

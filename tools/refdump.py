@@ -37,7 +37,10 @@ q in {0.95, 0.99, 0.999} (the suite's arguments), ``orthogonality_check`` at
 alpha in {15, 30} (q = 1/2, the ``verify --suite orthogonality`` point
 pairs), ``qgamma`` at base q in {0.998, 0.9999} for x in {0.5, 1.5, 2}, and
 ``forward`` of the README bump (q = 1/2, seed 7, pad 1) onto a window past the
-kernel frontier, which holds none of the transform (zero samples, infinite tail).  A
+kernel frontier, which holds none of the transform (zero samples, infinite tail).  At
+q in {1/2, 0.7} it saves the zero path: ``bandwidth_estimate`` (N = 12) and
+``pw_m_sup`` of an all-zero transform, whose preimage is reconstructed, and the three
+derivative bound checks on an all-zero f.  A
 call that raises is saved as its exception's type and message.  Only the
 public API is used.
 
@@ -67,7 +70,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qweinstein import (Kernel, LatticeWindow, PWmParams, QParams,  # noqa: E402
+from qweinstein import (GridFunction, Kernel, LatticeWindow, PWmParams, QParams,  # noqa: E402
                         auto_lambda_window, bandwidth_estimate, forward, identity_suite,
                         integrate_mu, inverse, monomial_derivative_bound_check, normalization_K,
                         orthogonality_check, pw_m_sup, qgamma, radial_power_bound_check,
@@ -116,6 +119,10 @@ EDGE_ORTHO_ALPHAS = (15.0, 30.0)
 EDGE_GAMMA_BASES, EDGE_GAMMA_XS = (0.998, 0.9999), (0.5, 1.5, 2.0)
 # and a window past the kernel frontier at q = 1/2
 PAST_FRONTIER = LatticeWindow(-40, -30, -40, -30)
+# the zero path: an all-zero function on the 7x7 support with pad 1, at an aligned
+# and a misaligned q
+ZERO_QS = ("half", "0.7")
+ZERO_WINDOW = LatticeWindow(-3, 5, -3, 5)
 
 
 def _window(w: LatticeWindow) -> np.ndarray:
@@ -288,6 +295,13 @@ def write(out: str) -> None:
     f = random_even_bump(QParams(q=0.5, alpha=0.0), LatticeWindow(*SUPPORTS["7x7"]), 7, pad=1)
     record("q=half:alpha=0.0:readme_bump:forward_past_frontier",
            lambda: forward(f, lambda_window=PAST_FRONTIER), _transform)
+    for qname in ZERO_QS:
+        name = f"q={qname}:alpha=0.0:zero"
+        z = GridFunction.zeros(QParams(q=QS[qname], alpha=0.0), ZERO_WINDOW)
+        record(f"{name}:bandwidth", lambda: bandwidth_estimate(z, BANDWIDTH_N), _bandwidth)
+        record(f"{name}:pw_m_sup", lambda: pw_m_sup(z, PWmParams(m=2, a=2.0, N=6)), _pw_m)
+        for bname, (check, keys) in BOUNDS.items():
+            record(f"{name}:{bname}_bound", lambda: check(z), _bound(keys))
     np.savez(out, **entries)
     print(f"wrote {len(entries)} entries to {out} in {time.perf_counter() - start:.1f} s")
 
