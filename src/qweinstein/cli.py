@@ -485,7 +485,7 @@ def _suite_bounds(cfg: JobConfig) -> list[tuple[str, float, float]]:
                 ("monomial-bound", monomial_derivative_bound_check(f, 3, 3, 1, 1, 2)),
                 ("radial-bound", radial_power_bound_check(f, 3, 1, 1, 1)),
                 ("weinstein-sup-bound", weinstein_sup_bound_check(f, 2))):
-            out.append((f"{name}[seed={cfg.seed + i}]", lhs / rhs if rhs > 0 else 0.0, 1.0))
+            out.append((f"{name}[seed={cfg.seed + i}]", lhs / rhs, 1.0))
     return out
 
 

@@ -46,12 +46,10 @@ from .transform import (
 # ---------------------------------------------------------------------------
 
 def support_radius(f: GridFunction) -> float:
-    """Max of ||x|| over the support of f, its nonzero samples; 0 if it is empty."""
-    nz = f.samples != 0.0
-    if not np.any(nz):
-        return 0.0
+    """Max of ||x|| over the support of f, its nonzero samples; the max starts
+    at 0, so an empty support reads 0."""
     rad2 = np.broadcast_to(norm_sq_lambda(f.window, f.params), f.samples.shape)
-    return float(np.sqrt(np.max(rad2[nz])))
+    return float(np.sqrt(np.max(rad2, where=f.samples != 0.0, initial=0.0)))
 
 
 def _nonzero_box(f: GridFunction) -> GridFunction:

@@ -280,10 +280,16 @@ def test_forward_linearity_and_conjugation():
 # ---------------------------------------------------------------------------
 
 def test_identity_suite_zero_function():
+    # a zero f takes the general path: every check with shells reads 0, and one the
+    # frontier clip leaves without shells is skipped, as it is for a bump
     p = QParams(q=0.5, alpha=0.5)
     z = GridFunction.zeros(p, LatticeWindow(-1, 2, -1, 2))
     rep = identity_suite(z)
-    assert all(v == 0.0 for v in rep.discrepancies.values())
+    assert list(rep.discrepancies.values()) == [0.0] * 4 and rep.skipped_orders == []
+    p = QParams(q=0.7, alpha=0.5)
+    rep = identity_suite(GridFunction.zeros(p, LatticeWindow(-1, 2, -1, 2)))
+    assert rep.discrepancies["pairing_symmetry"] is None
+    assert identity_suite(make_bump(p, seed=1)).discrepancies["pairing_symmetry"] is None
 
 
 def test_identity_suite_tolerances():

@@ -40,7 +40,7 @@ pairs), ``qgamma`` at base q in {0.998, 0.9999} for x in {0.5, 1.5, 2}, and
 kernel frontier, which holds none of the transform (zero samples, infinite tail).  At
 q in {1/2, 0.7} it saves the zero path: ``bandwidth_estimate`` (N = 12) and
 ``pw_m_sup`` of an all-zero transform, whose preimage is reconstructed, and the three
-derivative bound checks on an all-zero f.  A
+derivative bound checks and ``identity_suite`` on an all-zero f.  A
 call that raises is saved as its exception's type and message.  Only the
 public API is used.
 
@@ -302,6 +302,7 @@ def write(out: str) -> None:
         record(f"{name}:pw_m_sup", lambda: pw_m_sup(z, PWmParams(m=2, a=2.0, N=6)), _pw_m)
         for bname, (check, keys) in BOUNDS.items():
             record(f"{name}:{bname}_bound", lambda: check(z), _bound(keys))
+        record(f"{name}:identity_suite", lambda: identity_suite(z), _identities)
     np.savez(out, **entries)
     print(f"wrote {len(entries)} entries to {out} in {time.perf_counter() - start:.1f} s")
 
