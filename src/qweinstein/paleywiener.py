@@ -424,9 +424,10 @@ def radial_power_bound_check(f: GridFunction, n: int, i: int, j: int,
     by the derivatives need the inner support radii of the bump to stay
     bounded, so those enter the constant.
     """
-    if not (all(isinstance(x, (int, np.integer)) for x in (n, i, j, p)) and i <= p and j <= p):
+    if not (all(isinstance(x, (int, np.integer)) for x in (n, i, j, p))
+            and i <= p and j <= p and n >= 0):
         raise QDomainError(f"need i, j <= p, and n, i, j, p integers, got n={n!r}, i={i!r}, "
-                           f"j={j!r}, p={p!r}")
+                           f"j={j!r}, p={p!r}; the degree n must be >= 0")
     q = f.params.q
     g = f.with_samples(f.samples * norm_sq_lambda(f.window, f.params) ** n)
     d = dq_mixed(embed_zeros(g, 2 * i + 2, 2 * j + 2), (2 * i, 2 * j))
@@ -468,6 +469,9 @@ def sonine_identity_check(alpha: float, p: int, y_exponents: list[int], params: 
     exponent families.  The sum runs until its weight q^(j(2 alpha+2)) is below
     2^-60, N_MAX terms at least; past q = 0.9995 it raises DivergenceError.
     """
+    if len(y_exponents) == 0 or not all(isinstance(y, (int, np.integer)) for y in y_exponents):
+        raise QDomainError("sonine_identity_check needs a nonempty list of integer y_exponents, "
+                           f"got {y_exponents!r}")
     q = params.q
     base = QParams(q=q, alpha=alpha)
     k_lo, k_hi = min(y_exponents), max(y_exponents)

@@ -41,8 +41,8 @@ def neumaier_sum(terms: np.ndarray) -> complex:
 
 def jackson_0_to_a(f: Callable[[float], complex], a: float, params: QParams) -> IntegralResult:
     """Jackson integral from 0 to a > 0: (1-q) a sum_{n>=0} q^n f(a q^n)."""
-    if a <= 0:
-        raise QDomainError(f"jackson_0_to_a needs a > 0, got {a}")
+    if not 0 < a < math.inf:
+        raise QDomainError(f"jackson_0_to_a needs a > 0, got {a}; a must be finite")
     q = params.q
     terms = []
     for n in range(0, N_MAX + 1):

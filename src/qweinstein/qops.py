@@ -39,6 +39,9 @@ class LatticeWindow:
     taint_y: int = field(default=0, compare=False)   # and of the n2 axis
 
     def __post_init__(self):
+        if not all(isinstance(b, (int, np.integer)) for b in (
+                self.n1_min, self.n1_max, self.n2_min, self.n2_max, self.taint_x, self.taint_y)):
+            raise QDomainError(f"LatticeWindow needs integer bounds and taint layers, got {self!r}")
         if self.n1_min > self.n1_max or self.n2_min > self.n2_max:
             raise QDomainError("LatticeWindow needs n_min <= n_max in both variables")
         if min(self.taint_x, self.taint_y) < 0:

@@ -228,6 +228,8 @@ def forward(f: GridFunction, lambda_window: LatticeWindow | None = None, *,
     """
     if f.parity_y != EVEN:
         raise QDomainError("forward requires even parity in the second variable")
+    if not edge_tol >= 0.0:
+        raise QDomainError(f"the input edge tolerance must be >= 0, got {edge_tol!r}")
     shells = shell_masses(_scaled_abs(f.samples) ** 2 * mu_table(f.window, f.params))
     total = float(shells[0].sum())
     edge_ratio = sum(float(m[0]) for m in shells) / total if total else 0.0

@@ -100,6 +100,10 @@ GUARDS = [
      QDomainError, "need i, j <= p, and n, i, j, p integers, got n=2.5, i=1, j=1, p=1"),
     ("radial-order-integer", lambda t: qw.radial_power_bound_check(_bump(), 2, 1.5, 1, 2),
      QDomainError, "got n=2, i=1.5, j=1, p=2"),
+    # a negative degree would leave the binomial sum empty: a bound of 0
+    ("radial-degree-negative", lambda t: qw.radial_power_bound_check(_bump(), -1, 0, 0, 0),
+     QDomainError, "need i, j <= p, and n, i, j, p integers, got n=-1, i=0, j=0, p=0; "
+     "the degree n must be >= 0"),
     ("monomial-integer", lambda t: qw.monomial_derivative_bound_check(_bump(), 3.5, 3, 1, 1, 2),
      QDomainError, "need p1 <= p < n1 and p2 <= p < n2, all integers, got n1=3.5, n2=3, p1=1, "
      "p2=1, p=2"),
@@ -107,6 +111,11 @@ GUARDS = [
      "weinstein_sup_bound_check needs k >= 0"),
     ("sup-bound-k-integer", lambda t: qw.weinstein_sup_bound_check(_bump(), 1.5), QDomainError,
      "weinstein_sup_bound_check needs k >= 0, an integer, got 1.5"),
+    ("sonine-exponents-empty", lambda t: qw.sonine_identity_check(0.0, 1, [], P), QDomainError,
+     "sonine_identity_check needs a nonempty list of integer y_exponents, got []"),
+    ("sonine-exponents-integer", lambda t: qw.sonine_identity_check(0.0, 1, [0.5, 1], P),
+     QDomainError, "sonine_identity_check needs a nonempty list of integer y_exponents, "
+     "got [0.5, 1]"),
     # qcore
     ("point-sign", lambda t: LatticePoint(0, 1), QDomainError, "sign must be +1 or -1, got 0"),
     ("qshifted-n", lambda t: qw.qshifted(0.5, -1, P), QDomainError,
@@ -123,6 +132,12 @@ GUARDS = [
     # qops
     ("taint", lambda t: LatticeWindow(0, 0, 0, 0, taint_x=-1), QDomainError,
      "taint layers must be >= 0"),
+    ("window-integer", lambda t: LatticeWindow(0, 2.5, 0, 2), QDomainError,
+     "LatticeWindow needs integer bounds and taint layers, got LatticeWindow(n1_min=0, "
+     "n1_max=2.5, n2_min=0, n2_max=2, taint_x=0, taint_y=0)"),
+    ("taint-integer", lambda t: LatticeWindow(0, 2, 0, 2, taint_x=0.5), QDomainError,
+     "LatticeWindow needs integer bounds and taint layers, got LatticeWindow(n1_min=0, "
+     "n1_max=2, n2_min=0, n2_max=2, taint_x=0.5, taint_y=0)"),
     ("finite", lambda t: GridFunction(P, W, "even", np.full(W.shape, math.nan)), QDomainError,
      "samples must be finite (no NaN/Inf)"),
     ("shape", lambda t: GridFunction(P, W, "even", np.zeros((2, 3, 2))), QDomainError,
@@ -160,6 +175,10 @@ GUARDS = [
     # qintegrate
     ("jackson-a", lambda t: qw.jackson_0_to_a(lambda x: 1.0, 0.0, P), QDomainError,
      "jackson_0_to_a needs a > 0, got 0.0"),
+    ("jackson-a-nan", lambda t: qw.jackson_0_to_a(lambda x: 1.0, math.nan, P), QDomainError,
+     "jackson_0_to_a needs a > 0, got nan; a must be finite"),
+    ("jackson-a-inf", lambda t: qw.jackson_0_to_a(lambda x: 1.0, math.inf, P), QDomainError,
+     "jackson_0_to_a needs a > 0, got inf; a must be finite"),
     ("jackson-decay", lambda t: qw.jackson_0_to_a(lambda x: x**-2, 1.0, P), DivergenceError,
      "jackson_0_to_a: terms not decaying at the window edge"),
     ("lp-p-nan", lambda t: qw.lp_norm(_bump(), math.nan), QDomainError,
@@ -167,6 +186,11 @@ GUARDS = [
     # transform
     ("forward-parity", lambda t: qw.forward(_bump("odd")), QDomainError,
      "forward requires even parity in the second variable"),
+    # a NaN tolerance would turn the edge guard off, a negative one trip it on a zero input
+    ("forward-edge-tol-nan", lambda t: qw.forward(_bump(), edge_tol=math.nan), QDomainError,
+     "the input edge tolerance must be >= 0, got nan"),
+    ("inverse-edge-tol-negative", lambda t: qw.inverse(_bump(), edge_tol=-1.0), QDomainError,
+     "the input edge tolerance must be >= 0, got -1.0"),
     ("mu-overflow", lambda t: qw.forward(random_even_bump(QParams(q=0.5, alpha=13.0),
                                                           LatticeWindow(-2, 4, -2, 4), 7, pad=1)),
      DivergenceError, "the mu weights overflow on the window n1=[-36,50] n2=[-36,50] at q=0.5, "
